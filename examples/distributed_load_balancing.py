@@ -10,7 +10,7 @@ workload drifts or adapts.  This script:
    servers),
 2. routes a skewed query workload, a drifting workload and an adaptive
    client, and
-3. reports the worst per-server discrepancy, plus a distributed-reservoir
+3. reports the worst per-server discrepancy, plus a sharded-reservoir
    merge as a bonus (the coordinator view of [CTW16]).
 
 Run with ``python examples/distributed_load_balancing.py``.
@@ -18,7 +18,7 @@ Run with ``python examples/distributed_load_balancing.py``.
 
 from __future__ import annotations
 
-from repro import DistributedReservoir, PrefixSystem
+from repro import PrefixSystem, ReservoirSampler, ShardedSampler
 from repro.adversary import GreedyDensityAdversary
 from repro.applications import required_stream_length, simulate_load_balancing
 from repro.setsystems import Prefix
@@ -59,15 +59,19 @@ def main() -> None:
     print(f"  worst server discrepancy: {adaptive_report.worst_error:.4f} "
           f"({adaptive_report.servers_within(EPSILON)}/{NUM_SERVERS} servers within epsilon)")
 
-    # Bonus: the distributed-reservoir coordinator produces one global uniform
-    # sample of everything the servers saw, on demand.
-    coordinator = DistributedReservoir(NUM_SERVERS, capacity=500, seed=5)
+    # Bonus: with a reservoir at every server, the coordinator produces one
+    # global uniform sample of everything the servers saw, on demand.
+    deployment = ShardedSampler(
+        NUM_SERVERS,
+        lambda rng: ReservoirSampler(500, seed=rng),
+        strategy="round_robin",
+        seed=5,
+    )
     stream = query_workload(needed, UNIVERSE_SIZE, seed=6)
-    for index, query in enumerate(stream):
-        coordinator.process(index % NUM_SERVERS, query)
-    merged = coordinator.merged_sample()
+    deployment.extend(stream, updates=False)
+    merged = deployment.sample
     merged_error = system.max_discrepancy(stream, merged).error
-    print(f"\ndistributed reservoir: merged sample of {len(merged)} queries, "
+    print(f"\nsharded reservoir: merged sample of {len(merged)} queries, "
           f"global discrepancy {merged_error:.4f}")
 
 

@@ -74,12 +74,7 @@ from .core import (
     reservoir_attack_threshold,
     reservoir_continuous_size,
 )
-from .distributed import (
-    DistributedReservoir,
-    DistributedReservoirSampler,
-    RandomRouter,
-    ShardedSampler,
-)
+from .distributed import RandomRouter, ShardedSampler
 from .exceptions import (
     ConfigurationError,
     EmptySampleError,
@@ -133,8 +128,6 @@ __all__ = [
     "ContinuousGameResult",
     "ContinuousPrefixSystem",
     "DiscrepancyTracker",
-    "DistributedReservoir",
-    "DistributedReservoirSampler",
     "EmptySampleError",
     "EvictionChaserAdversary",
     "ExperimentError",

@@ -135,8 +135,8 @@ def _ingest_batched(sampler: Any, data: list[Any]) -> None:
 
 #: Caps on the stream fed to a sampler's *sequential* baseline, where the
 #: per-element path is the very bottleneck being replaced and would dominate
-#: the whole suite (the sliding window's prune is quadratic in its candidate
-#: count, ~1 ms per element at the benchmarked configuration).  Capped
+#: the whole suite (the sliding window re-scans its ``O(k log w)`` candidates
+#: every element, ~0.1 ms per element at the benchmarked configuration).  Capped
 #: baselines still compare like for like: the speedup is measured with both
 #: paths at the baseline length, and each record's ``n`` reports what was
 #: actually measured.

@@ -1,7 +1,5 @@
-"""Distributed substrates: query routing, distributed reservoirs, sharded samplers."""
+"""Distributed substrates: query routing, sharded samplers, faults."""
 
-from .adapter import DistributedReservoirSampler
-from .coordinator import DistributedReservoir
 from .faults import (
     FaultPlan,
     MessageCostLedger,
@@ -21,8 +19,6 @@ from .sharded import (
 )
 
 __all__ = [
-    "DistributedReservoir",
-    "DistributedReservoirSampler",
     "FaultPlan",
     "HashSharding",
     "MessageCostLedger",

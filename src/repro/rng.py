@@ -107,8 +107,7 @@ def hypergeometric_split(
     allocation says how many of the ``size`` output slots each part
     contributes, distributed exactly as a uniform ``size``-subset of the
     union of all substreams would be — the merge rule of [CTW16]-style
-    coordinator sampling, shared by :class:`~repro.distributed.coordinator.
-    DistributedReservoir` and :meth:`~repro.samplers.reservoir.
+    coordinator sampling behind :meth:`~repro.samplers.reservoir.
     ReservoirSampler.merge`.
 
     ``available`` caps how many elements part ``i`` can actually supply

@@ -160,9 +160,8 @@ class ReservoirSampler(FixedSizeSampler):
     ) -> "ReservoirSampler":
         """Merge sharded reservoirs into one uniform sample of the union.
 
-        The [CTW16] coordinator rule, shared with
-        :class:`~repro.distributed.coordinator.DistributedReservoir`: a
-        multivariate-hypergeometric draw over the parts' stream counts
+        The [CTW16] coordinator rule: a multivariate-hypergeometric draw
+        over the parts' stream counts
         (:func:`~repro.rng.hypergeometric_split`) decides how many of the
         merged slots each part contributes, and those slots are filled by
         sampling the part's reservoir without replacement.  The merged

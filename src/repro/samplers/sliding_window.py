@@ -17,8 +17,10 @@ variant inherits them per window via the same union-bound argument.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+import math
+from bisect import bisect_right, insort
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from typing import Any
 
 from ..exceptions import ConfigurationError
@@ -58,9 +60,7 @@ class SlidingWindowSampler(StreamSampler):
         self.window = int(window)
         self._rng = ensure_generator(seed)
         # Candidates: (arrival_index, priority, element), kept sorted by
-        # arrival.  An element is pruned once `capacity` later-arriving
-        # elements have smaller priorities (it can then never re-enter the
-        # sample before expiring).
+        # arrival; the fixed point of :meth:`_fixed_point`.
         self._candidates: list[tuple[int, float, Any]] = []
 
     # ------------------------------------------------------------------
@@ -69,12 +69,13 @@ class SlidingWindowSampler(StreamSampler):
     def _process(self, element: Any) -> SampleUpdate:
         arrival = self.rounds_processed
         priority = float(self._rng.random())
-        self._expire(arrival)
         self._candidates.append((arrival, priority, element))
-        self._prune()
-        accepted = any(
-            arrival == candidate_arrival for candidate_arrival, _p, _e in self._current_sample_entries()
+        self._candidates, priorities = self._fixed_point(
+            reversed(self._candidates), arrival - self.window
         )
+        # The sample is the stable priority sort's first `capacity` entries,
+        # and the newest arrival sorts after every equal priority.
+        accepted = bisect_right(priorities, priority) <= self.capacity
         return SampleUpdate(round_index=arrival, element=element, accepted=accepted)
 
     def extend(
@@ -86,15 +87,11 @@ class SlidingWindowSampler(StreamSampler):
         All priorities come from one ``Generator.random(n)`` draw (the same
         bit-stream consumption as ``n`` scalar draws).  The surviving
         candidate set after a batch is characterised without replaying the
-        intermediate states: a candidate is live iff it has not expired by
-        the batch's final round, and kept iff fewer than ``capacity``
-        surviving later arrivals have strictly smaller priorities — the same
-        fixed point the per-round ``_prune`` maintains incrementally (its
+        intermediate states: it is the :meth:`_fixed_point` of the old
+        candidates plus the batch's live tail at the batch's final round —
+        the same set per-round processing reaches incrementally, because
         dominators expire no earlier than the candidates they dominate, so
-        pruning early never changes the final set).  The kernel therefore
-        scans the batch newest-to-oldest with a single float comparison per
-        rejected element and an ``insort`` per survivor (``O(k log w)``
-        expected survivors).
+        pruning early never changes the final set.
 
         The per-element ``accepted`` flag is defined against each
         intermediate state, so ``updates=True`` takes the sequential path
@@ -110,45 +107,17 @@ class SlidingWindowSampler(StreamSampler):
         priorities = self._rng.random(n)
         start_round = self._round
         self._round += n
-        final_round = start_round + n
-        cutoff = final_round - self.window
         # Only the trailing `window` batch elements can be live at the end;
         # and if any batch element expired, every pre-batch candidate did too.
         first_live = max(0, n - self.window)
-
-        capacity = self.capacity
-        kept_reversed: list[tuple[int, float, Any]] = []
-        kept_priorities: list[float] = []
-        threshold: float | None = None
-        for offset in range(n - 1, first_live - 1, -1):
-            priority = float(priorities[offset])
-            if threshold is not None and priority > threshold:
-                continue
-            rank = bisect_left(kept_priorities, priority)
-            if rank >= capacity:
-                continue
-            insort(kept_priorities, priority)
-            kept_reversed.append((start_round + 1 + offset, priority, elements[offset]))
-            if len(kept_priorities) >= capacity:
-                threshold = kept_priorities[capacity - 1]
-        old_kept_reversed: list[tuple[int, float, Any]] = []
-        if first_live == 0:
-            for candidate in reversed(self._candidates):
-                if candidate[0] <= cutoff:
-                    break
-                priority = candidate[1]
-                if threshold is not None and priority > threshold:
-                    continue
-                rank = bisect_left(kept_priorities, priority)
-                if rank >= capacity:
-                    continue
-                insort(kept_priorities, priority)
-                old_kept_reversed.append(candidate)
-                if len(kept_priorities) >= capacity:
-                    threshold = kept_priorities[capacity - 1]
-        old_kept_reversed.reverse()
-        kept_reversed.reverse()
-        self._candidates = old_kept_reversed + kept_reversed
+        live = zip(
+            reversed(range(start_round + 1 + first_live, self._round + 1)),
+            reversed(priorities[first_live:].tolist()),
+            reversed(elements[first_live:]),
+        )
+        self._candidates, _ = self._fixed_point(
+            chain(live, reversed(self._candidates)), self._round - self.window
+        )
         return None
 
     def merge(
@@ -163,13 +132,12 @@ class SlidingWindowSampler(StreamSampler):
         Each part's priority-tagged candidates are shifted to global arrival
         indices (``offsets``, defaulting to consecutive substreams: part
         ``i`` starts where part ``i-1`` ended), combined, and re-run through
-        the same expiry + domination fixed point as the batch kernel.  For
-        consecutive substreams the result is **bit-identical** to a single
-        sampler that consumed the concatenated stream with the same
-        priorities: local pruning only ever removes candidates whose
-        dominators arrived later at the same part — later globally too — so
-        the combined fixed point is unchanged (the same argument that makes
-        the chunked ``extend`` kernel exact).
+        :meth:`_fixed_point`.  For consecutive substreams the result is
+        **bit-identical** to a single sampler that consumed the concatenated
+        stream with the same priorities: local pruning only ever removes
+        candidates whose dominators arrived later at the same part — later
+        globally too — so the combined fixed point is unchanged (the same
+        argument that makes the chunked ``extend`` kernel exact).
 
         For interleaved substreams (sharded routing) no offset assignment
         reconstructs global arrival order; the merged *candidate set* is then
@@ -201,31 +169,12 @@ class SlidingWindowSampler(StreamSampler):
             for arrival, priority, element in part._candidates
         ]
         combined.sort(key=lambda candidate: candidate[0])
-        cutoff = total_round - self.window
-        capacity = self.capacity
-        kept_reversed: list[tuple[int, float, Any]] = []
-        kept_priorities: list[float] = []
-        threshold: float | None = None
-        for candidate in reversed(combined):
-            if candidate[0] <= cutoff:
-                break  # sorted by arrival: everything before this has expired
-            priority = candidate[1]
-            if threshold is not None and priority > threshold:
-                continue
-            rank = bisect_left(kept_priorities, priority)
-            if rank >= capacity:
-                continue
-            insort(kept_priorities, priority)
-            kept_reversed.append(candidate)
-            if len(kept_priorities) >= capacity:
-                threshold = kept_priorities[capacity - 1]
-        kept_reversed.reverse()
         merged = SlidingWindowSampler(
             self.capacity,
             self.window,
             seed=rng if rng is not None else spawn_generators(self._rng, 1)[0],
         )
-        merged._candidates = kept_reversed
+        merged._candidates, _ = self._fixed_point(reversed(combined), total_round - self.window)
         merged._round = total_round
         return merged
 
@@ -259,32 +208,36 @@ class SlidingWindowSampler(StreamSampler):
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _expire(self, current_round: int) -> None:
-        cutoff = current_round - self.window
-        if cutoff > 0:
-            self._candidates = [
-                candidate for candidate in self._candidates if candidate[0] > cutoff
-            ]
+    def _fixed_point(
+        self, newest_first: Iterable[tuple[int, float, Any]], cutoff: int
+    ) -> tuple[list[tuple[int, float, Any]], list[float]]:
+        """Expire and prune candidates given newest arrival first.
 
-    def _prune(self) -> None:
-        """Drop candidates that can never re-enter the sample before expiring.
-
-        A candidate is dominated once at least ``capacity`` candidates that
-        arrived *after* it have strictly smaller priorities: those dominators
-        expire later, so the candidate can never climb back into the k
-        smallest priorities of a live window.
+        Returns the kept candidates in arrival order and their priorities
+        sorted ascending.  A candidate is kept iff it arrived after
+        ``cutoff`` and fewer than ``capacity`` kept later arrivals have
+        strictly smaller priorities.  A dominated candidate can never
+        re-enter the sample: its dominators expire later.  The first expired
+        candidate ends the scan, and a priority above the ``capacity``-th
+        smallest kept one is rejected by a single comparison, so a lazy
+        ``newest_first`` only ever materialises the survivors.
         """
+        capacity = self.capacity
         kept: list[tuple[int, float, Any]] = []
-        # Scan from newest to oldest, tracking how many newer candidates have
-        # smaller priority than the one under consideration.
-        for candidate in reversed(self._candidates):
-            dominators = sum(
-                1 for newer in kept if newer[1] < candidate[1]
-            )
-            if dominators < self.capacity:
-                kept.append(candidate)
+        priorities: list[float] = []
+        threshold = math.inf
+        for candidate in newest_first:
+            if candidate[0] <= cutoff:
+                break
+            priority = candidate[1]
+            if priority > threshold:
+                continue
+            insort(priorities, priority)
+            kept.append(candidate)
+            if len(priorities) >= capacity:
+                threshold = priorities[capacity - 1]
         kept.reverse()
-        self._candidates = kept
+        return kept, priorities
 
     def _current_sample_entries(self) -> list[tuple[int, float, Any]]:
         live = sorted(self._candidates, key=lambda candidate: candidate[1])

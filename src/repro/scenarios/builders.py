@@ -38,7 +38,7 @@ from ..adversary import (
     UniformAdversary,
     ZipfAdversary,
 )
-from ..distributed import DistributedReservoirSampler, ShardedSampler
+from ..distributed import ShardedSampler
 from ..distributed.faults import compile_fault_spec
 from ..exceptions import ConfigurationError
 from ..samplers import (
@@ -236,13 +236,6 @@ def build_sampler(
     if family == "weighted_reservoir":
         _reject_unknown(spec, {"family", "capacity"}, "sampler")
         return WeightedReservoirSampler(int(_require(spec, "capacity", "sampler")), seed=rng)
-    if family == "distributed_reservoir":
-        _reject_unknown(spec, {"family", "sites", "capacity"}, "sampler")
-        return DistributedReservoirSampler(
-            int(_require(spec, "sites", "sampler")),
-            int(_require(spec, "capacity", "sampler")),
-            seed=rng,
-        )
     raise ConfigurationError(f"unknown sampler family {family!r}")
 
 
@@ -257,7 +250,6 @@ _SPACE_FIELDS = {
     "reservoir": "capacity",
     "sliding_window": "capacity",
     "weighted_reservoir": "capacity",
-    "distributed_reservoir": "capacity",
 }
 
 

@@ -200,26 +200,21 @@ register_scenario(
     Scenario(
         name="distributed_skew",
         description=(
-            "Adaptive prefix skew against a multi-site distributed "
-            "reservoir: the adversary only ever observes the coordinator's "
-            "merged sample, as a real probing client would."
+            "Adaptive prefix skew against a 4-site randomly routed "
+            "reservoir deployment: the adversary only ever observes the "
+            "coordinator's merged sample, as a real probing client would."
         ),
         base_config=ScenarioConfig(
             name="distributed_skew",
             stream_length=1024,
             universe_size=_UNIVERSE,
-            samplers={
-                "distributed-4x32": {
-                    "family": "distributed_reservoir",
-                    "sites": 4,
-                    "capacity": 32,
-                }
-            },
+            samplers={"distributed-4x32": {"family": "reservoir", "capacity": 32}},
             adversary={
                 "family": "greedy_density",
                 "target": {"kind": "prefix", "bound_fraction": 0.25},
             },
             set_system={"kind": "prefix"},
+            sharding={"sites": 4, "strategy": "random"},
         ),
     )
 )

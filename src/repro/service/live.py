@@ -33,6 +33,7 @@ from collections.abc import Iterable, Sequence
 from typing import Any
 
 import numpy as np
+from numpy.typing import NDArray
 
 from ..exceptions import ConfigurationError, EmptySampleError
 from ..samplers.base import StreamSampler
@@ -156,14 +157,23 @@ class QueryService:
     # Writer path
     # ------------------------------------------------------------------
     def ingest(self, chunk: Sequence[Any]) -> None:
-        """Append a chunk; republish the snapshot when the bound requires it."""
+        """Append a chunk; republish the snapshot when the bound requires it.
+
+        With a universe, a chunk holding a value outside
+        ``[1, universe_size]`` is rejected before any state changes.
+        """
+        values: NDArray[np.int64] | None = None
+        if self._universe is not None:
+            values = np.asarray(chunk, dtype=np.int64)
+            if values.size and (values.min() < 1 or values.max() > self._universe):
+                raise ConfigurationError(
+                    f"chunk values must lie in [1, {self._universe}], got "
+                    f"[{values.min()}, {values.max()}]"
+                )
         with self._lock:
             self._store.sampler.extend(chunk, updates=False)
-            if self._universe is not None:
-                values = np.asarray(chunk, dtype=np.int64)
-                self._counts += np.bincount(
-                    values, minlength=self._counts.shape[0]
-                )[: self._counts.shape[0]]
+            if values is not None:
+                self._counts += np.bincount(values, minlength=self._counts.shape[0])
             published = self._published
             behind = (
                 published is None

@@ -1,4 +1,4 @@
-"""Tests for the distributed substrates: random routing and distributed reservoirs."""
+"""Tests for random query routing (the Section 1.2 load-balancing substrate)."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ from collections import Counter
 
 import pytest
 
-from repro.distributed import DistributedReservoir, RandomRouter
-from repro.exceptions import ConfigurationError, EmptySampleError
+from repro.distributed import RandomRouter
+from repro.exceptions import ConfigurationError
 from repro.setsystems import PrefixSystem
 from repro.streams import uniform_stream
 
@@ -51,125 +51,3 @@ class TestRandomRouter:
         router = RandomRouter(2, seed=0)
         assert router.load_imbalance() == 0.0
         assert router.worst_server_discrepancy(PrefixSystem(8)) == 0.0
-
-
-class TestDistributedReservoir:
-    def test_configuration_validation(self):
-        with pytest.raises(ConfigurationError):
-            DistributedReservoir(0, 5)
-        with pytest.raises(ConfigurationError):
-            DistributedReservoir(3, 0)
-
-    def test_site_validation(self):
-        reservoir = DistributedReservoir(2, 5, seed=0)
-        with pytest.raises(ConfigurationError):
-            reservoir.process(5, "x")
-
-    def test_counts_tracked_per_site(self, rng):
-        reservoir = DistributedReservoir(3, 10, seed=rng)
-        reservoir.process_batch(0, range(20))
-        reservoir.process_batch(2, range(5))
-        assert reservoir.site_counts == (20, 0, 5)
-        assert reservoir.total_count == 25
-
-    def test_merged_sample_size(self, rng):
-        reservoir = DistributedReservoir(3, 16, seed=rng)
-        for site in range(3):
-            reservoir.process_batch(site, range(site * 100, site * 100 + 100))
-        merged = reservoir.merged_sample()
-        assert len(merged) == 16
-
-    def test_merged_sample_respects_requested_size(self, rng):
-        reservoir = DistributedReservoir(2, 10, seed=rng)
-        reservoir.process_batch(0, range(50))
-        reservoir.process_batch(1, range(50, 100))
-        assert len(reservoir.merged_sample(5)) == 5
-
-    def test_merged_sample_smaller_than_total_when_data_scarce(self, rng):
-        reservoir = DistributedReservoir(2, 10, seed=rng)
-        reservoir.process_batch(0, [1, 2, 3])
-        assert sorted(reservoir.merged_sample()) == [1, 2, 3]
-
-    def test_merge_requires_data(self, rng):
-        reservoir = DistributedReservoir(2, 4, seed=rng)
-        with pytest.raises(EmptySampleError):
-            reservoir.merged_sample()
-
-    def test_oversized_merge_rejected(self, rng):
-        reservoir = DistributedReservoir(2, 4, seed=rng)
-        reservoir.process(0, 1)
-        with pytest.raises(ConfigurationError):
-            reservoir.merged_sample(10)
-
-    def test_merged_sample_proportional_to_site_sizes(self, rng):
-        # Site 0 contributes 90% of the data; merged samples should reflect it.
-        runs, k = 200, 10
-        from_site0 = 0
-        for seed in range(runs):
-            reservoir = DistributedReservoir(2, k, seed=seed)
-            reservoir.process_batch(0, range(900))
-            reservoir.process_batch(1, range(1000, 1100))
-            merged = reservoir.merged_sample()
-            from_site0 += sum(1 for value in merged if value < 900)
-        fraction = from_site0 / (runs * k)
-        assert fraction == pytest.approx(0.9, abs=0.05)
-
-    def test_merged_sample_is_representative(self, rng):
-        reservoir = DistributedReservoir(4, 400, seed=rng)
-        stream = uniform_stream(8000, 256, seed=rng)
-        for index, value in enumerate(stream):
-            reservoir.process(index % 4, value)
-        merged = reservoir.merged_sample()
-        error = PrefixSystem(256).max_discrepancy(stream, merged).error
-        assert error < 0.15
-
-
-class TestDistributedAdapterExtend:
-    """Pins for the vectorised ``extend`` kernel on the sampler adapter.
-
-    Regression for the PRO001 fix: the adapter gained a batch path whose
-    routing comes from one sized ``integers`` draw.  That draw must consume
-    the adapter's bit stream exactly like per-element scalar draws, so any
-    chunking is bit-identical to sequential ``process`` — the property the
-    distributed scenario reproducibility pins rely on.
-    """
-
-    def _adapter(self, seed=7):
-        from repro.distributed.adapter import DistributedReservoirSampler
-
-        return DistributedReservoirSampler(num_sites=4, capacity=32, seed=seed)
-
-    def test_extend_bit_identical_to_sequential(self):
-        data = uniform_stream(2000, 128, seed=3)
-        sequential = self._adapter()
-        batched = self._adapter()
-        loop_updates = [sequential.process(element) for element in data]
-        fast_updates = batched.extend(data)
-        assert fast_updates == loop_updates
-        assert sequential.rounds_processed == batched.rounds_processed
-        assert sequential.memory_footprint() == batched.memory_footprint()
-        # Both generators sit at the same stream position, so the next merge
-        # (a fresh hypergeometric draw) is also bit-identical.
-        assert list(sequential.sample) == list(batched.sample)
-
-    @pytest.mark.parametrize("plan", [[1] * 10 + [490, 700, 800], [2000], [137] * 15])
-    def test_any_chunking_is_bit_identical(self, plan):
-        data = uniform_stream(2000, 128, seed=5)
-        reference = self._adapter(seed=11)
-        chunked = self._adapter(seed=11)
-        for element in data:
-            reference.process(element)
-        cursor = 0
-        for size in plan:
-            chunked.extend(data[cursor : cursor + size], updates=False)
-            cursor += size
-        chunked.extend(data[cursor:], updates=False)
-        assert reference.rounds_processed == chunked.rounds_processed
-        assert list(reference.sample) == list(chunked.sample)
-
-    def test_updates_false_and_empty_batch(self):
-        sampler = self._adapter()
-        assert sampler.extend([], updates=True) == []
-        assert sampler.extend([], updates=False) is None
-        assert sampler.extend(range(100), updates=False) is None
-        assert sampler.rounds_processed == 100

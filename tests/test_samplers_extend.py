@@ -25,6 +25,7 @@ from repro.adversary import (
     run_adaptive_game,
     run_continuous_game,
 )
+from repro.rng import ensure_generator
 from repro.samplers import (
     BernoulliSampler,
     GreenwaldKhannaSketch,
@@ -292,6 +293,65 @@ class TestSlidingWindowExtend:
         sampler.extend(range(500), updates=False)
         assert sampler.sample_size == 6
         assert sampler.rounds_processed == 500
+
+
+def _window_sample(priorities, capacity, window, t):
+    """Arrivals in the sample after round ``t``, from the definition: the
+    ``capacity`` smallest priorities among arrivals ``(t - window, t]``,
+    ties broken by arrival (``sorted`` is stable)."""
+    live = range(max(1, t - window + 1), t + 1)
+    return sorted(live, key=lambda i: priorities[i - 1])[:capacity]
+
+
+def _window_candidates(priorities, data, capacity, window, t):
+    """``(arrival, priority, element)`` a sampler must hold after round
+    ``t``: the live arrivals with fewer than ``capacity`` later live
+    arrivals of strictly smaller priority."""
+    live = range(max(1, t - window + 1), t + 1)
+    return [
+        (i, priorities[i - 1], data[i - 1])
+        for i in live
+        if sum(priorities[j - 1] < priorities[i - 1] for j in range(i + 1, t + 1)) < capacity
+    ]
+
+
+class TestSlidingWindowOracle:
+    """The sliding-window sampler against a brute-force reference.
+
+    Every ingestion path shares one fixed-point kernel, so comparing
+    ``process`` with chunked ``extend`` alone would compare the kernel with
+    itself.  The reference recomputes the state from the window model, with
+    the priorities the sampler's generator draws.
+    """
+
+    GEOMETRIES = [(1, 1), (3, 3), (4, 30), (32, 256), (8, 500)]
+    SEED = 14
+
+    @pytest.mark.parametrize("capacity,window", GEOMETRIES)
+    def test_process_matches_reference(self, capacity, window):
+        data = _stream(33)
+        priorities = ensure_generator(self.SEED).random(len(data)).tolist()
+        sampler = SlidingWindowSampler(capacity, window, seed=self.SEED)
+        for t, element in enumerate(data, start=1):
+            update = sampler.process(element)
+            sample = _window_sample(priorities, capacity, window, t)
+            assert update.accepted == (t in sample)
+            assert list(sampler.sample) == [data[i - 1] for i in sample]
+            # The candidate reference is quadratic in the window: spot-check it.
+            if t % 37 == 0 or t == len(data):
+                assert sampler._candidates == _window_candidates(priorities, data, capacity, window, t)
+
+    @pytest.mark.parametrize("capacity,window", GEOMETRIES)
+    @pytest.mark.parametrize("plan", CHUNK_PLANS)
+    def test_chunked_extend_matches_reference(self, capacity, window, plan):
+        data = _stream(34)
+        priorities = ensure_generator(self.SEED).random(len(data)).tolist()
+        sampler = SlidingWindowSampler(capacity, window, seed=self.SEED)
+        _feed_chunks(sampler, data, plan)
+        t = len(data)
+        sample = _window_sample(priorities, capacity, window, t)
+        assert list(sampler.sample) == [data[i - 1] for i in sample]
+        assert sampler._candidates == _window_candidates(priorities, data, capacity, window, t)
 
 
 class TestMisraGriesExtend:

@@ -2,9 +2,9 @@
 
 The snapshot store's staleness bound, its cache-bypass contract for
 exposure-tracked deployments and fault-plan stale windows, the deterministic
-ServedSampler wrapper, the pure query kernels, and the ScenarioConfig
-``service`` block.  The threaded QueryService is covered separately in
-``test_service_concurrency.py``.
+ServedSampler wrapper, the pure query kernels, QueryService's ingest
+validation, and the ScenarioConfig ``service`` block.  The threaded
+QueryService is covered separately in ``test_service_concurrency.py``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.exceptions import ConfigurationError, EmptySampleError
 from repro.samplers import BernoulliSampler, ReservoirSampler
 from repro.scenarios import SamplerFromSpec, ScenarioConfig
 from repro.service import (
+    QueryService,
     ServedSampler,
     Snapshot,
     SnapshotStore,
@@ -260,6 +261,27 @@ class TestServedSampler:
         assert served.rounds_processed == 0
         assert served.service_report()["ticks"] == 0
         assert served.store.held is None
+
+
+class TestQueryServiceIngest:
+    """With a universe, ``ingest`` accepts a chunk completely or not at all."""
+
+    @pytest.mark.parametrize("chunk", [[4, -1, 5], [4, 0, 5], [4, 9, 5]])
+    def test_out_of_universe_chunk_leaves_no_trace(self, chunk):
+        service = QueryService(ReservoirSampler(8, seed=0), universe_size=8)
+        service.ingest([1, 2, 3])
+        published = service.acquire()
+        with pytest.raises(ConfigurationError, match=r"\[1, 8\]"):
+            service.ingest(chunk)
+        service.ingest([])
+        assert service.sampler.rounds_processed == 3
+        assert list(service.sampler.sample) == [1, 2, 3]
+        # No round was ingested, so the published pair still meets the bound.
+        assert service.acquire() is published
+        assert published[1].tolist() == [0, 1, 1, 1, 0, 0, 0, 0, 0]
+        service.ingest([4, 8])
+        assert service.acquire()[1].tolist() == [0, 1, 1, 1, 1, 0, 0, 0, 1]
+        assert service.query("discrepancy") == 0.0
 
 
 class TestQueryKernels:

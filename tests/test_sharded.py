@@ -23,6 +23,7 @@ from repro.exceptions import ConfigurationError
 from repro.samplers import BernoulliSampler, ReservoirSampler, SlidingWindowSampler
 from repro.scenarios import ScenarioConfig, run_config
 from repro.setsystems import PrefixSystem
+from repro.streams import uniform_stream
 
 
 def reservoir_site(rng: np.random.Generator) -> ReservoirSampler:
@@ -309,6 +310,20 @@ class TestShardedSampler:
         )
         assert merged_priorities == live_priorities[:8]
         assert len(sharded.sample) == 8
+
+    def test_round_robin_reservoir_merge_is_representative(self, rng):
+        """The [CTW16] merged view of 4 site reservoirs is a good global sample."""
+        sharded = ShardedSampler(
+            4,
+            lambda site_rng: ReservoirSampler(400, seed=site_rng),
+            strategy="round_robin",
+            seed=rng,
+        )
+        stream = uniform_stream(8000, 256, seed=rng)
+        sharded.extend(stream, updates=False)
+        merged = sharded.sample
+        assert len(merged) == 400
+        assert PrefixSystem(256).max_discrepancy(stream, merged).error < 0.15
 
     def test_site_sample_validates_index(self):
         sharded = ShardedSampler(2, reservoir_site, seed=0)
