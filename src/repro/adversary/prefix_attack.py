@@ -89,13 +89,15 @@ class GreedyDensityAdversary(CadencedAdversary):
         self, round_index: int, count: int, observed_sample: Sequence[Any] | None
     ) -> list[Any]:
         gap = self._current_gap(observed_sample)
+        return self._submit_block(self._send_in_range(gap, observed_sample), count)
+
+    def _send_in_range(self, gap: float, observed_sample: Sequence[Any] | None) -> bool:
+        """The greedy direction for a block at density gap ``gap``."""
         if self.widen:
-            send_in_range = gap >= 0.0
-        else:
-            # One-sided mode: keep pushing stream mass into the range as long
-            # as the sample has not caught up.
-            send_in_range = gap >= 0.0 or self._sample_density(observed_sample) == 0.0
-        return self._submit_block(send_in_range, count)
+            return gap >= 0.0
+        # One-sided mode: keep pushing stream mass into the range as long
+        # as the sample has not caught up.
+        return gap >= 0.0 or self._sample_density(observed_sample) == 0.0
 
     def _submit_block(self, send_in_range: bool, count: int) -> list[Any]:
         """Draw the block's elements and keep the stream-density bookkeeping."""
@@ -121,7 +123,7 @@ class GreedyDensityAdversary(CadencedAdversary):
     def _sample_density(self, observed_sample: Sequence[Any] | None) -> float:
         if not observed_sample:
             return 0.0
-        hits = sum(1 for element in observed_sample if element in self.target_range)
+        hits = sum(map(self.target_range.__contains__, observed_sample))
         return hits / len(observed_sample)
 
     def _current_gap(self, observed_sample: Sequence[Any] | None) -> float:
@@ -160,9 +162,10 @@ class MixingGreedyDensityAdversary(GreedyDensityAdversary):
     def plan_block(
         self, round_index: int, count: int, observed_sample: Sequence[Any] | None
     ) -> list[Any]:
-        if self._current_gap(observed_sample) == 0.0 and self.widen:
+        gap = self._current_gap(observed_sample)
+        if gap == 0.0 and self.widen:
             elements = []
             for offset in range(count):
                 elements.extend(self._submit_block((round_index + offset) % 2 == 1, 1))
             return elements
-        return super().plan_block(round_index, count, observed_sample)
+        return self._submit_block(self._send_in_range(gap, observed_sample), count)

@@ -26,7 +26,10 @@ play against a multi-site system without knowing it is one:
   paid for in the :class:`~repro.distributed.faults.MessageCostLedger`),
   repeated reads between advances are O(1) cache hits, and all merge
   randomness comes from the deployment's own seeded substream, so games
-  stay reproducible.
+  stay reproducible.  A read serves only the merged *sample*, so it draws
+  through the family's ``merged_sample`` where there is one (reservoirs:
+  the [CTW16] draw without building a merged sampler); the full merge is
+  kept for :meth:`ShardedSampler.merged_sampler` and for resharding.
 * **Faults and elasticity** are driven by a declarative
   :class:`~repro.distributed.faults.FaultPlan`: sites crash (their local
   summary is wiped; routed elements are dropped or replay-buffered per the
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Sequence
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -306,6 +309,15 @@ def build_sharding_strategy(
     )
 
 
+class _MergedView(NamedTuple):
+    """The coordinator's memo: one merge of the live sites."""
+
+    version: int
+    sample: tuple[Any, ...]
+    #: The merged sampler, or ``None`` when the read drew the sample alone.
+    sampler: StreamSampler | None
+
+
 class ShardedSampler(StreamSampler):
     """A ``K``-site sharded deployment behind the ``StreamSampler`` interface.
 
@@ -341,7 +353,9 @@ class ShardedSampler(StreamSampler):
     reservoir — a fresh hypergeometric draw from the deployment's own
     substream, never the sites', so a probing client can never
     desynchronise the sites' seeded sampling streams), and repeated
-    observations between advances return the cached view.  Deployments
+    observations between advances return the cached view.  Reservoir
+    sites serve that draw through ``merged_sample``, with no merged sampler
+    built; :meth:`merged_sampler` makes the full merge.  Deployments
     whose sites track exposure (defense wrappers with an
     ``observe_exposure`` hook) bypass the cache entirely: every read there
     re-merges, because the act of reading advances the sites' serving
@@ -384,8 +398,14 @@ class ShardedSampler(StreamSampler):
         self._dropped = [0] * self.num_sites
         self._wiped_rounds = 0
         self._version = 0
-        self._merged_cache: StreamSampler | None = None
-        self._merged_cache_version = -1
+        # Reading the merged view advances exposure-tracking sites (defense
+        # wrappers with an ``observe_exposure`` hook), so such deployments
+        # re-merge on every read and never fill the memo.  Reshards keep
+        # the site family, so this holds for the deployment's lifetime.
+        self._tracks_exposure = any(
+            getattr(site, "observe_exposure", None) is not None for site in self._sites
+        )
+        self._memo: _MergedView | None = None
 
     @staticmethod
     def _validate_site(site: Any) -> None:
@@ -589,6 +609,13 @@ class ShardedSampler(StreamSampler):
         exposure-tracking sites (``observe_exposure``) never cache: reading
         their state advances it, so every call re-merges, as before.
 
+        The memo is shared with :attr:`sample`.  A read there caches no
+        sampler for families that draw the merged sample alone
+        (``merged_sample``: reservoirs), so a call after such a read makes
+        its own full merge — a second draw and ledger record — and both
+        serve it from then on.  That includes a stale window: the call
+        merges the current sites, not the cached view.
+
         Families whose merge takes substream offsets (they declare
         ``merge_wants_offsets`` — sliding windows, and defense wrappers
         around them) are merged with trailing offsets: each site's local
@@ -596,43 +623,23 @@ class ShardedSampler(StreamSampler):
         locally live candidates stay live in the merged view (see the
         module docstring for the per-site-window semantics).
         """
-        cacheable = not any(
-            getattr(site, "observe_exposure", None) is not None
-            for site in self._sites
-        )
-        if cacheable and self._merged_cache is not None:
-            stale = self.fault_plan is not None and self.fault_plan.is_stale(
-                self._round
-            )
-            if stale or self._merged_cache_version == self._version:
-                return self._merged_cache
-        survivors = [
-            site for site, down in zip(self._sites, self._down) if not down
-        ]
-        if not survivors:
-            raise ConfigurationError(
-                "every site is down; the coordinator has no state to merge"
-            )
-        primary, rest = survivors[0], survivors[1:]
-        if getattr(primary, "merge_wants_offsets", False):
-            total = self.rounds_processed
-            offsets = [total - site.rounds_processed for site in survivors]
-            merged = primary.merge(rest, rng=self._merge_rng, offsets=offsets)
-        else:
-            merged = primary.merge(rest, rng=self._merge_rng)
-        self.ledger.record(
-            "merge",
-            messages=len(survivors),
-            payload=sum(site.memory_footprint() for site in survivors),
-        )
-        if cacheable:
-            self._merged_cache = merged
-            self._merged_cache_version = self._version
+        memo = self._servable_memo()
+        if memo is not None and memo.sampler is not None:
+            return memo.sampler
+        merged = self._merge_live(read_only=False).sampler
+        assert merged is not None  # a full merge always builds the sampler
         return merged
 
     @property
     def sample(self) -> Sequence[Any]:
         """The coordinator's merged sample (empty before any element).
+
+        Served from the memo :meth:`merged_sampler` describes, with the
+        same version, stale-window and exposure rules.  A fresh read draws
+        through the primary site's ``merged_sample`` when its family has
+        one (reservoirs: the [CTW16] draw, no sampler built) and through
+        the family's full ``merge`` otherwise; either way the ledger records
+        one merge and the served sample equals that merge's ``sample``.
 
         Reading the merged view exposes the serving state of every site, so
         sites that track exposure (defense wrappers with an
@@ -642,15 +649,67 @@ class ShardedSampler(StreamSampler):
         adversary had read them directly.  When every site is down the
         coordinator serves an empty sample.
         """
-        if self.rounds_processed == 0:
+        if self.rounds_processed == 0 or all(self._down):
             return ()
-        if all(self._down):
-            return ()
-        for site in self._sites:
-            notify = getattr(site, "observe_exposure", None)
-            if notify is not None:
-                notify()
-        return tuple(self.merged_sampler().sample)
+        if self._tracks_exposure:
+            for site in self._sites:
+                notify = getattr(site, "observe_exposure", None)
+                if notify is not None:
+                    notify()
+        memo = self._servable_memo()
+        if memo is not None:
+            return memo.sample
+        return self._merge_live(read_only=True).sample
+
+    def _servable_memo(self) -> _MergedView | None:
+        """The memo, if it may be served now: merged at the current
+        version, or any memo while a stale window pins the coordinator."""
+        memo = self._memo
+        if memo is None or memo.version == self._version:
+            return memo
+        if self.fault_plan is not None and self.fault_plan.is_stale(self._round):
+            return memo
+        return None
+
+    def _merge_live(self, read_only: bool) -> _MergedView:
+        """One coordinator merge of the live sites, paid for in the ledger.
+
+        The primary (first live) site merges the others with the
+        deployment's merge substream, passing trailing offsets to families
+        that declare ``merge_wants_offsets``.  With ``read_only`` a family
+        exposing ``merged_sample`` draws the sample alone and no sampler is
+        built.  Unless the sites track exposure, the result becomes the
+        memo.
+        """
+        survivors = [
+            site for site, down in zip(self._sites, self._down) if not down
+        ]
+        if not survivors:
+            raise ConfigurationError(
+                "every site is down; the coordinator has no state to merge"
+            )
+        primary, rest = survivors[0], survivors[1:]
+        options: dict[str, Any] = {"rng": self._merge_rng}
+        if getattr(primary, "merge_wants_offsets", False):
+            total = self.rounds_processed
+            options["offsets"] = [total - site.rounds_processed for site in survivors]
+        draw = getattr(primary, "merged_sample", None) if read_only else None
+        if draw is not None:
+            view = _MergedView(self._version, tuple(draw(rest, **options)), None)
+        else:
+            merged = primary.merge(rest, **options)
+            # Reading an exposure-tracking sampler's sample is an exposure,
+            # so only a read does it (such deployments never fill the memo).
+            served = tuple(merged.sample) if read_only or not self._tracks_exposure else ()
+            view = _MergedView(self._version, served, merged)
+        self.ledger.record(
+            "merge",
+            messages=len(survivors),
+            payload=sum(site.memory_footprint() for site in survivors),
+        )
+        if not self._tracks_exposure:
+            self._memo = view
+        return view
 
     # ------------------------------------------------------------------
     # Elastic topology
@@ -790,8 +849,7 @@ class ShardedSampler(StreamSampler):
         self._dropped = [0] * self.num_sites
         self._wiped_rounds = 0
         self._version += 1
-        self._merged_cache = None
-        self._merged_cache_version = -1
+        self._memo = None
         self.ledger.reset()
 
     # ------------------------------------------------------------------

@@ -258,6 +258,12 @@ class Mergeable(Protocol):
     Merge randomness comes from the ``rng`` argument (falling back to the
     primary part's own generator), never from the other parts, so sharded
     reads leave the non-primary sites' seeded streams untouched.
+
+    A family may also offer ``merged_sample(others, *, rng=None) -> list``:
+    the merged summary's ``sample`` alone, with no summary built, advancing
+    ``rng`` exactly as ``merge`` does (the same draws and the same child
+    spawns).  Sharded coordinators serve reads through it when present
+    (:meth:`~repro.samplers.reservoir.ReservoirSampler.merged_sample`).
     """
 
     def merge(

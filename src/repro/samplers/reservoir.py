@@ -174,33 +174,69 @@ class ReservoirSampler(FixedSizeSampler):
         which the draw then advances); the parts' samples are not mutated.
         Only the ``"uniform"`` eviction policy is mergeable — the ablation
         policies break the uniformity the hypergeometric rule relies on.
+
+        The merged reservoir is the :meth:`merged_sample` draw plus a
+        sampler around it, seeded by one child spawned from ``rng``;
+        callers that only read the merged sample use :meth:`merged_sample`.
         """
-        parts = self._validate_merge_parts(others)
         merge_rng = self._rng if rng is None else rng
-        counts = [part.rounds_processed for part in parts]
-        total = sum(counts)
-        size = min(self.capacity, total)
-        allocation = hypergeometric_split(
-            merge_rng, counts, size, available=[len(part._sample) for part in parts]
+        sample = self._coordinator_draw(others, merge_rng)
+        merged = ReservoirSampler(
+            self.capacity, seed=spawn_generators(merge_rng, 1)[0]
         )
-        merged_sample: list[Any] = []
+        merged._sample = sample
+        merged._insertion_order = [0] * len(sample)
+        merged._total_accepted = len(sample)
+        merged._round = self.rounds_processed + sum(
+            other.rounds_processed for other in others
+        )
+        return merged
+
+    def merged_sample(
+        self,
+        others: Sequence["ReservoirSampler"],
+        *,
+        rng: np.random.Generator | None = None,
+    ) -> list[Any]:
+        """The sample :meth:`merge` would hold, without building the sampler.
+
+        The same [CTW16] draw, for coordinators that only serve the merged
+        sample.  It advances ``rng`` exactly as :meth:`merge` does: the same
+        bits, and one child spawned from its seed sequence, the child
+        :meth:`merge` seeds its reservoir with.  Later spawns from ``rng``
+        (a reshard's sibling generator) therefore match whichever form the
+        caller used, and twin generators give
+        ``merged_sample(others, rng=a) == merge(others, rng=b).sample``.
+        """
+        merge_rng = self._rng if rng is None else rng
+        sample = self._coordinator_draw(others, merge_rng)
+        merge_rng.bit_generator.seed_seq.spawn(1)  # type: ignore[attr-defined]
+        return sample
+
+    def _coordinator_draw(
+        self, others: Sequence["ReservoirSampler"], rng: np.random.Generator
+    ) -> list[Any]:
+        """The [CTW16] draw: a hypergeometric allocation, then a uniform
+        subset of each part's reservoir of the allocated size."""
+        parts = self._validate_merge_parts(others)
+        counts = [part.rounds_processed for part in parts]
+        allocation = hypergeometric_split(
+            rng,
+            counts,
+            min(self.capacity, sum(counts)),
+            available=[len(part._sample) for part in parts],
+        )
+        sample: list[Any] = []
         for part, slots in zip(parts, allocation):
             if slots == 0:
                 continue
             local = part._sample
             if slots == len(local):
-                merged_sample.extend(local)
+                sample.extend(local)
                 continue
-            indices = merge_rng.choice(len(local), size=slots, replace=False)
-            merged_sample.extend(local[int(i)] for i in indices)
-        merged = ReservoirSampler(
-            self.capacity, seed=spawn_generators(merge_rng, 1)[0]
-        )
-        merged._sample = merged_sample
-        merged._insertion_order = [0] * len(merged_sample)
-        merged._total_accepted = len(merged_sample)
-        merged._round = total
-        return merged
+            indices = rng.choice(len(local), size=slots, replace=False)
+            sample.extend([local[i] for i in indices.tolist()])
+        return sample
 
     def split(
         self, *, rng: np.random.Generator | None = None

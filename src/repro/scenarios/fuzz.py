@@ -609,7 +609,14 @@ def _sharded_agreement(config: ScenarioConfig) -> InvariantResult:
         reference = primary.merge(rest, rng=merge_rng, offsets=offsets)
     else:
         reference = primary.merge(rest, rng=merge_rng)
-    same = tuple(reference.sample) == tuple(sharded.merged_sampler().sample)
+    # Check the view games read before calling merged_sampler(): these
+    # families have no merged_sample, so the read caches the full merge and
+    # merged_sampler() returns that same sampler.
+    served = tuple(sharded.sample)
+    expected = tuple(reference.sample)
+    if served != expected:
+        return _result(name, False, "served coordinator sample diverged from reference merge")
+    same = expected == tuple(sharded.merged_sampler().sample)
     return _result(name, same, "merged coordinator view diverged from reference merge")
 
 

@@ -425,6 +425,57 @@ class TestMergedViewMemoisation:
         sharded.merged_sampler()
         assert sharded.ledger.events("merge") == 2
 
+    # The served path: ``sample`` reads share the memo (reservoir reads
+    # draw through ``merged_sample`` and cache no sampler).
+    def test_repeated_sample_reads_cost_one_merge(self):
+        sharded = ShardedSampler(3, _reservoir_site, strategy="hash", seed=2)
+        sharded.extend(_stream(60), updates=False)
+        first = sharded.sample
+        for _ in range(5):
+            assert sharded.sample == first
+        assert sharded.ledger.events("merge") == 1
+        assert sharded.ledger.messages("merge") == 3
+
+    def test_ingest_invalidates_the_served_sample(self):
+        sharded = ShardedSampler(3, _reservoir_site, strategy="hash", seed=2)
+        sharded.extend(_stream(60), updates=False)
+        assert len(sharded.sample) == 8
+        sharded.process(7)
+        assert len(sharded.sample) == 8
+        assert sharded.ledger.events("merge") == 2
+
+    def test_reshard_invalidates_the_served_sample(self):
+        sharded = ShardedSampler(3, _reservoir_site, strategy="hash", seed=2)
+        sharded.extend(_stream(60), updates=False)
+        assert len(sharded.sample) == 8
+        sharded.split_site(0)
+        assert len(sharded.sample) == 8
+        assert sharded.ledger.events("merge") == 2
+
+    def test_exposure_observing_sites_re_merge_on_every_sample_read(self):
+        from repro.defenses import SketchSwitchingSampler
+
+        def site(rng):
+            return SketchSwitchingSampler(
+                lambda r: BernoulliSampler(0.3, seed=r), copies=2, seed=rng
+            )
+
+        sharded = ShardedSampler(2, site, strategy="hash", seed=4)
+        sharded.extend(_stream(40), updates=False)
+        assert sharded.sample == sharded.sample
+        assert sharded.ledger.events("merge") == 2
+
+    def test_full_merge_after_a_sample_read_is_served_from_then_on(self):
+        """A reservoir read caches no sampler, so ``merged_sampler()`` at
+        the same version draws again; both then serve that second draw."""
+        sharded = ShardedSampler(3, _reservoir_site, strategy="hash", seed=2)
+        sharded.extend(_stream(60), updates=False)
+        assert len(sharded.sample) == 8
+        merged = sharded.merged_sampler()
+        assert sharded.merged_sampler() is merged
+        assert sharded.sample == tuple(merged.sample)
+        assert sharded.ledger.events("merge") == 2
+
 
 class TestStaleWindows:
     PLAN = FaultPlan(stale_windows=(StaleWindow(round=21, duration=20),))
@@ -450,6 +501,23 @@ class TestStaleWindows:
         fresh = sharded.merged_sampler()
         assert fresh is not stale_view
         assert fresh.rounds_processed == 45
+        assert sharded.ledger.events("merge") == 2
+
+    def test_window_serves_the_pre_window_sample_across_ingests(self):
+        sharded = self._deploy()
+        sharded.extend(_stream(20), updates=False)
+        before = sharded.sample
+        sharded.extend(_stream(10, seed=9), updates=False)  # rounds 21..30: stale
+        assert sharded.sample == before
+        assert sharded.ledger.events("merge") == 1, "no messages spent while stale"
+        assert sharded.ledger.messages("merge") == 2
+
+    def test_fresh_sample_after_the_window_closes(self):
+        sharded = self._deploy()
+        sharded.extend(_stream(20), updates=False)
+        assert len(sharded.sample) == 8
+        sharded.extend(_stream(25, seed=9), updates=False)  # round 45 > window end
+        assert len(sharded.sample) == 8
         assert sharded.ledger.events("merge") == 2
 
 

@@ -176,6 +176,18 @@ class TestSlidingWindowMergeExact:
         assert merged_priorities == live_priorities[: len(merged_priorities)]
 
 
+def _reservoir_parts(lengths: list[int], capacity: int) -> list[ReservoirSampler]:
+    """One reservoir per length, over consecutive stretches of ``range``."""
+    parts = []
+    offset = 0
+    for index, length in enumerate(lengths):
+        part = ReservoirSampler(capacity, seed=index)
+        part.extend(range(offset, offset + length), updates=False)
+        offset += length
+        parts.append(part)
+    return parts
+
+
 class TestReservoirMergeUniform:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -186,13 +198,7 @@ class TestReservoirMergeUniform:
     def test_merge_structure(self, lengths, capacity, seed):
         if sum(lengths) == 0:
             lengths[0] = 1
-        parts = []
-        offset = 0
-        for index, length in enumerate(lengths):
-            part = ReservoirSampler(capacity, seed=index)
-            part.extend(range(offset, offset + length), updates=False)
-            offset += length
-            parts.append(part)
+        parts = _reservoir_parts(lengths, capacity)
         merged = parts[0].merge(parts[1:], rng=ensure_generator(seed))
         total = sum(lengths)
         assert merged.rounds_processed == total
@@ -201,6 +207,31 @@ class TestReservoirMergeUniform:
         for part in parts:
             union.update(part.sample)
         assert not Counter(merged.sample) - union, "merged sample left the union"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 120), min_size=1, max_size=4),
+        capacity=st.integers(1, 16),
+        seed=st.integers(0, 2**16),
+    )
+    def test_merged_sample_is_the_merge_draw(self, lengths, capacity, seed):
+        """``merged_sample`` draws what ``merge`` holds and leaves the
+        generator where ``merge`` does: the same bits *and* the same spawn
+        count, since a reshard later spawns the sibling's generator from it."""
+        parts = _reservoir_parts(lengths, capacity)
+        served, full = ensure_generator(seed), ensure_generator(seed)
+        sample = parts[0].merged_sample(parts[1:], rng=served)
+        assert sample == list(parts[0].merge(parts[1:], rng=full).sample)
+        assert served.random() == full.random()
+        assert spawn_generators(served, 1)[0].random() == spawn_generators(full, 1)[0].random()
+
+    def test_merged_sample_validates_parts_like_merge(self):
+        with pytest.raises(ConfigurationError, match="different capacities"):
+            ReservoirSampler(4, seed=0).merged_sample([ReservoirSampler(8, seed=0)])
+        with pytest.raises(ConfigurationError, match="not mergeable"):
+            ReservoirSampler(4, seed=0).merged_sample(
+                [ReservoirSampler(4, seed=0, eviction="fifo")]
+            )
 
     def test_merge_is_deterministic_under_a_fixed_generator(self):
         a = ReservoirSampler(8, seed=1)

@@ -11,12 +11,16 @@ import numpy as np
 import pytest
 
 from repro.adversary import UniformAdversary, run_adaptive_game, run_continuous_game
+from repro.defenses import DPAggregateSampler
 from repro.distributed import (
+    FaultPlan,
     HashSharding,
     RandomSharding,
     RoundRobinSharding,
     ShardedSampler,
+    SiteCrash,
     SkewedSharding,
+    StaleWindow,
     build_sharding_strategy,
 )
 from repro.exceptions import ConfigurationError
@@ -36,6 +40,10 @@ def bernoulli_site(rng: np.random.Generator) -> BernoulliSampler:
 
 def window_site(rng: np.random.Generator) -> SlidingWindowSampler:
     return SlidingWindowSampler(8, 64, seed=rng)
+
+
+def dp_aggregate_site(rng: np.random.Generator) -> DPAggregateSampler:
+    return DPAggregateSampler(reservoir_site, copies=3, seed=rng)
 
 
 class TestStrategies:
@@ -329,6 +337,56 @@ class TestShardedSampler:
         sharded = ShardedSampler(2, reservoir_site, seed=0)
         with pytest.raises(ConfigurationError):
             sharded.site_sample(2)
+
+
+class TestCoordinatorReadPath:
+    """A ``sample`` read serves what a full merge would hold, draw for draw.
+
+    Reservoir reads draw through ``merged_sample`` and build no sampler;
+    the other families go through ``merge``.  Either way a twin deployment
+    that reads ``merged_sampler().sample`` instead must see the same views,
+    the same ledger and — after a reshard that spawns the sibling's
+    generator from the merge substream — the same site samples.
+    """
+
+    SITES: ClassVar = {
+        "reservoir": reservoir_site,
+        "bernoulli": bernoulli_site,
+        "sliding_window": window_site,
+        "dp_aggregate": dp_aggregate_site,
+    }
+    PLANS: ClassVar = {
+        "none": None,
+        "crash_replay": FaultPlan(
+            crashes=(SiteCrash(site=1, round=150, recovery_rounds=200, loss="replay"),)
+        ),
+        "stale_window": FaultPlan(stale_windows=(StaleWindow(round=200, duration=120),)),
+    }
+
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    @pytest.mark.parametrize("strategy", ["random", "hash", "skewed"])
+    @pytest.mark.parametrize("family", sorted(SITES))
+    def test_sample_reads_match_full_merges(self, family, strategy, plan):
+        def deploy() -> ShardedSampler:
+            return ShardedSampler(
+                3, self.SITES[family], strategy=strategy, seed=23,
+                fault_plan=self.PLANS[plan],
+            )
+
+        served, full = deploy(), deploy()
+        stream = uniform_stream(600, 64, seed=5)
+        for start in range(0, len(stream), 40):
+            for deployment in (served, full):
+                deployment.extend(stream[start : start + 40], updates=False)
+            assert tuple(served.sample) == tuple(full.merged_sampler().sample)
+        assert served.ledger.to_dict() == full.ledger.to_dict()
+
+        more = uniform_stream(400, 64, seed=6)
+        for deployment in (served, full):
+            deployment.split_site(0)
+            deployment.extend(more, updates=False)
+        for site in range(served.num_sites):
+            assert tuple(served.site_sample(site)) == tuple(full.site_sample(site))
 
 
 class TestShardedGames:
