@@ -7,6 +7,11 @@ vs per-element routing (``process`` one element at a time).  The gate
 requires **>= 2x** end to end; deterministic strategies must additionally
 produce identical site substreams on both paths, and merged reads must be
 seed-reproducible.
+
+A second gate keeps value-hashed routing on the vectorised path: chunked
+ingest of the same stream in 1024-element chunks under ``hash`` routing
+may cost at most **2x** the same ingest under ``random`` routing (min of
+3 interleaved repeats each, so both sides see the same host).
 """
 
 from __future__ import annotations
@@ -75,6 +80,30 @@ def test_sharded_chunked_routing_speedup_on_1e5_stream():
     assert speedup >= 2.0, (
         f"chunked sharded ingestion is only {speedup:.1f}x faster "
         f"({fast_seconds:.2f}s vs {slow_seconds:.2f}s)"
+    )
+
+
+def _chunked_ingest_seconds(strategy: str, data: list[int], chunk: int = 1024) -> float:
+    start = time.perf_counter()
+    sharded = ShardedSampler(4, _reservoir_site, strategy=strategy, seed=1)
+    for offset in range(0, len(data), chunk):
+        sharded.extend(data[offset : offset + chunk], updates=False)
+    seconds = time.perf_counter() - start
+    assert sharded.rounds_processed == len(data)
+    return seconds
+
+
+def test_hash_routing_costs_at_most_twice_random_routing():
+    """Gate: 1024-element chunks under hash routing <= 2x random routing at n = 10^5."""
+    data = _data(100_000)
+    seconds: dict[str, list[float]] = {"hash": [], "random": []}
+    for _ in range(3):
+        for strategy, runs in seconds.items():
+            runs.append(_chunked_ingest_seconds(strategy, data))
+    ratio = min(seconds["hash"]) / min(seconds["random"])
+    assert ratio <= 2.0, (
+        f"hash-routed chunked ingest costs {ratio:.2f}x random routing "
+        f"({min(seconds['hash']):.3f}s vs {min(seconds['random']):.3f}s)"
     )
 
 

@@ -155,6 +155,11 @@ class RoundRobinSharding(ShardingStrategy):
         return (np.arange(start_round - 1, start_round - 1 + len(elements))) % num_sites
 
 
+#: Knuth's multiplicative-hash constant (about 2^32 / golden ratio); integer
+#: keys are the low 32 bits of ``value * _KNUTH_MULTIPLIER``.
+_KNUTH_MULTIPLIER = 2654435761
+
+
 def _stable_element_key(element: Any) -> int:
     """Process-independent 32-bit key of an element.
 
@@ -162,10 +167,11 @@ def _stable_element_key(element: Any) -> int:
     across sites; everything else is folded through the library's stable
     string hash (:func:`repro.rng._stable_string_key`) over its ``repr``,
     which is stable across processes (unlike ``hash``, which is salted for
-    strings).
+    strings).  This is the scalar reference that :meth:`HashSharding.assign`
+    reproduces in numpy.
     """
     if isinstance(element, (int, np.integer)) and not isinstance(element, bool):
-        return (int(element) * 2654435761) & 0xFFFFFFFF
+        return (int(element) * _KNUTH_MULTIPLIER) & 0xFFFFFFFF
     return _stable_string_key(repr(element))
 
 
@@ -175,6 +181,10 @@ class HashSharding(ShardingStrategy):
     Equal values always land on the same site — the model in which an
     adversary that controls the *values* it submits also controls *where*
     they go, which is what the cross-shard-skew attacks exploit.
+
+    :meth:`assign` keys a batch of plain integers in numpy and any other
+    batch element by element; both give :func:`_stable_element_key`'s
+    sites, so the batch path routes exactly as :meth:`assign_one` does.
     """
 
     name = "hash"
@@ -191,11 +201,26 @@ class HashSharding(ShardingStrategy):
         num_sites: int,
         rng: np.random.Generator,
     ) -> NDArray[np.int64]:
-        return np.fromiter(
-            (_stable_element_key(element) % num_sites for element in elements),
-            dtype=np.int64,
-            count=len(elements),
-        )
+        """Site of every element, with the integer keys computed in numpy.
+
+        The vector path runs when every element's type is exactly ``int``
+        (so ``bool``, floats, strings, tuples and numpy scalars are not
+        taken) and the batch converts to ``int64``.  It multiplies in
+        ``uint64``, which wraps mod 2^64; the low 32 bits of a product
+        depend only on its operands mod 2^64, so the keys equal the scalar
+        ones bit for bit, negatives included.  Any other batch — a
+        non-``int`` element, or an integer outside ``int64`` — falls back
+        to the base class's per-element :meth:`assign_one` loop.
+        """
+        if set(map(type, elements)) <= {int}:
+            try:
+                values = np.asarray(elements, dtype=np.int64)
+            except OverflowError:
+                pass
+            else:
+                keys = (values.view(np.uint64) * np.uint64(_KNUTH_MULTIPLIER)) & np.uint64(0xFFFFFFFF)
+                return (keys % np.uint64(num_sites)).astype(np.int64)
+        return super().assign(elements, start_round, num_sites, rng)
 
 
 class SkewedSharding(ShardingStrategy):
@@ -514,7 +539,7 @@ class ShardedSampler(StreamSampler):
             positions = np.flatnonzero(assignment == site_index)
             if len(positions) == 0:
                 continue
-            sub_batch = [segment[int(position)] for position in positions]
+            sub_batch = list(map(segment.__getitem__, positions.tolist()))
             if self._down[site_index]:
                 if self._loss[site_index] == "replay":
                     self._replay_buffers[site_index].extend(sub_batch)

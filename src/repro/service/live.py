@@ -159,17 +159,27 @@ class QueryService:
     def ingest(self, chunk: Sequence[Any]) -> None:
         """Append a chunk; republish the snapshot when the bound requires it.
 
-        With a universe, a chunk holding a value outside
-        ``[1, universe_size]`` is rejected before any state changes.
+        With a universe, the chunk must be one-dimensional with an integer
+        inferred dtype and values in ``[1, universe_size]``; any other chunk
+        is rejected before any state changes.  Inferring the dtype, rather
+        than converting to ``int64``, refuses floats, strings, all-bool
+        chunks and integers beyond ``int64`` instead of truncating, parsing
+        or coercing them.
         """
         values: NDArray[np.int64] | None = None
         if self._universe is not None:
-            values = np.asarray(chunk, dtype=np.int64)
-            if values.size and (values.min() < 1 or values.max() > self._universe):
+            inferred = np.asarray(chunk)
+            if inferred.ndim != 1 or (inferred.size and inferred.dtype.kind not in "iu"):
+                raise ConfigurationError(
+                    f"chunk values must be integers in [1, {self._universe}], got "
+                    f"a chunk of {inferred.dtype} with shape {inferred.shape}"
+                )
+            if inferred.size and (inferred.min() < 1 or inferred.max() > self._universe):
                 raise ConfigurationError(
                     f"chunk values must lie in [1, {self._universe}], got "
-                    f"[{values.min()}, {values.max()}]"
+                    f"[{inferred.min()}, {inferred.max()}]"
                 )
+            values = inferred.astype(np.int64, copy=False)
         with self._lock:
             self._store.sampler.extend(chunk, updates=False)
             if values is not None:

@@ -266,7 +266,20 @@ class TestServedSampler:
 class TestQueryServiceIngest:
     """With a universe, ``ingest`` accepts a chunk completely or not at all."""
 
-    @pytest.mark.parametrize("chunk", [[4, -1, 5], [4, 0, 5], [4, 9, 5]])
+    @pytest.mark.parametrize(
+        "chunk",
+        [
+            [4, -1, 5],
+            [4, 0, 5],
+            [4, 9, 5],
+            # An int64 conversion would truncate, parse or coerce these.
+            [4, 2.5, 5],
+            [4, "7", 5],
+            [True, True],
+            [4, 2**64, 5],
+            [[4, 5], [6, 7]],
+        ],
+    )
     def test_out_of_universe_chunk_leaves_no_trace(self, chunk):
         service = QueryService(ReservoirSampler(8, seed=0), universe_size=8)
         service.ingest([1, 2, 3])

@@ -46,6 +46,23 @@ def dp_aggregate_site(rng: np.random.Generator) -> DPAggregateSampler:
     return DPAggregateSampler(reservoir_site, copies=3, seed=rng)
 
 
+def _mixed_hash_chunks() -> list[list[object]]:
+    """One chunk per hash-routing path: numpy keys, int64 overflow, non-int."""
+    draw = np.random.default_rng(8)
+    negatives = [-x for x in draw.integers(1, 2**40, size=150).tolist()]
+    beyond = [x + 2**63 for x in draw.integers(0, 2**62, size=100).tolist()]
+    beyond += [-(2**63) - 1, 2**64 + 5, *negatives[:40]]
+    others: list[object] = [f"key{x}" for x in range(60)]
+    others += [(x, -x) for x in range(40)]
+    others += [True, False] * 20
+    others += negatives[:40]
+    return [
+        negatives,
+        [beyond[i] for i in draw.permutation(len(beyond))],
+        [others[i] for i in draw.permutation(len(others))],
+    ]
+
+
 class TestStrategies:
     @pytest.mark.parametrize(
         "strategy",
@@ -143,16 +160,34 @@ class TestAssignEquivalence:
     """
 
     ELEMENTS: ClassVar[list[int]] = [int(x) for x in np.random.default_rng(0).integers(1, 1000, size=3000)]
+    # Hash routing's numpy keys must wrap to the scalar key at every sign and
+    # width, int64's extremes included.
+    INT64_RANGE: ClassVar[list[int]] = [0, 1, -1, -12345, 2**31, 2**32 - 1, 2**32, 2**32 + 1]
+    INT64_RANGE += [2**63 - 1, -(2**63 - 1), -(2**63)]
+    INT64_RANGE += np.random.default_rng(1).integers(-(2**63), 2**63 - 1, size=2000).tolist()
 
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            pytest.param(ELEMENTS, id="small-ints"),
+            pytest.param(INT64_RANGE, id="int64-range"),
+            # Plain ints that do not fit int64 take the per-element keys.
+            pytest.param([3, 2**63, -4, 2**64 + 5, 0, -(2**63) - 1, 7], id="beyond-int64"),
+            # Anything but an exact ``int`` takes the per-element keys.
+            pytest.param([True, False, np.int64(5), 3.0, "7", (1, 2), 7], id="non-int"),
+            pytest.param([True, 1, False, 0, True], id="bools"),
+        ],
+    )
     @pytest.mark.parametrize("start_round", [1, 17, 1002])
     @pytest.mark.parametrize("num_sites", [1, 3, 8])
-    def test_deterministic_strategies_match_exactly(self, start_round, num_sites, rng):
+    def test_deterministic_strategies_match_exactly(self, start_round, num_sites, elements, rng):
         for strategy in (HashSharding(), RoundRobinSharding()):
-            batch = strategy.assign(self.ELEMENTS, start_round, num_sites, rng)
+            batch = strategy.assign(elements, start_round, num_sites, rng)
             singles = [
                 strategy.assign_one(element, start_round + offset, num_sites, rng)
-                for offset, element in enumerate(self.ELEMENTS)
+                for offset, element in enumerate(elements)
             ]
+            assert batch.dtype == np.int64, strategy.name
             assert list(batch) == singles, strategy.name
 
     @pytest.mark.parametrize("num_sites", [2, 5])
@@ -261,15 +296,26 @@ class TestShardedSampler:
         assert list(batch.round_indices) == list(range(11, 61))
         assert len(batch) == 50
 
-    def test_extend_accept_flags_match_per_element_for_deterministic_routing(self):
+    @pytest.mark.parametrize(
+        "chunks",
+        [
+            pytest.param(
+                [np.random.default_rng(3).integers(1, 300, size=400).tolist()], id="small-ints"
+            ),
+            pytest.param(_mixed_hash_chunks(), id="mixed"),
+        ],
+    )
+    def test_extend_accept_flags_match_per_element_for_deterministic_routing(self, chunks):
         """Hash routing + bit-identical site kernels => identical games."""
-        data = [int(x) for x in np.random.default_rng(3).integers(1, 300, size=400)]
         chunked = ShardedSampler(3, bernoulli_site, strategy="hash", seed=4)
         sequential = ShardedSampler(3, bernoulli_site, strategy="hash", seed=4)
-        batch = chunked.extend(data, updates=True)
-        singles = [sequential.process(element) for element in data]
-        assert [view.accepted for view in batch] == [u.accepted for u in singles]
+        batches = [chunked.extend(chunk, updates=True) for chunk in chunks]
+        singles = [sequential.process(element) for chunk in chunks for element in chunk]
+        flags = [view.accepted for batch in batches for view in batch]
+        assert flags == [u.accepted for u in singles]
         assert chunked.site_counts == sequential.site_counts
+        for site in range(3):
+            assert list(chunked.site_sample(site)) == list(sequential.site_sample(site))
         assert list(chunked.sample) == list(sequential.sample)
 
     def test_reservoir_evictions_are_scattered_to_global_positions(self):
