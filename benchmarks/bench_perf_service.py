@@ -16,18 +16,30 @@ Three claims are gated:
   (seed, query schedule) the ServedSampler wrapper ticks at round-indexed
   points, so the sampler state after a served run is bit-identical across
   repeats and across chunk sizes (the concurrency lives only in the
-  latency numbers, never in the sample path).
+  latency numbers, never in the sample path);
+* **repeated queries on one snapshot are answered from its index** — 200
+  rounds of {quantile, heavy hitters, discrepancy} on one 512-int sample
+  tuple may cost at most 0.5x the same rounds on a list of the same values,
+  which the kernels answer by their reference code (min of 7 interleaved
+  repeats each, so both sides see the same host).
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
 
 from repro.distributed import ShardedSampler
 from repro.samplers import BernoulliSampler, ReservoirSampler
-from repro.service import QueryService, ServedSampler
+from repro.service import (
+    QueryService,
+    ServedSampler,
+    heavy_hitters,
+    prefix_discrepancy,
+    quantile,
+)
 
 UNIVERSE = 4_096
 CAPACITY = 200
@@ -153,3 +165,37 @@ def test_served_run_is_bit_reproducible_across_repeats_and_chunkings():
     assert first_sample == again_sample
     assert first_ticks == again_ticks == other_ticks == n // 32
     assert first_sample == other_sample
+
+
+def _query_rounds_seconds(sample, counts: np.ndarray, rounds: int = 200) -> float:
+    start = time.perf_counter()
+    for _ in range(rounds):
+        quantile(sample, 0.5)
+        heavy_hitters(sample, 8)
+        prefix_discrepancy(sample, counts)
+    return time.perf_counter() - start
+
+
+def test_indexed_queries_cost_at_most_half_the_reference_path():
+    """Gate: queries on a sample tuple <= 0.5x the same queries on a list.
+
+    Each repeat queries a new tuple, so it pays one index build; the list
+    of the same values never gets an index.
+    """
+    data = _data(100_000)
+    values = data[:512]
+    counts = np.bincount(np.asarray(data, dtype=np.int64), minlength=UNIVERSE + 1)
+    assert quantile(tuple(values), 0.5) == quantile(list(values), 0.5)
+    seconds: dict[str, list[float]] = {"indexed": [], "reference": []}
+    for _ in range(7):
+        seconds["indexed"].append(_query_rounds_seconds(tuple(values), counts))
+        seconds["reference"].append(_query_rounds_seconds(list(values), counts))
+    ratio = min(seconds["indexed"]) / min(seconds["reference"])
+    median_ratio = statistics.median(seconds["indexed"]) / statistics.median(
+        seconds["reference"]
+    )
+    assert ratio <= 0.5, (
+        f"indexed queries cost {ratio:.2f}x the reference path at the min "
+        f"({median_ratio:.2f}x at the median; {min(seconds['indexed']):.4f}s vs "
+        f"{min(seconds['reference']):.4f}s)"
+    )

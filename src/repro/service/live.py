@@ -37,7 +37,13 @@ from numpy.typing import NDArray
 
 from ..exceptions import ConfigurationError, EmptySampleError
 from ..samplers.base import StreamSampler
-from .queries import heavy_hitters, prefix_discrepancy, quantile
+from .queries import (
+    _check_level,
+    _check_top,
+    heavy_hitters,
+    prefix_discrepancy,
+    quantile,
+)
 from .snapshots import Snapshot, SnapshotStore
 
 __all__ = ["QueryService", "ServiceReport", "percentile"]
@@ -226,21 +232,29 @@ class QueryService:
             return self._published
 
     def query(self, kind: str, q: float = 0.5, k: int = 8, fresh: bool = False) -> Any:
-        """Answer one query against a consistent snapshot."""
+        """Answer one query against a consistent snapshot.
+
+        The query is validated before the snapshot is acquired, so a
+        rejected query refreshes nothing and fires no exposure hook.
+        """
+        if kind == "quantile":
+            _check_level(q)
+        elif kind == "heavy_hitters":
+            _check_top(k)
+        elif kind != "discrepancy":
+            raise ConfigurationError(
+                f"unknown query kind {kind!r}; expected one of {self.KINDS}"
+            )
+        elif self._universe is None:
+            raise ConfigurationError(
+                "discrepancy queries need the service built with a universe_size"
+            )
         snapshot, counts = self.acquire(fresh=fresh)
         if kind == "quantile":
             return quantile(snapshot.sample, q)
         if kind == "heavy_hitters":
             return heavy_hitters(snapshot.sample, k)
-        if kind == "discrepancy":
-            if self._universe is None:
-                raise ConfigurationError(
-                    "discrepancy queries need the service built with a universe_size"
-                )
-            return prefix_discrepancy(snapshot.sample, counts)
-        raise ConfigurationError(
-            f"unknown query kind {kind!r}; expected one of {self.KINDS}"
-        )
+        return prefix_discrepancy(snapshot.sample, counts)
 
     # ------------------------------------------------------------------
     # Mixed read/write harness

@@ -27,6 +27,14 @@ from repro.service import (
     quantile,
 )
 
+from query_reference import (
+    identical,
+    outcome,
+    reference_heavy_hitters,
+    reference_prefix_discrepancy,
+    reference_quantile,
+)
+
 
 def _reservoir_site(rng):
     return ReservoirSampler(16, seed=rng)
@@ -297,6 +305,66 @@ class TestQueryServiceIngest:
         assert service.query("discrepancy") == 0.0
 
 
+def _switching_service():
+    """A service whose reads fire a sketch-switching exposure hook, in a
+    state where the next read also makes a switch fire."""
+    service = QueryService(
+        SketchSwitchingSampler(
+            lambda rng: ReservoirSampler(16, seed=rng), copies=4, seed=1
+        ),
+        universe_size=64,
+    )
+    service.ingest(list(range(1, 33)))
+    service.query("quantile")
+    service.ingest(list(range(1, 33)))
+    return service
+
+
+def _universe_free_service():
+    service = QueryService(
+        ShardedSampler(4, _reservoir_site, strategy="hash", seed=3)
+    )
+    service.ingest(list(range(1, 65)))
+    service.query("quantile")
+    return service
+
+
+class TestRejectedQueries:
+    @pytest.mark.parametrize(
+        ("build", "call"),
+        [
+            (_switching_service, lambda service: service.query("bogus")),
+            (_switching_service, lambda service: service.query("quantile", q=2.0)),
+            (_switching_service, lambda service: service.query("heavy_hitters", k=0)),
+            (
+                _universe_free_service,
+                lambda service: service.query("discrepancy", fresh=True),
+            ),
+        ],
+        ids=["unknown-kind", "quantile-q", "heavy-hitters-k", "discrepancy-no-universe"],
+    )
+    def test_rejected_query_reads_nothing(self, build, call):
+        """A query rejected for its arguments refreshes no snapshot, fires no
+        exposure hook and leaves the published pair in place."""
+        service = build()
+
+        def state():
+            sampler = service.sampler
+            return (
+                getattr(sampler, "_exposed_round", None),
+                getattr(sampler, "switches_used", None),
+                service._store.stats(),
+                service._published,
+            )
+
+        before = state()
+        with pytest.raises(ConfigurationError):
+            call(service)
+        after = state()
+        assert after[:3] == before[:3]
+        assert after[3] is before[3]
+
+
 class TestQueryKernels:
     def test_quantile_basics(self):
         sample = (5, 1, 9, 3, 7)
@@ -329,6 +397,79 @@ class TestQueryKernels:
             prefix_discrepancy((), np.array([0, 1]))
         with pytest.raises(EmptySampleError):
             prefix_discrepancy((1,), np.array([0, 0]))
+        with pytest.raises(ValueError):
+            prefix_discrepancy((-1, 2), np.array([0, 1, 1]))
+
+    @staticmethod
+    def _assert_matches_reference(sample, counts, q, k):
+        for kernel, reference, args in (
+            (quantile, reference_quantile, (sample, q)),
+            (heavy_hitters, reference_heavy_hitters, (sample, k)),
+            (prefix_discrepancy, reference_prefix_discrepancy, (sample, counts)),
+        ):
+            expected = outcome(reference, *args)
+            got = outcome(kernel, *args)
+            assert identical(got, expected), (kernel.__name__, sample, got, expected)
+
+    def test_indexed_kernels_match_the_reference_on_random_tuples(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            universe = int(rng.integers(2, 301))
+            size = int(rng.integers(1, 81))
+            # Values run from 0 to past the counts' end, so some samples
+            # hold 0 and some take the padded reference path.
+            sample = tuple(int(v) for v in rng.integers(0, universe + 4, size=size))
+            counts = rng.integers(0, 4, size=universe + 1)
+            counts[int(rng.integers(0, universe + 1))] += 1
+            for q in (0.0, 0.1, 0.5, 0.99, 1.0):
+                for k in (1, 3, 8, 100):
+                    self._assert_matches_reference(sample, counts, q, k)
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            (0, 0, 3, 1),
+            (2, 9, 2),
+            (-1, 2, 2),
+            (True, 2),
+            (True, False, True),
+            (np.int64(3), 4, 4),
+            (1.0, 2, 2),
+            (2**63, 1),
+            (-(2**63) - 1, 1),
+            ("b", "a", "b"),
+            [3, 1, 3, 2],
+            (4,),
+        ],
+        ids=repr,
+    )
+    def test_edge_samples_match_the_reference(self, sample):
+        counts = np.array([0, 2, 1, 0, 1])
+        for q in (0.0, 0.5, 1.0):
+            self._assert_matches_reference(sample, counts, q, 2)
+        # Negative counts break the monotone stream CDF the breakpoint scan
+        # relies on, so they must take the full scan.
+        self._assert_matches_reference(sample, np.array([0, 3, -2, 1, 1]), 0.5, 2)
+
+    def test_caller_owned_inputs_may_change_between_calls(self):
+        """Nothing derived from a list sample or from ``counts`` is reused."""
+        sample = [3, 1, 3]
+        counts = np.array([0, 1, 1, 2, 0])
+        snapshot = (1, 3, 3)
+        self._assert_matches_reference(sample, counts, 0.0, 1)
+        self._assert_matches_reference(snapshot, counts, 0.5, 1)
+        sample[0] = 0
+        counts[4] = 5
+        self._assert_matches_reference(sample, counts, 0.0, 1)
+        self._assert_matches_reference(snapshot, counts, 0.5, 1)
+
+    def test_index_is_keyed_by_identity_not_equality(self):
+        """``(1, 2) == (True, 2)`` with equal hashes, yet the bool sample must
+        not be answered from the int sample's index."""
+        assert quantile((1, 2), 0.0) == 1
+        answer = quantile((True, 2), 0.0)
+        assert answer is True
+        assert heavy_hitters((True, 2), 1)[0][0] is True
 
 
 _BERNOULLI_GRID = {"bernoulli-0.5": {"family": "bernoulli", "probability": 0.5}}

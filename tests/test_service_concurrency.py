@@ -16,11 +16,15 @@ The two load-bearing properties:
   atomically, so a reader never observes a sample from one round paired
   with counts from another, and with a keep-everything sampler every
   acquired sample is exactly the ingested prefix.
+
+A third pins the query kernels' shared sample index: readers racing on
+fresh and published snapshots always get the reference kernels' answers.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import threading
 
 import numpy as np
@@ -28,7 +32,15 @@ import pytest
 
 from repro.distributed import ShardedSampler
 from repro.samplers import BernoulliSampler, ReservoirSampler, SlidingWindowSampler
-from repro.service import QueryService, ServiceReport
+from repro.service import QueryService, ServiceReport, heavy_hitters, prefix_discrepancy, quantile
+
+from query_reference import (
+    identical,
+    outcome,
+    reference_heavy_hitters,
+    reference_prefix_discrepancy,
+    reference_quantile,
+)
 
 CLIENTS = int(os.environ.get("REPRO_SERVICE_CLIENTS", "4"))
 JOIN_TIMEOUT = 30.0
@@ -194,6 +206,70 @@ class TestNoTornReads:
         _join_all(threads)
         assert failures == []
         assert checked[0] > 0, "readers never completed a checked acquire"
+
+
+class TestConcurrentQueryAnswers:
+    def test_readers_always_get_the_reference_answers(self):
+        """The kernels share one memoised sample index across threads; every
+        answer a reader computes must equal the reference kernels' answer
+        on the same acquired pair."""
+        n, chunk = 20_480, 1_024
+        data = _stream(n, seed=11)
+        service = QueryService(
+            ShardedSampler(
+                4, lambda rng: ReservoirSampler(64, seed=rng),
+                strategy="hash", seed=5,
+            ),
+            staleness_rounds=2_048,
+            universe_size=UNIVERSE,
+        )
+        stop = threading.Event()
+        mismatches: list[str] = []
+        checked = [0]
+        lock = threading.Lock()
+
+        def reader(index: int) -> None:
+            while not stop.is_set():
+                snapshot, counts = service.acquire(fresh=index % 2 == 0)
+                sample = snapshot.sample
+                for kernel, reference, args in (
+                    (quantile, reference_quantile, (sample, 0.5)),
+                    (heavy_hitters, reference_heavy_hitters, (sample, 8)),
+                    (prefix_discrepancy, reference_prefix_discrepancy, (sample, counts)),
+                ):
+                    got = outcome(kernel, *args)
+                    expected = outcome(reference, *args)
+                    if not identical(got, expected):
+                        with lock:
+                            mismatches.append(
+                                f"{kernel.__name__} at round {snapshot.round_index}: "
+                                f"{got!r} != {expected!r}"
+                            )
+                with lock:
+                    checked[0] += 1
+
+        threads = [
+            threading.Thread(target=reader, args=(index,), daemon=True,
+                             name=f"answer-reader-{index}")
+            for index in range(CLIENTS)
+        ]
+        # A short switch interval preempts readers inside the kernels, so
+        # they race on the memoised index rather than taking turns.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            try:
+                for start in range(0, n, chunk):
+                    service.ingest(data[start : start + chunk])
+            finally:
+                stop.set()
+            _join_all(threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
+        assert checked[0] > 0, "readers never completed a checked query"
 
 
 class TestServeHarness:
