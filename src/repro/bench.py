@@ -1,44 +1,41 @@
-"""Machine-readable performance benchmark suite.
+"""Machine-readable performance benchmarks: one op registry, one timer.
 
-Every record produced here is a plain dict with the same five fields —
-``op``, ``n``, ``seconds``, ``throughput`` (elements or rounds per second)
-and ``speedup`` (vs the op's named per-element baseline, ``None`` for
-baselines themselves) — so the perf trajectory of the project can finally be
-tracked across PRs: :func:`run_suite` writes :data:`BENCH_FILENAME` and the
-README's performance table is refreshed from it.
+Every benchmark is an :class:`Op` in :data:`OPS`: a *baseline* path and a
+*candidate* path over the same prepared input (the per-element loop vs the
+vectorised kernel, the bare sampler vs its defended or elastic deployment),
+an optional gate ``bound`` on candidate time over baseline time, and a
+``check`` that the two results agree.  :func:`measure` times both sides in
+:data:`REPEATS` interleaved runs and judges a gate on the two minimums, so
+both sides see the same host state and one slow shot cannot fail a gate.
 
-Two scales are built in:
+Two consumers share the registry:
 
-* ``smoke`` — a few seconds end to end; run by CI on every push, where only
-  the *shape* of the output matters (the JSON artifact is uploaded for
-  inspection, not gated on speedups, which would be noisy on shared runners);
-* ``full`` — the scale the gates in ``benchmarks/bench_perf_game_chunked.py``
-  and ``benchmarks/bench_perf_sharded.py`` reason about (10^5-element games).
-
-CI additionally runs :func:`check_report` (``repro-experiments bench
---check``) against the committed baseline report: the fresh smoke run must
-keep the baseline's record schema and cover every operation the baseline
-covers, so an accidentally dropped benchmark or a silent schema drift fails
-the push instead of corrupting the perf trajectory.  Speedups themselves
-stay informational on shared runners.
-
-Entry points: ``repro-experiments bench`` (CLI) and
-``benchmarks/run_benchmarks.py`` (script wrapper).
+* ``repro-experiments bench`` (:func:`run_suite`) writes one
+  ``{op, n, seconds, throughput, speedup}`` record per op to
+  :data:`BENCH_FILENAME`: ``seconds`` is the candidate's minimum,
+  ``throughput`` is ``n`` over it and ``speedup`` is the baseline's minimum
+  over the candidate's.  The README's performance table is rendered from
+  that file.  ``--mode smoke`` runs every op at a fiftieth of its size; CI
+  runs it on every push together with :func:`check_report` against the
+  committed baseline, which must keep its record schema and op set.
+* ``benchmarks/bench_perf_gates.py`` asserts every bounded op at full size.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import statistics
 import time
-from pathlib import Path
 from collections.abc import Callable
+from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from ._version import __version__
-from .exceptions import ConfigurationError
 from .adversary import (
     MixingGreedyDensityAdversary,
     ThresholdAttackAdversary,
@@ -46,6 +43,10 @@ from .adversary import (
     run_adaptive_game,
     run_continuous_game,
 )
+from .adversary.batch import BatchGameRunner
+from .defenses import DifferenceEstimatorSampler, DPAggregateSampler, SketchSwitchingSampler
+from .distributed import FaultPlan, Reshard, ShardedSampler, SiteCrash
+from .exceptions import ConfigurationError
 from .samplers import (
     BernoulliSampler,
     GreenwaldKhannaSketch,
@@ -57,12 +58,21 @@ from .samplers import (
     SlidingWindowSampler,
     WeightedReservoirSampler,
 )
+from .scenarios import get_scenario, run_scenario
+from .scenarios.builders import AdversaryFromSpec, SamplerFromSpec, build_set_system
+from .scenarios.engine import _checkpoints
+from .service import QueryService, heavy_hitters, prefix_discrepancy, quantile
 from .setsystems import Prefix, PrefixSystem
 
 __all__ = [
     "BENCH_FILENAME",
+    "OPS",
+    "REPEATS",
+    "Op",
+    "Timing",
     "check_report",
     "load_baseline",
+    "measure",
     "render_markdown_table",
     "resolve_output",
     "run_suite",
@@ -71,7 +81,7 @@ __all__ = [
 
 #: Canonical report file name for this PR's benchmark artefact.  CI derives
 #: its output/artifact name from this constant instead of hardcoding it.
-BENCH_FILENAME = "BENCH_PR9.json"
+BENCH_FILENAME = "BENCH_PR17.json"
 
 #: Fields every benchmark record must carry (the report schema).
 RECORD_FIELDS = ("op", "n", "seconds", "throughput", "speedup")
@@ -79,509 +89,486 @@ RECORD_FIELDS = ("op", "n", "seconds", "throughput", "speedup")
 #: Top-level fields every report must carry.
 REPORT_FIELDS = ("version", "mode", "python", "numpy", "results")
 
-#: Universe shared by all game benchmarks (matches the tracker benchmarks).
+#: Interleaved runs per side; gates judge the minimum of each side's runs.
+REPEATS = 5
+
+#: Divisor applied to every op's size, per mode.
+_MODES = {"smoke": 50, "full": 1}
+
+#: Universe shared by every generated stream and set system.
 _UNIVERSE = 4_096
 
+#: Reservoir capacity of the games, sites and service deployments.
+_CAPACITY = 200
 
-def _time(function: Callable[[], Any]) -> float:
-    start = time.perf_counter()
-    function()
-    return time.perf_counter() - start
-
-
-def _record(
-    op: str, n: int, seconds: float, speedup: float | None = None
-) -> dict[str, Any]:
-    return {
-        "op": op,
-        "n": n,
-        "seconds": round(seconds, 6),
-        "throughput": round(n / seconds, 1) if seconds > 0 else None,
-        "speedup": round(speedup, 2) if speedup is not None else None,
-    }
+Sides = tuple[Callable[[], Any], Callable[[], Any]]
 
 
-# ----------------------------------------------------------------------
-# Individual benchmarks
-# ----------------------------------------------------------------------
-def _sampler_factories(n: int) -> dict[str, Callable[[], Any]]:
-    """Per-sampler constructors at sizes that scale sensibly with ``n``."""
-    capacity = min(512, max(32, n // 500))
-    return {
-        "bernoulli": lambda: BernoulliSampler(min(1.0, 2000 / n), seed=1),
-        "reservoir": lambda: ReservoirSampler(capacity, seed=1),
-        "weighted-reservoir": lambda: WeightedReservoirSampler(capacity, seed=1),
-        "priority": lambda: PrioritySampler(capacity, seed=1),
-        "sliding-window": lambda: SlidingWindowSampler(64, 8192, seed=1),
-        "misra-gries": lambda: MisraGriesSummary(capacity),
-        "kll": lambda: KLLSketch(128, seed=1),
-        "greenwald-khanna": lambda: GreenwaldKhannaSketch(0.02),
-        "merge-reduce": lambda: MergeReduceSummary(0.02),
-    }
+@dataclass(frozen=True)
+class Op:
+    """A baseline and a candidate path on one input size.
 
-
-def _ingest_sequential(sampler: Any, data: list[Any]) -> None:
-    step = sampler.process if hasattr(sampler, "process") else sampler.update
-    for element in data:
-        step(element)
-
-
-def _ingest_batched(sampler: Any, data: list[Any]) -> None:
-    if hasattr(sampler, "process"):  # StreamSampler: suppress update records
-        sampler.extend(data, updates=False)
-    else:  # sketches
-        sampler.extend(data)
-
-
-#: Caps on the stream fed to a sampler's *sequential* baseline, where the
-#: per-element path is the very bottleneck being replaced and would dominate
-#: the whole suite (the sliding window re-scans its ``O(k log w)`` candidates
-#: every element, ~0.1 ms per element at the benchmarked configuration).  Capped
-#: baselines still compare like for like: the speedup is measured with both
-#: paths at the baseline length, and each record's ``n`` reports what was
-#: actually measured.
-_SEQUENTIAL_BASELINE_CAPS = {"sliding-window": 4_000}
-
-
-def bench_sampler_extend(n: int) -> list[dict[str, Any]]:
-    """Vectorised ``extend`` vs per-element ingestion, for every sampler.
-
-    Per-element and batched ingestion are compared **at the same stream
-    length** (per-element cost is not n-independent — sketch hierarchies
-    deepen with the stream), so the reported speedup is a genuine
-    like-for-like ratio even where the per-element baseline is capped below
-    the headline ``n``; the batched path is additionally measured at the
-    headline ``n`` for the throughput record.
+    ``build(n)`` prepares the input for size ``n`` outside the timed region
+    and returns the ``(baseline, candidate)`` sides, each a zero-argument
+    call returning its result.  A gated op passes when the candidate's
+    minimum time is at most ``bound`` times the baseline's plus ``floor``
+    seconds; ``check(baseline_result, candidate_result)`` raises
+    ``AssertionError`` when the two results disagree.
     """
+
+    name: str
+    n: int
+    build: Callable[[int], Sides]
+    check: Callable[[Any, Any], None]
+    bound: float | None = None
+    floor: float = 0.0
+
+    def size(self, mode: str) -> int:
+        """The op's input size in ``mode`` (``"smoke"`` or ``"full"``)."""
+        return max(1, self.n // _MODES[mode])
+
+
+@dataclass(frozen=True)
+class Timing:
+    """Both sides' run times for one op at one size, in run order."""
+
+    op: Op
+    n: int
+    baseline: list[float]
+    candidate: list[float]
+
+    @property
+    def ratio(self) -> float:
+        """Candidate over baseline time, minimum over minimum."""
+        return min(self.candidate) / min(self.baseline)
+
+    @property
+    def median_ratio(self) -> float:
+        return statistics.median(self.candidate) / statistics.median(self.baseline)
+
+    @property
+    def passes(self) -> bool:
+        """Whether the op's gate (if any) holds at the minimums."""
+        if self.op.bound is None:
+            return True
+        return min(self.candidate) <= self.op.bound * min(self.baseline) + self.op.floor
+
+    def summary(self) -> str:
+        gate = "" if self.op.bound is None else f", bound {self.op.bound:.3g} + {self.op.floor}s"
+        return (
+            f"{self.op.name} (n={self.n:,}): candidate/baseline {self.ratio:.3f} at the min, "
+            f"{self.median_ratio:.3f} at the median (min {min(self.candidate):.4f}s vs "
+            f"{min(self.baseline):.4f}s{gate})"
+        )
+
+    def record(self) -> dict[str, Any]:
+        seconds = min(self.candidate)
+        return {
+            "op": self.op.name,
+            "n": self.n,
+            "seconds": round(seconds, 6),
+            "throughput": round(self.n / seconds, 1) if seconds > 0 else None,
+            "speedup": round(min(self.baseline) / seconds, 2),
+        }
+
+
+def measure(op: Op, n: int | None = None) -> Timing:
+    """Time both sides of ``op`` in :data:`REPEATS` interleaved runs.
+
+    The side that runs first alternates between repeats.  The last results
+    of the two sides go through ``op.check`` before the timing is returned.
+    """
+    n = op.n if n is None else n
+    sides = op.build(n)
+    seconds: tuple[list[float], list[float]] = ([], [])
+    results: list[Any] = [None, None]
+    for repeat in range(REPEATS):
+        for side in (0, 1) if repeat % 2 == 0 else (1, 0):
+            start = time.perf_counter()
+            results[side] = sides[side]()
+            seconds[side].append(time.perf_counter() - start)
+    op.check(*results)
+    return Timing(op, n, *seconds)
+
+
+# ----------------------------------------------------------------------
+# Inputs and sides shared by the ops
+# ----------------------------------------------------------------------
+def _stream(n: int) -> list[int]:
     rng = np.random.default_rng(0)
-    integer_data = [int(value) for value in rng.integers(1, _UNIVERSE + 1, size=n)]
-    float_data = [float(value) for value in integer_data]
+    return [int(value) for value in rng.integers(1, _UNIVERSE + 1, size=n)]
+
+
+def _floats(n: int) -> list[float]:
+    return [float(value) for value in _stream(n)]
+
+
+def _heavy(n: int) -> list[int]:
     # Misra–Gries gets the workload it exists for: a heavy-hitter stream
-    # (uniform noise over a large universe never re-hits its counters, which
-    # benchmarks the novel-key fallback rather than the summary's use case).
-    heavy_data = [int(value) for value in np.minimum(rng.zipf(1.5, size=n), _UNIVERSE)]
-    records = []
-    for name, factory in _sampler_factories(n).items():
-        if name in ("kll", "greenwald-khanna", "merge-reduce"):
-            data = float_data
-        elif name == "misra-gries":
-            data = heavy_data
-        else:
-            data = integer_data
-        baseline_n = min(n, _SEQUENTIAL_BASELINE_CAPS.get(name, n))
-        sequential_seconds = _time(lambda: _ingest_sequential(factory(), data[:baseline_n]))
-        batched_baseline_seconds = _time(lambda: _ingest_batched(factory(), data[:baseline_n]))
-        if baseline_n == n:
-            batched_seconds = batched_baseline_seconds
-        else:
-            batched_seconds = _time(lambda: _ingest_batched(factory(), data))
-        records.append(_record(f"extend/{name}/sequential", baseline_n, sequential_seconds))
-        records.append(
-            _record(
-                f"extend/{name}/batched",
-                n,
-                batched_seconds,
-                speedup=sequential_seconds / batched_baseline_seconds,
-            )
-        )
-    return records
-
-
-def bench_adaptive_game(n: int) -> list[dict[str, Any]]:
-    """Endpoint adaptive game: chunked vs per-element path."""
-
-    def play(chunk_size: int | None) -> None:
-        run_adaptive_game(
-            ReservoirSampler(max(32, n // 500), seed=0),
-            UniformAdversary(_UNIVERSE, seed=1),
-            n,
-            set_system=PrefixSystem(_UNIVERSE),
-            epsilon=0.5,
-            keep_updates=False,
-            chunk_size=chunk_size,
-        )
-
-    per_element = _time(lambda: play(1))
-    chunked = _time(lambda: play(None))
-    return [
-        _record("game/adaptive/per-element", n, per_element),
-        _record("game/adaptive/chunked", n, chunked, speedup=per_element / chunked),
-    ]
-
-
-def bench_adaptive_cadence_game(n: int) -> list[dict[str, Any]]:
-    """Endpoint game against cadence-declaring *adaptive* attacks.
-
-    Two feedback shapes, both at a 256/128-round reaction cadence:
-
-    * ``game/adaptive-cadence/*`` — the greedy density attack
-      (``decision_needs="sample"``: re-reads the sample at every decision
-      point, ignores update records);
-    * ``game/adaptive-cadence-updates/*`` — the Figure-3 threshold attack
-      (``decision_needs="updates"``: digests columnar ``UpdateBatch``
-      feedback, never reads the sample).
-
-    The chunked path segments the stream at the declared decision points and
-    runs the sampler's vectorised kernels in between; ``chunk_size=1`` is
-    the per-element baseline with the identical decision sequence.
-    """
-
-    def play_greedy(chunk_size: int | None) -> None:
-        run_adaptive_game(
-            ReservoirSampler(max(32, n // 500), seed=0),
-            MixingGreedyDensityAdversary(
-                Prefix(_UNIVERSE // 4), 1, _UNIVERSE, decision_period=256
-            ),
-            n,
-            set_system=PrefixSystem(_UNIVERSE),
-            epsilon=0.5,
-            keep_updates=False,
-            chunk_size=chunk_size,
-        )
-
-    def play_figure3(chunk_size: int | None) -> None:
-        run_adaptive_game(
-            BernoulliSampler(min(1.0, 100 / n), seed=0),
-            ThresholdAttackAdversary.for_bernoulli(
-                min(1.0, 100 / n), n, decision_period=128
-            ),
-            n,
-            keep_updates=False,
-            chunk_size=chunk_size,
-        )
-
-    records = []
-    for op, play in (
-        ("game/adaptive-cadence", play_greedy),
-        ("game/adaptive-cadence-updates", play_figure3),
-    ):
-        per_element = _time(lambda: play(1))
-        chunked = _time(lambda: play(None))
-        records.append(_record(f"{op}/per-element", n, per_element))
-        records.append(
-            _record(f"{op}/chunked", n, chunked, speedup=per_element / chunked)
-        )
-    return records
-
-
-def bench_continuous_game(n: int) -> list[dict[str, Any]]:
-    """Continuous game with dense checkpoints: chunked vs per-element path."""
-    checkpoints = tuple(range(max(1, n // 400), n + 1, max(1, n // 400)))
-
-    def play(chunk_size: int | None) -> None:
-        run_continuous_game(
-            ReservoirSampler(max(32, n // 500), seed=0),
-            UniformAdversary(_UNIVERSE, seed=1),
-            n,
-            set_system=PrefixSystem(_UNIVERSE),
-            checkpoints=checkpoints,
-            keep_updates=False,
-            chunk_size=chunk_size,
-        )
-
-    per_element = _time(lambda: play(1))
-    chunked = _time(lambda: play(None))
-    return [
-        _record("game/continuous/per-element", n, per_element),
-        _record("game/continuous/chunked", n, chunked, speedup=per_element / chunked),
-    ]
-
-
-def bench_sharded_ingest(n: int) -> list[dict[str, Any]]:
-    """Sharded deployment ingestion: chunked per-site routing vs per-element.
-
-    A 4-site :class:`~repro.distributed.sharded.ShardedSampler` over
-    reservoir shards, random routing.  The chunked path assigns the whole
-    batch in one vectorised call and feeds each site one ``extend`` kernel
-    call; the baseline routes and processes one element at a time.  Gated at
-    >= 2x in ``benchmarks/bench_perf_sharded.py``; here the ratio is
-    recorded for the trajectory.
-    """
-    from .distributed import ShardedSampler
-    from .samplers.reservoir import ReservoirSampler
-
-    capacity = min(512, max(32, n // 500))
-
-    def site_factory(rng: np.random.Generator) -> ReservoirSampler:
-        return ReservoirSampler(capacity, seed=rng)
-
+    # (uniform noise over a large universe never re-hits its counters).
     rng = np.random.default_rng(0)
-    data = [int(value) for value in rng.integers(1, _UNIVERSE + 1, size=n)]
+    return [int(value) for value in np.minimum(rng.zipf(1.5, size=n), _UNIVERSE)]
 
-    def per_element() -> None:
-        sharded = ShardedSampler(4, site_factory, strategy="random", seed=1)
+
+def _loop(make: Callable[[], Any], data: list[Any]) -> Callable[[], Any]:
+    """Feed ``data`` to a fresh ``make()`` one element at a time."""
+
+    def run() -> Any:
+        sampler = make()
+        step = sampler.process if hasattr(sampler, "process") else sampler.update
         for element in data:
-            sharded.process(element)
+            step(element)
+        return sampler
 
-    def chunked() -> None:
-        sharded = ShardedSampler(4, site_factory, strategy="random", seed=1)
-        sharded.extend(data, updates=False)
+    return run
 
-    per_element_seconds = _time(per_element)
-    chunked_seconds = _time(chunked)
-    return [
-        _record("sharded/ingest/per-element", n, per_element_seconds),
-        _record(
-            "sharded/ingest/chunked",
+
+def _ingest(make: Callable[[], Any], data: list[Any]) -> Callable[[], Any]:
+    """Feed ``data`` to a fresh ``make()`` in one ``extend`` call."""
+
+    def run() -> Any:
+        sampler = make()
+        if hasattr(sampler, "process"):  # StreamSampler: suppress update records
+            sampler.extend(data, updates=False)
+        else:  # sketches
+            sampler.extend(data)
+        return sampler
+
+    return run
+
+
+def _ingested(sampler: Any) -> int:
+    return int(sampler.rounds_processed if hasattr(sampler, "process") else sampler.count)
+
+
+def _same_ingest(baseline: Any, candidate: Any) -> None:
+    assert _ingested(baseline) == _ingested(candidate), (_ingested(baseline), _ingested(candidate))
+
+
+def _equal(baseline: Any, candidate: Any) -> None:
+    assert baseline == candidate, (baseline, candidate)
+
+
+# ----------------------------------------------------------------------
+# Sampler kernels: per-element ingestion vs one vectorised extend call
+# ----------------------------------------------------------------------
+def _extend_op(name: str, n: int, make: Callable[[], Any], data: Callable[[int], list[Any]]) -> Op:
+    def build(size: int) -> Sides:
+        values = data(size)
+        return _loop(make, values), _ingest(make, values)
+
+    return Op(f"extend/{name}", n, build, _same_ingest)
+
+
+def _reservoir_extend(n: int) -> Sides:
+    """A 1000-slot reservoir: ``n`` elements through ``extend`` vs a
+    per-element ``process`` loop over the first tenth of them."""
+    data = list(range(1, n + 1))
+    make = partial(ReservoirSampler, 1_000, seed=0)
+    return _loop(make, data[: n // 10]), _ingest(make, data)
+
+
+def _full_reservoirs(loop: ReservoirSampler, extend: ReservoirSampler) -> None:
+    assert loop.sample_size == extend.sample_size == 1_000, (loop.sample_size, extend.sample_size)
+
+
+# ----------------------------------------------------------------------
+# Games: the per-element path (chunk_size=1) vs the chunked engine
+# ----------------------------------------------------------------------
+def _uniform() -> UniformAdversary:
+    return UniformAdversary(_UNIVERSE, seed=1)
+
+
+def _greedy() -> MixingGreedyDensityAdversary:
+    return MixingGreedyDensityAdversary(Prefix(_UNIVERSE // 4), 1, _UNIVERSE, decision_period=256)
+
+
+def _play(n: int, adversary: Callable[[], Any], every: int | None, **options: Any) -> Any:
+    """A reservoir game on the prefix system: endpoint when ``every`` is
+    ``None``, else continuous with a checkpoint every ``every`` rounds."""
+    sampler = ReservoirSampler(_CAPACITY, seed=0)
+    if every is None:
+        return run_adaptive_game(
+            sampler, adversary(), n, set_system=PrefixSystem(_UNIVERSE), epsilon=0.5, **options
+        )
+    return run_continuous_game(
+        sampler,
+        adversary(),
+        n,
+        set_system=PrefixSystem(_UNIVERSE),
+        checkpoints=range(every, n + 1, every),
+        **options,
+    )
+
+
+def _chunking(adversary: Callable[[], Any], every: int | None = None) -> Callable[[int], Sides]:
+    def build(n: int) -> Sides:
+        play = partial(_play, n, adversary, every, keep_updates=False)
+        return partial(play, chunk_size=1), partial(play, chunk_size=None)
+
+    return build
+
+
+def _same_game(per_element: Any, chunked: Any) -> None:
+    assert per_element.stream_length == chunked.stream_length
+    assert getattr(per_element, "checkpoints", None) == getattr(chunked, "checkpoints", None)
+
+
+def _figure3(n: int) -> Sides:
+    """The Figure-3 threshold attack on a Bernoulli sampler: update-driven
+    cadence (``decision_needs="updates"``), no sample reads."""
+    probability = min(1.0, 100 / n)
+
+    def play(chunk_size: int | None) -> Any:
+        return run_adaptive_game(
+            BernoulliSampler(probability, seed=0),
+            ThresholdAttackAdversary.for_bernoulli(probability, n, decision_period=128),
             n,
-            chunked_seconds,
-            speedup=per_element_seconds / chunked_seconds,
-        ),
-    ]
+            keep_updates=False,
+            chunk_size=chunk_size,
+        )
+
+    return partial(play, 1), partial(play, None)
 
 
-def bench_defended_ingest(n: int) -> list[dict[str, Any]]:
-    """Replicated-defense ingestion overhead vs the undefended sampler.
-
-    A 2-copy :class:`~repro.defenses.SketchSwitchingSampler` over Bernoulli
-    copies ingests the same stream as the bare sampler, both through one
-    ``extend`` kernel call.  The wrapper runs one kernel call per copy per
-    segment, so the cost target is *linear in the copy count*: defended
-    ingestion must stay within ``copies x undefended + 20%`` bookkeeping
-    (gated in ``benchmarks/bench_perf_defenses.py``; recorded here for the
-    trajectory — the ``speedup`` of the defended record reads as the
-    fraction of undefended throughput retained, ~``1/copies``).
-    """
-    from .defenses import SketchSwitchingSampler
-
-    copies = 2
-    probability = min(1.0, 2000 / n)
-
-    rng = np.random.default_rng(0)
-    data = [int(value) for value in rng.integers(1, _UNIVERSE + 1, size=n)]
-
-    def undefended() -> None:
-        BernoulliSampler(probability, seed=1).extend(data, updates=False)
-
-    def defended() -> None:
-        SketchSwitchingSampler(
-            lambda r: BernoulliSampler(probability, seed=r), copies=copies, seed=1
-        ).extend(data, updates=False)
-
-    undefended_seconds = _time(undefended)
-    defended_seconds = _time(defended)
-    return [
-        _record("defended/ingest/undefended", n, undefended_seconds),
-        _record(
-            "defended/ingest/sketch-switching-2x",
-            n,
-            defended_seconds,
-            speedup=undefended_seconds / defended_seconds,
-        ),
-    ]
+def _bit_identical_game(per_element: Any, chunked: Any) -> None:
+    # Bernoulli's kernel is bit-identical to per-element processing and the
+    # attack's decisions are chunking-independent, so the games must match.
+    assert per_element.stream == chunked.stream
+    assert per_element.sample == chunked.sample
 
 
-def bench_resharding_ingest(n: int) -> list[dict[str, Any]]:
-    """Elastic resharding overhead: a mid-stream split + merge vs static.
+def _tracker(n: int) -> Sides:
+    """Dense checkpoints: a full recomputation at each vs the incremental tracker."""
+    play = partial(_play, n, _uniform, 250)
+    return partial(play, incremental=False), partial(play, incremental=True)
 
-    Both deployments ingest the same stream through the chunked path; the
-    elastic one splits site 0 at 40% of the stream ([CTW16] hypergeometric
-    redistribution) and merges the sibling back at 70%.  The ``speedup`` of
-    the elastic record reads as the fraction of static throughput retained —
-    the reshard work is O(capacity) against an O(n) stream, so it must stay
-    near 1 (gated in ``benchmarks/bench_perf_elastic.py``).
-    """
-    from .distributed import FaultPlan, Reshard, ShardedSampler
-    from .samplers.reservoir import ReservoirSampler
 
-    capacity = min(512, max(32, n // 500))
+def _same_errors(recomputed: Any, tracked: Any) -> None:
+    assert recomputed.checkpoint_errors == tracked.checkpoint_errors
 
-    def site_factory(rng: np.random.Generator) -> ReservoirSampler:
-        return ReservoirSampler(capacity, seed=rng)
 
-    rng = np.random.default_rng(0)
-    data = [int(value) for value in rng.integers(1, _UNIVERSE + 1, size=n)]
-    plan = FaultPlan(
+# ----------------------------------------------------------------------
+# Deployments: defenses, sharding, faults, scenarios and the query service
+# ----------------------------------------------------------------------
+def _bernoulli_copy(rng: Any) -> BernoulliSampler:
+    return BernoulliSampler(0.02, seed=rng)
+
+
+def _window_copy(rng: Any) -> SlidingWindowSampler:
+    return SlidingWindowSampler(64, 4_096, seed=rng)
+
+
+def _defended(
+    wrapper: Callable[..., Any], copy_factory: Callable[[Any], Any] = _bernoulli_copy
+) -> Callable[[int], Sides]:
+    """A 2-copy defense vs its undefended sampler, both through one extend."""
+
+    def build(n: int) -> Sides:
+        data = _stream(n)
+        return (
+            _ingest(partial(copy_factory, 1), data),
+            _ingest(partial(wrapper, copy_factory, copies=2, seed=1), data),
+        )
+
+    return build
+
+
+def _site(rng: np.random.Generator) -> ReservoirSampler:
+    return ReservoirSampler(_CAPACITY, seed=rng)
+
+
+def _sharded(strategy: str, fault_plan: FaultPlan | None = None) -> ShardedSampler:
+    return ShardedSampler(4, _site, strategy=strategy, seed=1, fault_plan=fault_plan)
+
+
+def _sharded_ingest(n: int) -> Sides:
+    """4 random-routed sites: per-element routing vs one chunked extend."""
+    data = _stream(n)
+    return _loop(partial(_sharded, "random"), data), _ingest(partial(_sharded, "random"), data)
+
+
+def _same_sites(baseline: ShardedSampler, candidate: ShardedSampler) -> None:
+    _same_ingest(baseline, candidate)
+    assert sum(baseline.site_counts) == sum(candidate.site_counts) == candidate.rounds_processed
+
+
+def _hash_routing(n: int) -> Sides:
+    """1024-element chunks into 4 sites: random vs value-hashed routing."""
+    data = _stream(n)
+
+    def ingest(strategy: str) -> ShardedSampler:
+        sharded = _sharded(strategy)
+        for offset in range(0, n, 1024):
+            sharded.extend(data[offset : offset + 1024], updates=False)
+        return sharded
+
+    return partial(ingest, "random"), partial(ingest, "hash")
+
+
+def _elastic(plan: Callable[[int], FaultPlan]) -> Callable[[int], Sides]:
+    """4 hash-routed sites through one extend: static vs a fault plan."""
+
+    def build(n: int) -> Sides:
+        data = _stream(n)
+        return (
+            _ingest(partial(_sharded, "hash"), data),
+            _ingest(partial(_sharded, "hash", plan(n)), data),
+        )
+
+    return build
+
+
+def _split_merge(n: int) -> FaultPlan:
+    return FaultPlan(
         reshards=(
-            Reshard(round=max(1, (2 * n) // 5), op="split", site=0),
-            Reshard(round=max(2, (7 * n) // 10), op="merge", site=0, other=4),
+            Reshard(round=(2 * n) // 5, op="split", site=0),
+            Reshard(round=(7 * n) // 10, op="merge", site=0, other=4),
         )
     )
 
-    def static() -> None:
-        ShardedSampler(4, site_factory, strategy="hash", seed=1).extend(
-            data, updates=False
+
+def _crash(n: int) -> FaultPlan:
+    return FaultPlan(crashes=(SiteCrash(site=1, round=n // 3, recovery_rounds=n // 4, loss="replay"),))
+
+
+def _replayed(clean: ShardedSampler, faulted: ShardedSampler) -> None:
+    _same_ingest(clean, faulted)
+    report = faulted.degradation_report()
+    # Replay re-admits every buffered element at recovery; what stays lost
+    # is exactly the crashed site's wiped pre-crash state.
+    assert report["pending_replay"] == 0 and report["dropped_rounds"] == 0, report
+    assert 0 < report["lost_rounds"] < faulted.rounds_processed // 3, report
+
+
+def _scenario_engine(n: int) -> Sides:
+    """``prefix_flood`` at stream length ``n``: a hand-written
+    ``BatchGameRunner`` call vs the same games through ``run_scenario``."""
+    scale = {"stream_length": n, "universe_size": 256, "trials": 4}
+    config = get_scenario("prefix_flood").base_config.replace(workers=1, **scale)
+
+    def direct() -> Any:
+        runner = BatchGameRunner(
+            config.stream_length,
+            set_system=build_set_system(config.set_system, config.universe_size),
+            epsilon=config.epsilon,
+            knowledge=config.knowledge,  # type: ignore[arg-type]
+            continuous=config.continuous,
+            checkpoints=_checkpoints(config),
+            seed=config.seed,
+            workers=1,
         )
+        samplers = {label: SamplerFromSpec(spec) for label, spec in config.samplers.items()}
+        adversaries = {str(config.adversary["family"]): AdversaryFromSpec(config)}
+        return runner.run_grid(samplers, adversaries, config.trials)
 
-    def elastic() -> None:
-        ShardedSampler(
-            4, site_factory, strategy="hash", seed=1, fault_plan=plan
-        ).extend(data, updates=False)
-
-    static_seconds = _time(static)
-    elastic_seconds = _time(elastic)
-    return [
-        _record("elastic/resharding/static", n, static_seconds),
-        _record(
-            "elastic/resharding/split-merge",
-            n,
-            elastic_seconds,
-            speedup=static_seconds / elastic_seconds,
-        ),
-    ]
+    return direct, partial(run_scenario, "prefix_flood", workers=1, **scale)
 
 
-def bench_fault_recovery(n: int) -> list[dict[str, Any]]:
-    """Crash/recovery overhead: a replay-buffered outage vs a clean run.
-
-    One of four hash-routed reservoir sites is down for a quarter of the
-    stream with replay-buffered ingestion; the buffered elements are
-    re-ingested in one kernel call at recovery.  The elastic record's
-    ``speedup`` reads as the fraction of clean throughput retained — the
-    outage trades per-site kernel work for buffering plus one replay flush,
-    so it must stay near 1 (gated in ``benchmarks/bench_perf_elastic.py``).
-    """
-    from .distributed import FaultPlan, ShardedSampler, SiteCrash
-    from .samplers.reservoir import ReservoirSampler
-
-    capacity = min(512, max(32, n // 500))
-
-    def site_factory(rng: np.random.Generator) -> ReservoirSampler:
-        return ReservoirSampler(capacity, seed=rng)
-
-    rng = np.random.default_rng(0)
-    data = [int(value) for value in rng.integers(1, _UNIVERSE + 1, size=n)]
-    plan = FaultPlan(
-        crashes=(
-            SiteCrash(
-                site=1,
-                round=max(1, n // 3),
-                recovery_rounds=max(1, n // 4),
-                loss="replay",
-            ),
-        )
-    )
-
-    def clean() -> None:
-        ShardedSampler(4, site_factory, strategy="hash", seed=1).extend(
-            data, updates=False
-        )
-
-    def faulted() -> None:
-        ShardedSampler(
-            4, site_factory, strategy="hash", seed=1, fault_plan=plan
-        ).extend(data, updates=False)
-
-    clean_seconds = _time(clean)
-    faulted_seconds = _time(faulted)
-    return [
-        _record("elastic/faults/clean", n, clean_seconds),
-        _record(
-            "elastic/faults/crash-replay",
-            n,
-            faulted_seconds,
-            speedup=clean_seconds / faulted_seconds,
-        ),
-    ]
+def _same_cells(direct_cells: Any, result: Any) -> None:
+    assert len(result.cells) == len(direct_cells)
+    for cell, stats in zip(result.cells, direct_cells):
+        assert (cell["sampler"], cell["mean_error"]) == (stats.sampler, stats.mean_error)
 
 
-def bench_service_mixed(n: int) -> list[dict[str, Any]]:
-    """Always-on query service: ingest throughput and query latency under load.
+def _service_retention(n: int) -> Sides:
+    """``QueryService.serve`` over 4 hash-routed sites: no readers vs
+    4 benign readers plus 1 fresh-forcing adversarial reader."""
+    data = _stream(n)
 
-    A :class:`~repro.service.QueryService` over a 4-site hash-routed
-    reservoir deployment ingests the stream in chunks while concurrent
-    client threads read quantiles/heavy-hitters/discrepancy from published
-    snapshots (plus one adversarial client forcing fresh reads).  Four
-    records:
+    def quiet() -> Any:
+        service = QueryService(_sharded("hash"), universe_size=_UNIVERSE)
+        return service.serve(data, chunk_size=1024, clients=0, adversarial_clients=0)
 
-    * ``service/ingest/no-readers`` — the reader-free chunked baseline;
-    * ``service/ingest/4-readers`` — the same ingest with 4 benign + 1
-      adversarial clients attached; its ``speedup`` reads as the fraction
-      of reader-free throughput retained (gated at >= 0.7 in
-      ``benchmarks/bench_perf_service.py``);
-    * ``service/query/p50`` and ``service/query/p99`` — per-query latency
-      quantiles across every client read of the loaded run (``n`` is the
-      query count; ``seconds`` is the latency, floored at 1 microsecond so
-      the record schema's positivity holds on fast machines).
-    """
-    from .distributed import ShardedSampler
-    from .samplers.reservoir import ReservoirSampler
-    from .service import QueryService
+    def loaded() -> Any:
+        service = QueryService(_sharded("hash"), staleness_rounds=2_048, universe_size=_UNIVERSE)
+        return service.serve(data, chunk_size=1024, clients=4, adversarial_clients=1)
 
-    capacity = min(512, max(32, n // 500))
+    return quiet, loaded
 
-    def site_factory(rng: np.random.Generator) -> ReservoirSampler:
-        return ReservoirSampler(capacity, seed=rng)
 
-    rng = np.random.default_rng(0)
-    data = [int(value) for value in rng.integers(1, _UNIVERSE + 1, size=n)]
+def _same_service_rounds(quiet: Any, loaded: Any) -> None:
+    assert quiet.rounds == loaded.rounds, (quiet.rounds, loaded.rounds)
 
-    def deployment() -> ShardedSampler:
-        return ShardedSampler(4, site_factory, strategy="hash", seed=1)
 
-    def no_readers() -> None:
-        QueryService(deployment(), universe_size=_UNIVERSE).serve(
-            data, chunk_size=1024, clients=0, adversarial_clients=0
-        )
+def _indexed_queries(n: int) -> Sides:
+    """``n`` rounds of {quantile, heavy hitters, discrepancy} on one 512-value
+    sample: a list (the reference kernels) vs a new tuple (the snapshot index,
+    built once per run)."""
+    data = _stream(100_000)
+    values = data[:512]
+    counts = np.bincount(np.asarray(data, dtype=np.int64), minlength=_UNIVERSE + 1)
 
-    loaded_report: list[Any] = []
-
-    def with_readers() -> None:
-        service = QueryService(
-            deployment(), staleness_rounds=2048, universe_size=_UNIVERSE
-        )
-        loaded_report.append(
-            service.serve(data, chunk_size=1024, clients=4, adversarial_clients=1)
-        )
-
-    no_reader_seconds = _time(no_readers)
-    loaded_seconds = _time(with_readers)
-    report = loaded_report[0]
-    records = [
-        _record("service/ingest/no-readers", n, no_reader_seconds),
-        _record(
-            "service/ingest/4-readers",
-            n,
-            loaded_seconds,
-            speedup=no_reader_seconds / loaded_seconds,
-        ),
-    ]
-    for label, latency in (("p50", report.query_p50), ("p99", report.query_p99)):
-        records.append(
-            _record(
-                f"service/query/{label}",
-                max(1, report.queries),
-                max(latency or 0.0, 1e-6),
+    def rounds(snapshot_type: Callable[[list[int]], Any]) -> Any:
+        snapshot = snapshot_type(values)
+        answers: Any = None
+        for _ in range(n):
+            answers = (
+                quantile(snapshot, 0.5),
+                heavy_hitters(snapshot, 8),
+                prefix_discrepancy(snapshot, counts),
             )
-        )
-    return records
+        return answers
+
+    return partial(rounds, list), partial(rounds, tuple)
 
 
 # ----------------------------------------------------------------------
-# Suite
+# The registry
 # ----------------------------------------------------------------------
-#: (stream length for extend benchmarks, stream length for game benchmarks).
-_MODES = {"smoke": (20_000, 10_000), "full": (1_000_000, 100_000)}
+OPS: tuple[Op, ...] = (
+    _extend_op("bernoulli", 100_000, partial(BernoulliSampler, 0.02, seed=1), _stream),
+    Op("extend/reservoir", 1_000_000, _reservoir_extend, _full_reservoirs, bound=10.0),
+    _extend_op("weighted-reservoir", 100_000, partial(WeightedReservoirSampler, 200, seed=1), _stream),
+    _extend_op("priority", 100_000, partial(PrioritySampler, 200, seed=1), _stream),
+    # The per-element window re-scans its O(k log w) candidates every element.
+    _extend_op("sliding-window", 4_000, partial(SlidingWindowSampler, 64, 8192, seed=1), _stream),
+    _extend_op("misra-gries", 100_000, partial(MisraGriesSummary, 200), _heavy),
+    _extend_op("kll", 100_000, partial(KLLSketch, 128, seed=1), _floats),
+    _extend_op("greenwald-khanna", 100_000, partial(GreenwaldKhannaSketch, 0.02), _floats),
+    _extend_op("merge-reduce", 100_000, partial(MergeReduceSummary, 0.02), _floats),
+    Op("defended/sketch-switching", 100_000, _defended(SketchSwitchingSampler), _same_ingest, bound=2.4),
+    Op("defended/dp-aggregate", 100_000, _defended(DPAggregateSampler), _same_ingest, bound=2.4),
+    Op(
+        "defended/difference-estimator",
+        50_000,
+        _defended(DifferenceEstimatorSampler, _window_copy),
+        _same_ingest,
+        bound=2.4,
+    ),
+    Op("sharded/ingest", 100_000, _sharded_ingest, _same_sites, bound=0.5),
+    Op("sharded/hash-routing", 100_000, _hash_routing, _same_sites, bound=2.0),
+    Op("elastic/resharding", 100_000, _elastic(_split_merge), _same_sites, bound=1.5),
+    Op("elastic/faults", 100_000, _elastic(_crash), _replayed, bound=1.5),
+    Op("service/ingest-retention", 100_000, _service_retention, _same_service_rounds, bound=1 / 0.7),
+    Op("service/indexed-queries", 200, _indexed_queries, _equal, bound=0.5),
+    Op("scenario/engine", 4_096, _scenario_engine, _same_cells, bound=1.10, floor=0.020),
+    Op("game/adaptive", 100_000, _chunking(_uniform), _same_game, bound=1 / 3),
+    Op("game/adaptive-cadence", 100_000, _chunking(_greedy), _same_game, bound=1 / 3),
+    Op("game/adaptive-cadence-updates", 100_000, _figure3, _bit_identical_game, bound=1 / 3),
+    Op("game/continuous", 100_000, _chunking(_uniform, every=250), _same_game, bound=1 / 3),
+    Op("game/continuous-cadence", 100_000, _chunking(_greedy, every=1_000), _same_game, bound=1 / 3),
+    Op("game/continuous-tracker", 100_000, _tracker, _same_errors, bound=0.2),
+)
 
 
+# ----------------------------------------------------------------------
+# Reports
+# ----------------------------------------------------------------------
 def run_suite(mode: str = "full") -> dict[str, Any]:
-    """Run the ``bench_perf_*`` suite and return the machine-readable report."""
+    """Measure every op of :data:`OPS` and return the machine-readable report."""
     if mode not in _MODES:
         raise ValueError(f"unknown benchmark mode {mode!r}; expected one of {sorted(_MODES)}")
-    extend_n, game_n = _MODES[mode]
-    records = (
-        bench_sampler_extend(extend_n)
-        + bench_defended_ingest(extend_n)
-        + bench_sharded_ingest(game_n)
-        + bench_resharding_ingest(game_n)
-        + bench_fault_recovery(game_n)
-        + bench_service_mixed(game_n)
-        + bench_adaptive_game(game_n)
-        + bench_adaptive_cadence_game(game_n)
-        + bench_continuous_game(game_n)
-    )
     return {
         "version": __version__,
         "mode": mode,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "results": records,
+        "results": [measure(op, op.size(mode)).record() for op in OPS],
     }
 
 
-def check_report(
-    report: dict[str, Any], baseline: dict[str, Any]
-) -> list[str]:
+def check_report(report: dict[str, Any], baseline: dict[str, Any]) -> list[str]:
     """Validate a fresh report against the committed baseline's shape.
 
     Returns a list of human-readable problems (empty when the report is
@@ -608,13 +595,9 @@ def check_report(
         missing = [field for field in RECORD_FIELDS if field not in record]
         extra = [field for field in record if field not in RECORD_FIELDS]
         if missing:
-            problems.append(
-                f"record {record.get('op', f'#{index}')!r} is missing {missing}"
-            )
+            problems.append(f"record {record.get('op', f'#{index}')!r} is missing {missing}")
         if extra:
-            problems.append(
-                f"record {record.get('op', f'#{index}')!r} has unknown fields {extra}"
-            )
+            problems.append(f"record {record.get('op', f'#{index}')!r} has unknown fields {extra}")
         op = record.get("op")
         if not isinstance(op, str) or not op:
             problems.append(f"record #{index} has no operation name")
@@ -628,9 +611,7 @@ def check_report(
         if not isinstance(seconds, (int, float)) or seconds < 0:
             problems.append(f"operation {op!r} has an invalid seconds value")
     baseline_ops = {
-        record.get("op")
-        for record in baseline.get("results", [])
-        if isinstance(record, dict)
+        record.get("op") for record in baseline.get("results", []) if isinstance(record, dict)
     }
     missing_ops = sorted(op for op in baseline_ops - fresh_ops if op)
     if missing_ops:
@@ -656,17 +637,13 @@ def load_baseline(path: Path | None = None) -> tuple[Path, dict[str, Any]]:
     try:
         baseline = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"baseline report {path} is not valid JSON: {exc}"
-        ) from exc
+        raise ConfigurationError(f"baseline report {path} is not valid JSON: {exc}") from exc
     if not isinstance(baseline, dict):
         raise ConfigurationError(f"baseline report {path} is not a JSON object")
     return path, baseline
 
 
-def resolve_output(
-    output: Path | None = None, checking: bool = False
-) -> Path:
+def resolve_output(output: Path | None = None, checking: bool = False) -> Path:
     """Where a fresh report should be written.
 
     An explicit ``output`` always wins.  Otherwise plain runs refresh the
@@ -686,21 +663,13 @@ def write_report(report: dict[str, Any], path: Path) -> Path:
     return path
 
 
-def render_markdown_table(report: dict[str, Any], include_baselines: bool = False) -> str:
-    """The README performance table, straight from a benchmark report.
-
-    By default only the batched/chunked rows appear — the per-element
-    baselines carry no information the ``speedup`` column doesn't already
-    encode — so the rendered table is exactly what the README embeds; pass
-    ``include_baselines=True`` for the full record set.
-    """
+def render_markdown_table(report: dict[str, Any]) -> str:
+    """The README performance table, one row per record of ``report``."""
     lines = [
         "| op | n | seconds | throughput (elem/s) | speedup |",
         "| --- | ---: | ---: | ---: | ---: |",
     ]
     for record in report["results"]:
-        if not include_baselines and record["speedup"] is None:
-            continue
         speedup = f"{record['speedup']:.1f}x" if record["speedup"] is not None else "—"
         throughput = f"{record['throughput']:,.0f}" if record["throughput"] else "—"
         lines.append(

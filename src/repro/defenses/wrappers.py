@@ -166,8 +166,13 @@ class ReplicatedDefenseSampler(StreamSampler):
         sketch switching (switches happen at reads, never mid-segment), a
         round-keyed selection for the rotating defenses — gathered columnar
         so the chunked runners never fall back to per-element records.
+
+        A list goes to every copy as it is, shared with the caller and never
+        copied, as in :class:`~repro.samplers.base.UpdateBatch`; any other
+        iterable is read into one list first, since every copy consumes it.
         """
-        elements = list(elements)
+        if not isinstance(elements, list):
+            elements = list(elements)
         if not elements:
             return UpdateBatch.empty() if updates else None
         start_round = self._round

@@ -16,8 +16,8 @@ play against a multi-site system without knowing it is one:
 * **Per-site ingestion** goes through the sites' vectorised ``extend``
   kernels: a batch is routed in one vectorised assignment, sliced into one
   contiguous sub-batch per site, and each sub-batch is ingested in a single
-  kernel call (`benchmarks/bench_perf_sharded.py` gates this at >= 2x over
-  per-element routing).
+  kernel call (the `sharded/ingest` op of :mod:`repro.bench` gates this at
+  >= 2x over per-element routing).
 * **The merged view** comes from the sites'
   :class:`~repro.samplers.base.Mergeable` implementations.  The coordinator
   memoises the merged view behind a version counter bumped on every ingest,

@@ -6,7 +6,8 @@ handed to :class:`~repro.adversary.batch.BatchGameRunner`, so worker-pool
 scaling, scheduling-independent seeding and the incremental discrepancy
 tracker all apply to every scenario for free.  The engine's own work —
 spec compilation and result aggregation — is benchmarked to stay under 10%
-of a direct ``BatchGameRunner`` call (``benchmarks/bench_perf_scenarios.py``).
+of a direct ``BatchGameRunner`` call (the ``scenario/engine`` op of
+:mod:`repro.bench`).
 """
 
 from __future__ import annotations

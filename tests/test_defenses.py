@@ -140,6 +140,24 @@ class TestStreamingParity:
         assert whole.sample == pieces.sample
 
     @pytest.mark.parametrize("kind", sorted(WRAPPERS))
+    def test_list_tuple_and_generator_input_leave_identical_state(self, kind):
+        """A list reaches the copies uncopied; a tuple or a one-shot
+        generator is read once, so every copy still sees every element."""
+
+        def state(convert):
+            wrapper = make_wrapper(kind, seed=6)
+            batch = wrapper.extend(convert(range(1, 151)))
+            wrapper.extend(convert(range(151, 301)), updates=False)
+            samples = [list(copy_.sample) for copy_ in wrapper.copy_samplers]
+            return list(batch.accepted), samples, wrapper.rounds_processed
+
+        def generator(values):
+            return (value for value in values)
+
+        assert state(list) == state(tuple) == state(generator)
+        assert state(list)[2] == 300
+
+    @pytest.mark.parametrize("kind", sorted(WRAPPERS))
     def test_empty_and_updateless_extends(self, kind):
         wrapper = make_wrapper(kind, seed=2)
         assert len(wrapper.extend([])) == 0

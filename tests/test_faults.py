@@ -391,6 +391,24 @@ class TestMergedViewMemoisation:
         assert sharded.ledger.events("merge") == 1
         assert sharded.ledger.messages("merge") == 3
 
+    def test_fresh_reads_match_the_ctw16_message_bound(self):
+        """Q reads of a K-site deployment, each after fresh ingest, spend Q*K
+        messages and at most Q*K*capacity payload; re-reading it unchanged
+        spends nothing."""
+        sites, reads = 4, 10
+        sharded = ShardedSampler(sites, _reservoir_site, strategy="hash", seed=1)
+        data = _stream(reads * 200)
+        for index in range(reads):
+            sharded.extend(data[index * 200 : (index + 1) * 200], updates=False)
+            sharded.merged_sampler()
+        ledger = sharded.ledger
+        assert ledger.events("merge") == reads
+        assert ledger.messages("merge") == reads * sites
+        assert ledger.payload("merge") <= reads * sites * 8
+        for _ in range(reads):
+            sharded.merged_sampler()
+        assert ledger.messages("merge") == reads * sites
+
     def test_ingest_invalidates_the_cache(self):
         sharded = ShardedSampler(3, _reservoir_site, strategy="hash", seed=2)
         sharded.extend(_stream(60), updates=False)

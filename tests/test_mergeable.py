@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from repro.distributed import ShardedSampler
 from repro.exceptions import ConfigurationError
@@ -267,6 +268,78 @@ class TestReservoirMergeUniform:
         for element in range(30):
             assert hits[element] > 0.3 * expected, (element, hits[element], expected)
             assert hits[element] < 2.5 * expected, (element, hits[element], expected)
+
+
+#: The joint-law tests below share a 1% family-wise level (Bonferroni over
+#: the five tests); each runs on fixed seeds, so the suite is deterministic.
+_JOINT_LAW_ALPHA = 0.01 / 5
+_TRIALS = 2_000
+
+
+def _uniform_subset_pvalue(samples) -> float:
+    """Chi-square p-value of the drawn samples against the uniform law on
+    all 20 3-subsets of ``range(6)``."""
+    cells = list(combinations(range(6), 3))
+    counts = Counter(tuple(sorted(sample)) for sample in samples)
+    assert set(counts) <= set(cells), counts
+    return float(stats.chisquare([counts[cell] for cell in cells]).pvalue)
+
+
+def _full_reservoir(values, seed) -> ReservoirSampler:
+    reservoir = ReservoirSampler(3, seed=seed)
+    reservoir.extend(values, updates=False)
+    return reservoir
+
+
+class TestCTW16JointLaw:
+    """The [CTW16] coordinator draws a *uniform 3-subset* of a 6-element
+    union, not just the right marginals: exact-subset chi-square tests over
+    all 20 subsets, and the split's sibling count against its
+    hypergeometric law."""
+
+    @pytest.mark.parametrize("read", ["merge", "merged_sample"])
+    def test_merge_draws_each_subset_uniformly(self, read):
+        first, second = _full_reservoir([0, 1, 2], 1), _full_reservoir([3, 4, 5], 2)
+        rng = ensure_generator(17)
+        if read == "merge":
+            samples = [first.merge([second], rng=rng).sample for _ in range(_TRIALS)]
+        else:
+            samples = [first.merged_sample([second], rng=rng) for _ in range(_TRIALS)]
+        assert _uniform_subset_pvalue(samples) > _JOINT_LAW_ALPHA
+
+    def test_sharded_read_draws_each_subset_uniformly(self):
+        samples = []
+        for seed in range(_TRIALS):
+            sharded = ShardedSampler(
+                2, lambda rng: ReservoirSampler(3, seed=rng), strategy="round_robin", seed=seed
+            )
+            sharded.extend(range(6), updates=False)
+            samples.append(sharded.sample)
+        assert _uniform_subset_pvalue(samples) > _JOINT_LAW_ALPHA
+
+    def test_split_sibling_count_is_hypergeometric(self):
+        """A 3-slot reservoir over 6 rounds hands its sibling half of the
+        rounds: the sibling's share of the 3 stored elements follows
+        ``hypergeom(M=6, n=3, N=3)``."""
+        counts = Counter()
+        for seed in range(_TRIALS):
+            reservoir = _full_reservoir(range(6), seed)
+            counts[reservoir.split().sample_size] += 1
+        expected = stats.hypergeom(6, 3, 3).pmf(range(4)) * _TRIALS
+        observed = [counts[take] for take in range(4)]
+        assert sum(observed) == _TRIALS
+        assert stats.chisquare(observed, expected).pvalue > _JOINT_LAW_ALPHA
+
+    def test_split_then_merge_draws_each_subset_uniformly(self):
+        """Split a site, then merge both halves with a third part: the
+        halves' round counts must weigh the draw exactly."""
+        other = _full_reservoir([3, 4, 5], 2)
+        samples = []
+        for seed in range(_TRIALS):
+            site = _full_reservoir([0, 1, 2], seed)
+            sibling = site.split()
+            samples.append(site.merge([sibling, other]).sample)
+        assert _uniform_subset_pvalue(samples) > _JOINT_LAW_ALPHA
 
 
 class TestMisraGriesMergeBudget:
