@@ -214,7 +214,9 @@ class CadencedAdversary(Adversary):
     ``decision_period=1`` (the default everywhere) is the paper's fully
     adaptive model: every block is a single element, every update is
     digested immediately, and the realised games are exactly the historical
-    per-round attacks.  Larger periods model a reaction-rate-limited
+    per-round attacks.  That path keeps no block buffer: a round is one
+    :meth:`plan_block` call and one :meth:`observe_block` call.  Larger
+    periods model a reaction-rate-limited
     attacker — the adversary's *decision sequence* then no longer depends on
     how the runner chunks the stream, so chunked and ``chunk_size=1`` games
     agree wherever the sampler's kernels are bit-identical.
@@ -296,34 +298,29 @@ class CadencedAdversary(Adversary):
         period = int(decision_period)
         if period < 1:
             raise ConfigurationError(f"decision period must be >= 1, got {decision_period}")
-        if self._block_served < len(self._block_elements):
+        if self._block_served < len(self._block_elements) or self._pending_count:
             raise ConfigurationError("cannot change the decision period mid-block")
         self.decision_period = period
 
     # ------------------------------------------------------------------
     # Serving machinery (shared by both game paths)
     # ------------------------------------------------------------------
-    def _start_block(
-        self, round_index: int, observed_sample: Sequence[Any] | None
-    ) -> None:
-        block = list(self.plan_block(round_index, self.decision_period, observed_sample))
+    def _plan(
+        self, round_index: int, count: int, observed_sample: Sequence[Any] | None
+    ) -> list[Any]:
+        block = self.plan_block(round_index, count, observed_sample)
         if not block:
             raise ConfigurationError(
                 f"{self.name!r} planned an empty decision block at round {round_index}"
             )
-        self._block_elements = block
-        self._block_served = 0
-        self._pending_updates = []
-        self._pending_count = 0
+        return block
 
     def next_element(
         self, round_index: int, observed_sample: Sequence[Any] | None
     ) -> Any:
-        if self._block_served >= len(self._block_elements):
-            self._start_block(round_index, observed_sample)
-        element = self._block_elements[self._block_served]
-        self._block_served += 1
-        return element
+        if self.decision_period == 1:
+            return self._plan(round_index, 1, observed_sample)[0]
+        return self._serve_block(round_index, 1, observed_sample)[0]
 
     def next_elements(
         self, round_index: int, count: int, observed_sample: Sequence[Any] | None
@@ -333,17 +330,33 @@ class CadencedAdversary(Adversary):
             # state view it may read) by reverting to per-round decisions —
             # the same protection the static adversaries' kernels apply.
             return Adversary.next_elements(self, round_index, count, observed_sample)
+        if self.decision_period == 1:
+            # Every round is a decision point: the one-element plan is the
+            # segment, with no buffer (the runner rejects an empty one).
+            return self.plan_block(round_index, 1, observed_sample)
+        return self._serve_block(round_index, count, observed_sample)
+
+    def _serve_block(
+        self, round_index: int, count: int, observed_sample: Sequence[Any] | None
+    ) -> list[Any]:
+        """Up to ``count`` elements of the buffered block, planning a new
+        block at a decision point (periods above 1 only)."""
         if self._block_served >= len(self._block_elements):
-            self._start_block(round_index, observed_sample)
+            self._block_elements = list(
+                self._plan(round_index, self.decision_period, observed_sample)
+            )
+            self._block_served = 0
+            self._pending_updates = []
+            self._pending_count = 0
         take = min(count, len(self._block_elements) - self._block_served)
         segment = self._block_elements[self._block_served : self._block_served + take]
         self._block_served += take
         return segment
 
     def observe_update(self, update: SampleUpdate) -> None:
-        if not self._block_elements:
-            # Direct use without a planned block (hand-driven loops, tests):
-            # treat the update as its own completed block.
+        if self.decision_period == 1 or not self._block_elements:
+            # A one-round block (or direct use without a planned block, as
+            # in hand-driven loops and tests) is complete on arrival.
             self.observe_block([update])
             return
         self._pending_updates.append(update)
@@ -353,7 +366,7 @@ class CadencedAdversary(Adversary):
     def observe_update_batch(self, updates: Sequence[SampleUpdate]) -> None:
         if len(updates) == 0:
             return
-        if not self._block_elements:
+        if self.decision_period == 1 or not self._block_elements:
             self.observe_block(updates)
             return
         self._pending_updates.append(updates)

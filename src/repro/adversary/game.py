@@ -270,36 +270,6 @@ def _is_segmented(adversary: Adversary) -> bool:
     return type(adversary).next_elements is not Adversary.next_elements
 
 
-def _request_segment(
-    adversary: Adversary,
-    sampler: StreamSampler,
-    knowledge: KnowledgeModel,
-    round_index: int,
-    budget: int,
-) -> list[Any]:
-    # will_observe_sample refines the static declaration per request: a
-    # cadenced adversary mid-way through a committed block declines the view
-    # it is guaranteed to ignore, so chunk sizes below the decision period
-    # don't re-materialise the sample (a fresh merge on sharded deployments)
-    # for every segment of one block.
-    observed = (
-        sampler.sample
-        if knowledge == "full" and adversary.will_observe_sample()
-        else None
-    )
-    segment = adversary.next_elements(round_index + 1, budget, observed)
-    if not segment:
-        raise ConfigurationError(
-            f"{adversary.name!r} returned an empty segment at round {round_index + 1}"
-        )
-    if len(segment) > budget:
-        raise ConfigurationError(
-            f"{adversary.name!r} returned {len(segment)} elements for a segment "
-            f"budget of {budget} at round {round_index + 1}"
-        )
-    return segment
-
-
 class _UpdateLog:
     """Accumulates per-segment update records into one columnar batch.
 
@@ -329,47 +299,123 @@ class _UpdateLog:
         return UpdateBatch.concat(self._batches)
 
 
-def _play_segment(
+class _Judge:
+    """Worst-range error of snapshots against the stream played so far.
+
+    Prefers the incremental tracker; an element or snapshot the tracker
+    cannot index deactivates it, and this (and every later) judgement
+    recomputes from the stream the runner keeps anyway.
+    """
+
+    def __init__(self, set_system: SetSystem, stream: list[Any], tracker: Any) -> None:
+        self.set_system = set_system
+        self.stream = stream
+        self.tracker = tracker
+
+    def track(self, elements: Sequence[Any]) -> None:
+        if self.tracker is None:
+            return
+        try:
+            if len(elements) == 1:
+                self.tracker.add(elements[0])
+            else:
+                self.tracker.add_batch(elements)
+        except TrackerUnsupportedError:
+            self.tracker = None
+
+    def error(self, sample: tuple[Any, ...]) -> tuple[float, Any]:
+        """The error (and witness) of ``sample``; an empty sample scores 1."""
+        if len(sample) == 0:
+            return 1.0, None
+        if self.tracker is not None:
+            try:
+                report = self.tracker.checkpoint(sample)
+                return report.error, report.witness
+            except TrackerUnsupportedError:
+                self.tracker = None
+        report = self.set_system.max_discrepancy(self.stream, sample)
+        return report.error, report.witness
+
+
+def _play_chunked(
     sampler: StreamSampler,
     adversary: Adversary,
+    stream_length: int,
+    chunk: int,
     knowledge: KnowledgeModel,
     keep_updates: bool,
     stream: list[Any],
-    log: "_UpdateLog",
-    round_index: int,
-    budget: int,
-) -> list[Any]:
-    """Request one committed segment, ingest it, log and forward updates.
+    checkpoints: Sequence[int] = (),
+    judge: _Judge | None = None,
+) -> tuple[Sequence[SampleUpdate], list[float]]:
+    """The chunked game loop of both runners.
 
-    The shared inner step of both chunked runners; returns the segment so
-    the continuous runner can feed its tracker.  Singleton segments (an
-    adaptive decision point) go through ``process`` directly — cheaper than
-    a one-element ``extend`` — and multi-element segments through the
-    sampler's vectorised kernel, with the update record materialised only
-    when the caller keeps it or the adversary listens to this segment.
+    Each iteration offers the adversary a segment of at most ``chunk``
+    rounds, cut at the stream end and at the next checkpoint, so every
+    checkpoint sees exactly the sampler state of the per-element game.  A
+    one-element segment (every round of a period-1 attack) goes through
+    ``process`` and ``observe_update``; a longer one through the sampler's
+    vectorised ``extend`` and one columnar ``observe_update_batch``, with
+    the update record built only when it is kept or the adversary listens.
+    Methods are looked up once, since a period-1 game runs this loop once
+    per round.  ``judge`` (required with ``checkpoints``) tracks every
+    segment and judges the checkpoints; returns the update record and the
+    checkpoint errors.
     """
-    segment = _request_segment(adversary, sampler, knowledge, round_index, budget)
-    feed = knowledge != "oblivious" and adversary.observes_updates(
-        round_index + 1, round_index + len(segment)
-    )
-    if len(segment) == 1:
-        update = sampler.process(segment[0])
-        stream.append(segment[0])
-        if keep_updates:
-            log.append_update(update)
-        if feed:
-            adversary.observe_update(update)
-    else:
-        batch = sampler.extend(segment, updates=keep_updates or feed)
-        stream.extend(segment)
-        if keep_updates:
-            log.append_batch(batch)
-        if feed:
-            # One columnar hand-off per segment; batch-aware adversaries
-            # digest the columns directly, everyone else gets the lazy
-            # per-round views from the default loop.
-            adversary.observe_update_batch(batch)
-    return segment
+    log = _UpdateLog()
+    errors: list[float] = []
+    next_elements = adversary.next_elements
+    will_observe = adversary.will_observe_sample
+    observes_updates = adversary.observes_updates
+    observe_update = adversary.observe_update
+    observe_update_batch = adversary.observe_update_batch
+    process, extend = sampler.process, sampler.extend
+    append_element, extend_stream = stream.append, stream.extend
+    append_update, append_batch = log.append_update, log.append_batch
+    track = None if judge is None else judge.track
+    full, listens = knowledge == "full", knowledge != "oblivious"
+    next_checkpoint = 0
+    stop = checkpoints[0] if checkpoints else stream_length
+    round_index = 0
+    while round_index < stream_length:
+        budget = min(chunk, stop - round_index)
+        first = round_index + 1
+        # will_observe_sample refines the static declaration per request, so
+        # a cadenced adversary mid-way through a block declines the view (a
+        # fresh merge on sharded deployments) it is guaranteed to ignore.
+        segment = next_elements(first, budget, sampler.sample if full and will_observe() else None)
+        size = len(segment)
+        if not size:
+            raise ConfigurationError(f"{adversary.name!r} returned an empty segment at round {first}")
+        if size > budget:
+            raise ConfigurationError(
+                f"{adversary.name!r} returned {size} elements for a segment "
+                f"budget of {budget} at round {first}"
+            )
+        feed = listens and observes_updates(first, round_index + size)
+        if size == 1:
+            element = segment[0]
+            update = process(element)
+            append_element(element)
+            if keep_updates:
+                append_update(update)
+            if feed:
+                observe_update(update)
+        else:
+            batch = extend(segment, updates=keep_updates or feed)
+            extend_stream(segment)
+            if keep_updates:
+                append_batch(batch)
+            if feed:
+                observe_update_batch(batch)
+        if track is not None:
+            track(segment)
+        round_index += size
+        if round_index == stop and next_checkpoint < len(checkpoints):
+            errors.append(judge.error(sampler.snapshot())[0])
+            next_checkpoint += 1
+            stop = checkpoints[next_checkpoint] if next_checkpoint < len(checkpoints) else stream_length
+    return (log.collect() if keep_updates else []), errors
 
 
 def run_adaptive_game(
@@ -433,15 +479,9 @@ def run_adaptive_game(
                 adversary.observe_update(update)
         updates = update_list
     else:
-        log = _UpdateLog()
-        round_index = 0
-        while round_index < stream_length:
-            budget = min(chunk, stream_length - round_index)
-            segment = _play_segment(
-                sampler, adversary, knowledge, keep_updates, stream, log, round_index, budget
-            )
-            round_index += len(segment)
-        updates = log.collect() if keep_updates else []
+        updates, _ = _play_chunked(
+            sampler, adversary, stream_length, chunk, knowledge, keep_updates, stream
+        )
 
     sample = sampler.snapshot()
     error: float | None = None
@@ -513,47 +553,16 @@ def run_continuous_game(
     )
     chunk = _resolve_chunk_size(chunk_size)
 
-    tracker = set_system.make_tracker(stream_length) if incremental else None
-
     stream: list[Any] = []
-
-    def _judge(sample_now: tuple[Any, ...]) -> tuple[float, Any]:
-        """Worst-range error (and witness) of a snapshot against the stream.
-
-        Prefers the live tracker; a snapshot the tracker cannot index
-        deactivates it, and this (and every later) judgement recomputes from
-        the stream the runner keeps anyway.
-        """
-        nonlocal tracker
-        if len(sample_now) == 0:
-            return 1.0, None
-        if tracker is not None:
-            try:
-                report = tracker.checkpoint(sample_now)
-                return report.error, report.witness
-            except TrackerUnsupportedError:
-                tracker = None
-        report = set_system.max_discrepancy(stream, sample_now)
-        return report.error, report.witness
-
-    def _track(elements: Sequence[Any]) -> None:
-        nonlocal tracker
-        if tracker is None:
-            return
-        try:
-            if len(elements) == 1:
-                tracker.add(elements[0])
-            else:
-                tracker.add_batch(elements)
-        except TrackerUnsupportedError:
-            tracker = None
-
+    judge = _Judge(
+        set_system, stream, set_system.make_tracker(stream_length) if incremental else None
+    )
     errors: list[float] = []
-    next_checkpoint = 0
     updates: Sequence[SampleUpdate]
     if chunk <= 1 or not _is_segmented(adversary):
         if chunk > 1:
             _warn_per_element_fallback(adversary)
+        next_checkpoint = 0
         update_list: list[SampleUpdate] = []
         for round_index in range(1, stream_length + 1):
             element = adversary.next_element(
@@ -563,38 +572,24 @@ def run_continuous_game(
             stream.append(element)
             if keep_updates:
                 update_list.append(update)
-            _track((element,))
+            judge.track((element,))
             if knowledge != "oblivious":
                 adversary.observe_update(update)
             if (
                 next_checkpoint < len(checkpoint_list)
                 and round_index == checkpoint_list[next_checkpoint]
             ):
-                errors.append(_judge(sampler.snapshot())[0])
+                errors.append(judge.error(sampler.snapshot())[0])
                 next_checkpoint += 1
         updates = update_list
     else:
-        log = _UpdateLog()
-        round_index = 0
-        while round_index < stream_length:
-            budget = min(chunk, stream_length - round_index)
-            if next_checkpoint < len(checkpoint_list):
-                budget = min(budget, checkpoint_list[next_checkpoint] - round_index)
-            segment = _play_segment(
-                sampler, adversary, knowledge, keep_updates, stream, log, round_index, budget
-            )
-            _track(segment)
-            round_index += len(segment)
-            if (
-                next_checkpoint < len(checkpoint_list)
-                and round_index == checkpoint_list[next_checkpoint]
-            ):
-                errors.append(_judge(sampler.snapshot())[0])
-                next_checkpoint += 1
-        updates = log.collect() if keep_updates else []
+        updates, errors = _play_chunked(
+            sampler, adversary, stream_length, chunk, knowledge, keep_updates, stream,
+            checkpoint_list, judge,
+        )
 
     sample = sampler.snapshot()
-    final_error, witness = _judge(sample)
+    final_error, witness = judge.error(sample)
     succeeded = None if epsilon is None else final_error <= epsilon
     return ContinuousGameResult(
         stream=stream,

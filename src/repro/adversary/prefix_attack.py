@@ -104,7 +104,7 @@ class GreedyDensityAdversary(CadencedAdversary):
         supplier = self._in_supplier if send_in_range else self._out_supplier
         elements = [supplier() for _ in range(count)]
         self._stream_length += count
-        self._stream_hits += sum(1 for element in elements if element in self.target_range)
+        self._stream_hits += self._count_in_range(elements)
         return elements
 
     def reset(self) -> None:
@@ -120,11 +120,22 @@ class GreedyDensityAdversary(CadencedAdversary):
             return 0.0
         return self._stream_hits / self._stream_length
 
+    def _count_in_range(self, elements: Sequence[Any]) -> int:
+        """Positions of ``elements`` inside the target range.
+
+        Uses the range's ``count_in`` (one bound comparison per element for
+        prefixes and intervals); a target without one is counted through
+        its membership test.
+        """
+        count_in = getattr(self.target_range, "count_in", None)
+        if count_in is None:
+            return sum(map(self.target_range.__contains__, elements))
+        return count_in(elements)
+
     def _sample_density(self, observed_sample: Sequence[Any] | None) -> float:
         if not observed_sample:
             return 0.0
-        hits = sum(map(self.target_range.__contains__, observed_sample))
-        return hits / len(observed_sample)
+        return self._count_in_range(observed_sample) / len(observed_sample)
 
     def _current_gap(self, observed_sample: Sequence[Any] | None) -> float:
         """The density gap ``d_R(X_{i-1}) - d_R(S_{i-1})`` the adversary reacts to.

@@ -81,7 +81,7 @@ __all__ = [
 
 #: Canonical report file name for this PR's benchmark artefact.  CI derives
 #: its output/artifact name from this constant instead of hardcoding it.
-BENCH_FILENAME = "BENCH_PR17.json"
+BENCH_FILENAME = "BENCH_PR18.json"
 
 #: Fields every benchmark record must carry (the report schema).
 RECORD_FIELDS = ("op", "n", "seconds", "throughput", "speedup")
@@ -338,6 +338,32 @@ def _bit_identical_game(per_element: Any, chunked: Any) -> None:
     assert per_element.sample == chunked.sample
 
 
+def _period_one(n: int) -> Sides:
+    """The paper's fully adaptive model: the mixing greedy attack at
+    ``decision_period=1`` in a continuous game on a Bernoulli sampler, so
+    both paths make one decision per round."""
+    probability = min(1.0, 100 / n)
+    step = max(1, n // 20)
+
+    def play(chunk_size: int | None) -> Any:
+        return run_continuous_game(
+            BernoulliSampler(probability, seed=0),
+            MixingGreedyDensityAdversary(Prefix(_UNIVERSE // 4), 1, _UNIVERSE),
+            n,
+            set_system=PrefixSystem(_UNIVERSE),
+            checkpoints=range(step, n + 1, step),
+            keep_updates=False,
+            chunk_size=chunk_size,
+        )
+
+    return partial(play, 1), partial(play, None)
+
+
+def _same_continuous_game(per_element: Any, chunked: Any) -> None:
+    _bit_identical_game(per_element, chunked)
+    assert per_element.checkpoint_errors == chunked.checkpoint_errors
+
+
 def _tracker(n: int) -> Sides:
     """Dense checkpoints: a full recomputation at each vs the incremental tracker."""
     play = partial(_play, n, _uniform, 250)
@@ -549,6 +575,9 @@ OPS: tuple[Op, ...] = (
     Op("game/continuous", 100_000, _chunking(_uniform, every=250), _same_game, bound=1 / 3),
     Op("game/continuous-cadence", 100_000, _chunking(_greedy, every=1_000), _same_game, bound=1 / 3),
     Op("game/continuous-tracker", 100_000, _tracker, _same_errors, bound=0.2),
+    # Unbounded: at period 1 both paths make one decision per round, so the
+    # op records what a round costs rather than gating a ratio.
+    Op("game/period-one", 20_000, _period_one, _same_continuous_game),
 )
 
 

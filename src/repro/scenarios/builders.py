@@ -679,7 +679,10 @@ class BudgetedAdversary(Adversary):
     The wrapper never reveals the budget to the inner attack, and sampler
     feedback is forwarded only for attack rounds, so the inner adversary's
     decisions over the shared prefix are identical across budgets — the
-    property the scenario monotonicity checks rely on.
+    property the scenario monotonicity checks rely on.  The benign tail
+    reads nothing, so the wrapper declines the sample view past the attack
+    window.  :class:`AdversaryFromSpec` wraps only below full budget; with
+    no tail the wrapper would be a pure pass-through.
     """
 
     def __init__(
@@ -694,10 +697,12 @@ class BudgetedAdversary(Adversary):
         self.attack_rounds = int(attack_rounds)
         self._benign = benign
         self.name = inner.name
+        self._next_round = 1
 
     def next_element(
         self, round_index: int, observed_sample: Sequence[Any] | None
     ) -> Any:
+        self._next_round = round_index + 1
         if round_index <= self.attack_rounds:
             return self.inner.next_element(round_index, observed_sample)
         return self._benign()
@@ -716,8 +721,11 @@ class BudgetedAdversary(Adversary):
         """
         if round_index <= self.attack_rounds:
             budget = min(count, self.attack_rounds - round_index + 1)
-            return self.inner.next_elements(round_index, budget, observed_sample)
-        return [self._benign() for _ in range(count)]
+            segment = self.inner.next_elements(round_index, budget, observed_sample)
+        else:
+            segment = [self._benign() for _ in range(count)]
+        self._next_round = round_index + len(segment)
+        return segment
 
     def observe_update(self, update: SampleUpdate) -> None:
         if update.round_index <= self.attack_rounds:
@@ -751,7 +759,7 @@ class BudgetedAdversary(Adversary):
         return self.inner.uses_observed_sample
 
     def will_observe_sample(self) -> bool:
-        return self.inner.will_observe_sample()
+        return self._next_round <= self.attack_rounds and self.inner.will_observe_sample()
 
     def set_decision_period(self, decision_period: int) -> bool:
         """Forward a cadence re-declaration to the inner attack."""
@@ -759,6 +767,7 @@ class BudgetedAdversary(Adversary):
 
     def reset(self) -> None:
         self.inner.reset()
+        self._next_round = 1
 
 
 class AdversaryFromSpec:
@@ -768,7 +777,10 @@ class AdversaryFromSpec:
     :class:`~repro.adversary.campaign.CampaignAdversary` instead of a single
     family; the budget wrapper is identical either way, so campaigns inherit
     the budget-independent attack prefix (and with it budget monotonicity)
-    for free.
+    for free.  At full budget (``attack_rounds >= stream_length``) the bare
+    attack is returned: it plays exactly as the wrapped one, without four
+    forwarding calls per round.  The benign supplier is built either way,
+    so a bad ``benign`` spec is rejected at every budget.
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
@@ -800,6 +812,8 @@ class AdversaryFromSpec:
                 decision_period=self.decision_period,
             )
         benign = build_benign_supplier(self.benign_spec, rng, self.universe_size)
+        if self.attack_rounds >= self.stream_length:
+            return inner
         return BudgetedAdversary(inner, benign, self.attack_rounds)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

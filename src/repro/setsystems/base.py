@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
 from ..exceptions import EmptySampleError
@@ -60,6 +60,16 @@ class Range(ABC):
     @abstractmethod
     def __contains__(self, element: Any) -> bool:
         """Return ``True`` if ``element`` belongs to this range."""
+
+    def count_in(self, elements: Iterable[Any]) -> int:
+        """Return how many positions of ``elements`` lie in this range.
+
+        Repetitions count, as in :meth:`SetSystem.density`.  Ranges whose
+        membership test is a bound comparison override this with one
+        comparison per element and no method call (the greedy density
+        attack counts a whole sample every round).
+        """
+        return sum(map(self.__contains__, elements))
 
 
 class SetSystem(ABC):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
 import numpy as np
@@ -37,6 +37,10 @@ class Prefix(Range):
 
     def __contains__(self, element: Any) -> bool:
         return element <= self.bound
+
+    def count_in(self, elements: Iterable[Any]) -> int:
+        bound = self.bound
+        return len([element for element in elements if element <= bound])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Prefix(<= {self.bound})"
@@ -57,6 +61,10 @@ class Interval(Range):
 
     def __contains__(self, element: Any) -> bool:
         return self.low <= element <= self.high
+
+    def count_in(self, elements: Iterable[Any]) -> int:
+        low, high = self.low, self.high
+        return len([element for element in elements if low <= element <= high])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Interval([{self.low}, {self.high}])"

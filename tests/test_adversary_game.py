@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import (
+    Adversary,
+    CadencedAdversary,
     GeneratorAdversary,
     SortedAdversary,
     StaticAdversary,
@@ -265,3 +267,66 @@ class TestContinuousGame:
             checkpoints=list(range(1, 151)),
         )
         assert result.max_checkpoint_error >= result.error - 1e-12
+
+
+def _play(runner, adversary, chunk_size=None, checkpoints=(10,)):
+    sampler = BernoulliSampler(0.5, seed=0)
+    if runner is run_continuous_game:
+        return runner(sampler, adversary, 10, PrefixSystem(8), checkpoints=checkpoints,
+                      chunk_size=chunk_size)
+    return runner(sampler, adversary, 10, chunk_size=chunk_size)
+
+
+class TestSegmentContract:
+    """The chunked loop rejects segments that break the next_elements
+    contract, and a cadenced adversary rejects an empty planned block."""
+
+    class Segments(Adversary):
+        name = "segments"
+
+        def __init__(self, size):
+            self.size = size
+
+        def next_element(self, round_index, observed_sample):
+            return 1
+
+        def next_elements(self, round_index, count, observed_sample):
+            return [1] * self.size(count)
+
+    class Idle(CadencedAdversary):
+        name = "idle"
+
+        def plan_block(self, round_index, count, observed_sample):
+            return []
+
+    @pytest.mark.parametrize("runner", [run_adaptive_game, run_continuous_game])
+    def test_empty_segment_rejected(self, runner):
+        with pytest.raises(ConfigurationError, match="'segments' returned an empty segment at round 1"):
+            _play(runner, self.Segments(lambda count: 0))
+
+    @pytest.mark.parametrize("runner", [run_adaptive_game, run_continuous_game])
+    def test_segment_longer_than_budget_rejected(self, runner):
+        with pytest.raises(
+            ConfigurationError, match="returned 5 elements for a segment budget of 4 at round 1"
+        ):
+            _play(runner, self.Segments(lambda count: count + 1), chunk_size=4)
+
+    def test_budget_is_cut_at_the_next_checkpoint(self):
+        with pytest.raises(
+            ConfigurationError, match="returned 4 elements for a segment budget of 3 at round 1"
+        ):
+            _play(run_continuous_game, self.Segments(lambda count: count + 1), checkpoints=(3, 10))
+
+    @pytest.mark.parametrize("runner", [run_adaptive_game, run_continuous_game])
+    @pytest.mark.parametrize(
+        "period, chunk_size, message",
+        [
+            (1, None, "'idle' returned an empty segment at round 1"),
+            (1, 1, "'idle' planned an empty decision block at round 1"),
+            (4, None, "'idle' planned an empty decision block at round 1"),
+            (4, 1, "'idle' planned an empty decision block at round 1"),
+        ],
+    )
+    def test_empty_planned_block_rejected(self, runner, period, chunk_size, message):
+        with pytest.raises(ConfigurationError, match=message):
+            _play(runner, self.Idle(period), chunk_size=chunk_size)

@@ -1,0 +1,127 @@
+"""Period-1 games against a reference player with no cadence machinery.
+
+``TestChunkInvariance`` in ``test_adversary_cadence.py`` compares the
+chunked runner with the per-element runner, which share the adversaries'
+serving code.  These tests compare both with ``game_reference``, which
+calls only ``plan_block(r, 1, view)`` and ``observe_block([update])``: for
+every attack family, both runners must realise its stream, sample, update
+record and errors bit for bit — bare, inside a phased campaign and budget
+wrapped, at chunk size 1 and the default, under both knowledge models that
+feed the attack.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from game_reference import reference_game
+from test_adversary_cadence import ATTACK_FACTORIES, UNIVERSE
+
+from repro.adversary import (
+    CampaignAdversary,
+    SwitchingSingletonAdversary,
+    run_adaptive_game,
+    run_continuous_game,
+)
+from repro.exceptions import ConfigurationError
+from repro.samplers import BernoulliSampler, ReservoirSampler
+from repro.samplers.base import SampleUpdate
+from repro.scenarios.builders import BudgetedAdversary
+from repro.setsystems import PrefixSystem
+
+N = 400
+#: The second phase of the campaign games starts here.
+SECOND_PHASE = 161
+#: Attack rounds of the budget-wrapped games; the benign tail follows.
+ATTACK_ROUNDS = 240
+CHECKPOINTS = (*range(37, N + 1, 37), N)
+SAMPLERS = {
+    "bernoulli": lambda: BernoulliSampler(0.08, seed=11),
+    "reservoir": lambda: ReservoirSampler(16, seed=11),
+}
+
+
+def _benign():
+    rng = np.random.default_rng(5)
+    return lambda: int(rng.integers(1, UNIVERSE + 1))
+
+
+def _play(runner, sampler, adversary, knowledge, chunk_size):
+    # The prefix system's tracker indexes the integer attacks' elements and
+    # deactivates on the bisection's floats and the Figure-3 attack's huge
+    # integers, so both judging paths are compared with the reference.
+    system = PrefixSystem(UNIVERSE)
+    if runner == "continuous":
+        return run_continuous_game(
+            sampler, adversary, N, system,
+            checkpoints=CHECKPOINTS, knowledge=knowledge, chunk_size=chunk_size,
+        )
+    return run_adaptive_game(
+        sampler, adversary, N, set_system=system, knowledge=knowledge, chunk_size=chunk_size
+    )
+
+
+def _assert_same_game(result, reference, runner):
+    assert result.stream == reference.stream
+    assert result.sample == reference.sample
+    assert list(result.updates) == reference.updates
+    assert result.error == reference.error
+    if runner == "continuous":
+        assert result.checkpoint_errors == reference.checkpoint_errors
+
+
+def _reference(sampler, phases, knowledge, runner, **tail):
+    return reference_game(
+        sampler, phases, N, knowledge=knowledge, set_system=PrefixSystem(UNIVERSE),
+        checkpoints=CHECKPOINTS if runner == "continuous" else (), **tail,
+    )
+
+
+@pytest.mark.parametrize("runner", ["adaptive", "continuous"])
+@pytest.mark.parametrize("chunk_size", [1, None])
+@pytest.mark.parametrize("knowledge", ["full", "updates"])
+@pytest.mark.parametrize("family", sorted(ATTACK_FACTORIES))
+class TestPeriodOneMatchesReference:
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    def test_bare_attack(self, family, knowledge, chunk_size, runner, sampler):
+        factory = ATTACK_FACTORIES[family]
+        result = _play(runner, SAMPLERS[sampler](), factory(1), knowledge, chunk_size)
+        reference = _reference(SAMPLERS[sampler](), [(1, factory(1))], knowledge, runner)
+        _assert_same_game(result, reference, runner)
+
+    def test_phased_campaign(self, family, knowledge, chunk_size, runner):
+        factory = ATTACK_FACTORIES[family]
+        campaign = CampaignAdversary(
+            [factory(1), factory(1)], mode="phased", phase_starts=[1, SECOND_PHASE]
+        )
+        result = _play(runner, SAMPLERS["bernoulli"](), campaign, knowledge, chunk_size)
+        reference = _reference(
+            SAMPLERS["bernoulli"](), [(1, factory(1)), (SECOND_PHASE, factory(1))],
+            knowledge, runner,
+        )
+        _assert_same_game(result, reference, runner)
+
+    def test_partial_budget(self, family, knowledge, chunk_size, runner):
+        factory = ATTACK_FACTORIES[family]
+        wrapped = BudgetedAdversary(factory(1), _benign(), ATTACK_ROUNDS)
+        result = _play(runner, SAMPLERS["bernoulli"](), wrapped, knowledge, chunk_size)
+        reference = _reference(
+            SAMPLERS["bernoulli"](), [(1, factory(1))], knowledge, runner,
+            attack_rounds=ATTACK_ROUNDS, benign=_benign(),
+        )
+        _assert_same_game(result, reference, runner)
+
+
+def test_switching_to_period_one_with_updates_pending_is_rejected():
+    """Period 1 keeps no buffer, so a block whose updates are still pending
+    must be digested before the cadence may drop to 1."""
+    adversary = SwitchingSingletonAdversary(100, decision_period=4)
+    assert adversary.next_elements(1, 4, None) == [1] * 4
+    adversary.observe_update(SampleUpdate(round_index=1, element=1, accepted=True))
+    with pytest.raises(ConfigurationError, match="mid-block"):
+        adversary.set_decision_period(1)
+    for round_index in (2, 3, 4):
+        adversary.observe_update(SampleUpdate(round_index=round_index, element=1, accepted=False))
+    adversary.set_decision_period(1)
+    assert adversary.burnt_targets == [1]
+    assert adversary.next_elements(5, 4, None) == [2]

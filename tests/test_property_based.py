@@ -17,9 +17,15 @@ from repro.samplers import (
     WeightedReservoirSampler,
 )
 from repro.setsystems import (
+    Box,
+    ExplicitRange,
     ExplicitSetSystem,
+    Halfspace,
+    Interval,
     IntervalSystem,
+    Prefix,
     PrefixSystem,
+    Singleton,
     SingletonSystem,
 )
 
@@ -81,6 +87,50 @@ class TestDiscrepancyProperties:
         prefix_error = PrefixSystem(12).max_discrepancy(stream, sample).error
         interval_error = IntervalSystem(12).max_discrepancy(stream, sample).error
         assert interval_error >= prefix_error - 1e-9
+
+
+#: Range bounds and elements: small ints, ints around 2**53 (where floats
+#: stop being exact) and far above it (the Figure-3 universes), and floats,
+#: so ints meet float bounds and the other way round.
+plain_scalars = st.one_of(
+    st.integers(-50, 50),
+    st.integers(2**53 - 3, 2**53 + 3),
+    st.floats(-60.0, 60.0),
+    st.just(float(2**53)),
+)
+scalars = st.one_of(plain_scalars, st.integers(2**900 - 3, 2**900 + 3))
+points = st.tuples(plain_scalars, plain_scalars)
+
+
+def _box(corners):
+    first, second = corners
+    return Box(tuple(map(min, first, second)), tuple(map(max, first, second)))
+
+
+#: Each Range class with a strategy for its ranges and one for its elements.
+RANGES = {
+    "prefix": (st.builds(Prefix, scalars), scalars),
+    "interval": (
+        st.lists(scalars, min_size=2, max_size=2).map(sorted).map(lambda ends: Interval(*ends)),
+        scalars,
+    ),
+    "singleton": (st.builds(Singleton, scalars), scalars),
+    "explicit": (st.frozensets(scalars, max_size=6).map(ExplicitRange), scalars),
+    "box": (st.tuples(points, points).map(_box), points),
+    "halfspace": (st.builds(Halfspace, points, plain_scalars), points),
+}
+
+
+class TestRangeCountIn:
+    @pytest.mark.parametrize("kind", sorted(RANGES))
+    @FAST
+    @given(data=st.data())
+    def test_count_in_equals_membership_count(self, kind, data):
+        range_strategy, element_strategy = RANGES[kind]
+        range_ = data.draw(range_strategy)
+        values = data.draw(st.lists(element_strategy, max_size=40))
+        for elements in (values, tuple(values), [], ()):
+            assert range_.count_in(elements) == sum(x in range_ for x in elements)
 
 
 class TestSamplerProperties:

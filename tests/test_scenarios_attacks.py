@@ -18,11 +18,16 @@ attack-scenario suites this layer is modelled on):
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.adversary import MixingGreedyDensityAdversary, run_adaptive_game
 from repro.exceptions import ConfigurationError
+from repro.samplers import BernoulliSampler
 from repro.scenarios import (
     SCENARIOS,
+    AdversaryFromSpec,
+    BudgetedAdversary,
     ScenarioConfig,
     get_scenario,
     list_scenarios,
@@ -31,6 +36,7 @@ from repro.scenarios import (
     run_scenario,
     sweep_scenario,
 )
+from repro.setsystems import Prefix
 
 #: Reduced scale shared by the whole suite: big enough for the attacks to
 #: show signal, small enough that the full registry runs in a few seconds.
@@ -218,3 +224,53 @@ class TestScenarioSemantics:
         assert data["scenario"] == "heavy_hitter_spoof"
         assert data["config"]["knowledge"] == "updates"
         assert len(data["cells"]) == 2
+
+
+GREEDY = {"family": "greedy_density", "target": {"kind": "prefix", "bound_fraction": 0.5}}
+
+
+class TestBudgetWrapper:
+    def _build(self, attack_budget, **fields):
+        config = ScenarioConfig(
+            name="wrapper", **SMALL, attack_budget=attack_budget, adversary=GREEDY, **fields
+        )
+        return AdversaryFromSpec(config)(np.random.default_rng(3))
+
+    def test_wrapper_only_below_full_budget(self):
+        assert type(self._build(1.0)) is MixingGreedyDensityAdversary
+        wrapped = self._build(0.5)
+        assert isinstance(wrapped, BudgetedAdversary)
+        assert type(wrapped.inner) is MixingGreedyDensityAdversary
+        assert wrapped.attack_rounds == SMALL["stream_length"] // 2
+
+    @pytest.mark.parametrize("attack_budget", [0.5, 1.0])
+    def test_bad_benign_spec_rejected_at_every_budget(self, attack_budget):
+        with pytest.raises(ConfigurationError, match="unknown benign spec kind"):
+            self._build(attack_budget, benign={"kind": "bogus"})
+
+    @pytest.mark.parametrize("chunk_size", [1, 256])
+    def test_benign_tail_reads_no_sample(self, chunk_size):
+        """Only attack rounds read the sample view; the benign tail's
+        segments must not (on a sharded deployment each read is a fresh
+        merge, under sketch switching an exposure)."""
+        reads = []
+
+        class CountingSampler(BernoulliSampler):
+            @property
+            def sample(self):
+                reads.append(self.rounds_processed)
+                return super().sample
+
+        rng = np.random.default_rng(0)
+        adversary = BudgetedAdversary(
+            MixingGreedyDensityAdversary(Prefix(32), 1, 64),
+            lambda: int(rng.integers(1, 65)),
+            attack_rounds=1024,
+        )
+        run_adaptive_game(
+            CountingSampler(0.05, seed=1), adversary, 4096, chunk_size=chunk_size
+        )
+        # One view per attack round, then the final snapshot.
+        assert reads == [*range(1024), 4096]
+        adversary.reset()
+        assert adversary.will_observe_sample()
