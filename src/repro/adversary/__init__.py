@@ -44,7 +44,6 @@ from .game import (
     GameResult,
     KnowledgeModel,
     normalize_checkpoints,
-    reset_fallback_warnings,
     run_adaptive_game,
     run_continuous_game,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "normalize_checkpoints",
     "phase_start_rounds",
     "recommended_universe_size",
-    "reset_fallback_warnings",
     "run_adaptive_game",
     "run_continuous_game",
     "run_monte_carlo",

@@ -200,8 +200,8 @@ class CadencedAdversary(Adversary):
     """Adaptive adversary with a declared decision cadence.
 
     Subclasses implement the *strategy* as two block-level hooks and inherit
-    the serving machinery that keeps both game paths (per-element and
-    chunked) bit-identical:
+    the serving machinery that keeps games bit-identical across chunk
+    sizes:
 
     * :meth:`plan_block` — called at each decision point with the current
       observed state; returns the next ``count`` elements the strategy
@@ -303,7 +303,7 @@ class CadencedAdversary(Adversary):
         self.decision_period = period
 
     # ------------------------------------------------------------------
-    # Serving machinery (shared by both game paths)
+    # Serving machinery (shared by every chunk size)
     # ------------------------------------------------------------------
     def _plan(
         self, round_index: int, count: int, observed_sample: Sequence[Any] | None

@@ -49,6 +49,7 @@ from ..setsystems.base import SetSystem
 from .base import Adversary, apply_decision_period
 from .game import (
     KnowledgeModel,
+    _check_game_options,
     normalize_checkpoints,
     run_adaptive_game,
     run_continuous_game,
@@ -180,7 +181,6 @@ class _TrialPayload:
     continuous: bool
     checkpoints: tuple[int, ...] | None
     checkpoint_ratio: float | None
-    incremental: bool
     chunk_size: int | None
     decision_period: int | None = None
 
@@ -211,7 +211,6 @@ def _execute_trial(payload: _TrialPayload) -> TrialOutcome:
             checkpoints=payload.checkpoints,
             checkpoint_ratio=payload.checkpoint_ratio,
             knowledge=payload.knowledge,
-            incremental=payload.incremental,
             # Aggregation reads only the slim TrialOutcome fields, so the
             # per-round record is never materialised in workers.
             keep_updates=False,
@@ -319,8 +318,9 @@ class BatchGameRunner:
     continuous:
         Play the ContinuousAdaptiveGame of Figure 2 instead of the endpoint
         game; requires ``set_system``.
-    checkpoints / checkpoint_ratio / incremental:
-        Checkpoint schedule and tracker toggle for continuous games.
+    checkpoints / checkpoint_ratio:
+        Checkpoint schedule for continuous games, which judge through the
+        set system's incremental tracker when it has one.
     seed:
         Master seed for the whole sweep.  Each trial derives independent
         sampler and adversary generators from it via
@@ -334,7 +334,7 @@ class BatchGameRunner:
     chunk_size:
         Maximum segment length for chunked game execution (see
         :func:`~repro.adversary.game.run_adaptive_game`); ``None`` uses the
-        default, ``1`` forces the per-element path.
+        default, ``1`` plays every round as its own one-element segment.
     decision_period:
         When set, re-declares the decision cadence of every constructed
         adversary that supports one
@@ -369,7 +369,6 @@ class BatchGameRunner:
         continuous: bool = False,
         checkpoints: Iterable[int] | None = None,
         checkpoint_ratio: float | None = None,
-        incremental: bool = True,
         seed: RandomState = None,
         workers: int | None = None,
         chunk_size: int | None = None,
@@ -377,6 +376,7 @@ class BatchGameRunner:
     ) -> None:
         if stream_length < 1:
             raise ConfigurationError(f"stream length must be >= 1, got {stream_length}")
+        _check_game_options(knowledge, epsilon)
         if decision_period is not None and int(decision_period) < 1:
             raise ConfigurationError(
                 f"decision period must be >= 1, got {decision_period}"
@@ -409,7 +409,6 @@ class BatchGameRunner:
         else:
             self.checkpoints = None
         self.checkpoint_ratio = checkpoint_ratio
-        self.incremental = incremental
         self.chunk_size = chunk_size
         self.decision_period = None if decision_period is None else int(decision_period)
         self.base_seed = collapse_seed(seed)
@@ -443,7 +442,6 @@ class BatchGameRunner:
                 continuous=self.continuous,
                 checkpoints=self.checkpoints,
                 checkpoint_ratio=self.checkpoint_ratio,
-                incremental=self.incremental,
                 chunk_size=self.chunk_size,
                 decision_period=self.decision_period,
             )

@@ -17,34 +17,33 @@ Both runners support three *knowledge models* for the ablation experiments:
   was accepted and what was evicted (sufficient for the Figure-3 attack);
 * ``"oblivious"`` — the adversary learns nothing (the static setting).
 
-Chunked execution
------------------
+Segmented execution
+-------------------
 The game is sequential only at the adversary's *decision points*; between
 them the stream is fixed and the sampler can consume it in bulk.  Both
-runners therefore segment the stream: each iteration asks the adversary (via
-:meth:`~repro.adversary.base.Adversary.next_elements`) for up to
-``chunk_size`` elements it commits to without further feedback, feeds the
-segment through the sampler's vectorised ``extend`` kernel, and records the
-outcome as a columnar :class:`~repro.samplers.base.UpdateBatch`.  Adaptive
-adversaries with a declared decision cadence
+runners therefore play one loop over segments: each iteration asks the
+adversary (via :meth:`~repro.adversary.base.Adversary.next_elements`) for
+up to ``chunk_size`` elements it commits to without further feedback, feeds
+the segment through the sampler's vectorised ``extend`` kernel, and records
+the outcome as a columnar :class:`~repro.samplers.base.UpdateBatch`.
+Adaptive adversaries with a declared decision cadence
 (:class:`~repro.adversary.base.CadencedAdversary`) emit one block per
 decision point, so segments align with the points where the adversary
 genuinely observes the sampler; the runner also skips materialising the
-sample view for adversaries whose ``decision_needs`` exclude it.  Fully
-adaptive adversaries (which never override ``next_elements``) and
-``chunk_size=1`` take the per-element path, which reproduces the historical
-loop exactly — the runner emits a one-time informational warning when an
-adaptive adversary forces that fallback under requested chunking.  In the
-continuous game segments additionally break at checkpoint boundaries, so
-the sample is judged at exactly the same rounds as the per-element game.
+sample view for adversaries whose ``decision_needs`` exclude it.  A plain
+per-round adversary (one that never overrides ``next_elements``) and a
+period-1 attack commit to one element per round, and ``chunk_size=1`` caps
+every segment at one element: such segments go through ``process`` and
+``observe_update``, a round at a time.  In the continuous game segments
+additionally break at checkpoint boundaries, so the sample is judged at
+exactly the checkpoint rounds whatever the chunking.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
-from typing import Any, Literal
+from typing import Any, Literal, get_args
 
 from ..core.approximation import geometric_checkpoints
 from ..exceptions import ConfigurationError, TrackerUnsupportedError
@@ -53,6 +52,8 @@ from ..setsystems.base import SetSystem
 from .base import Adversary
 
 KnowledgeModel = Literal["full", "updates", "oblivious"]
+#: The knowledge models a game accepts (the values of :data:`KnowledgeModel`).
+KNOWLEDGE_MODELS: tuple[str, ...] = get_args(KnowledgeModel)
 
 #: Default segment length for chunked execution.  Large enough that numpy
 #: kernel launch overhead is negligible, small enough that the sampler state
@@ -82,10 +83,10 @@ class GameResult:
         ``True`` when the final sample is an epsilon-approximation (the
         paper's game outputs 1), ``None`` when no epsilon was supplied.
     updates:
-        The per-round update record: a list of :class:`SampleUpdate` on the
-        per-element path, a columnar
+        The per-round update record, a columnar
         :class:`~repro.samplers.base.UpdateBatch` (which behaves as a lazy
-        sequence of :class:`SampleUpdate`) on the chunked path.
+        sequence of :class:`SampleUpdate`); empty when the runner was asked
+        not to keep it.
     sampler_name / adversary_name:
         Names for reporting.
     """
@@ -149,70 +150,6 @@ class ContinuousGameResult(GameResult):
         return self.first_violation is None
 
 
-def _observed_sample(
-    sampler: StreamSampler, knowledge: KnowledgeModel, adversary: Adversary
-) -> Sequence[Any] | None:
-    """The sample view the adversary gets at this decision point.
-
-    Materialised only under the full-knowledge model *and* when the
-    adversary will actually read the view for this request
-    (``will_observe_sample``, the per-request refinement of
-    ``uses_observed_sample``) — observing the sample is an expensive fresh
-    merge for sharded deployments, so update-driven attacks and cadenced
-    adversaries mid-way through a committed block skip it.  Skipping is
-    behaviourally invisible to the adversary (one that won't read the view
-    makes identical decisions either way), and it keeps the *read pattern*
-    — which exposure-driven defenses like sketch switching count —
-    identical between the per-element and chunked execution paths, where
-    segment requests already consult ``will_observe_sample``.
-    """
-    if knowledge == "full" and adversary.will_observe_sample():
-        return sampler.sample
-    return None
-
-
-#: Adversaries already reported by :func:`_warn_per_element_fallback`, keyed
-#: by (class name, instance name): one informational warning per distinct
-#: adversary identity per process.  Keying by class alone hid the warning
-#: for differently-named instances of a shared base (e.g. two campaign
-#: members built from one family); keying by name alone would re-warn for
-#: every instance of an unnamed ad-hoc subclass.
-_FALLBACK_WARNED: set[tuple[str, str]] = set()
-
-
-def reset_fallback_warnings() -> None:
-    """Clear the per-process fallback-warning latch.
-
-    The latch makes :func:`_warn_per_element_fallback` fire once per
-    adversary identity per process; tests that assert on the warning (or
-    that must not inherit another test's latched state) call this to get a
-    fresh slate.  The test suite resets it automatically around every test.
-    """
-    _FALLBACK_WARNED.clear()
-
-
-def _warn_per_element_fallback(adversary: Adversary) -> None:
-    """One-time note that an adaptive adversary forced the per-element path.
-
-    Adaptive adversaries without a declared decision cadence silently cost
-    orders of magnitude more per round than cadence-declaring or oblivious
-    ones, which makes sweep grid cells mysteriously slow.  Emitted only when
-    chunked execution was requested (an explicit ``chunk_size=1`` is a
-    deliberate choice and stays silent)."""
-    key = (type(adversary).__name__, str(getattr(adversary, "name", "")))
-    if key in _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED.add(key)
-    warnings.warn(
-        f"adversary {adversary.name!r} ({key[0]}) declares no decision cadence "
-        "(it never overrides next_elements / CadencedAdversary), so the game "
-        "runs on the per-element path. Declare a cadence for chunked "
-        "execution, or pass chunk_size=1 to make the per-element path explicit.",
-        RuntimeWarning,
-        stacklevel=4,
-    )
-
-
 def _is_normalized_checkpoints(checkpoints: Sequence[int]) -> bool:
     """Cheap check for a strictly increasing tuple of ints (no allocation)."""
     previous = 0
@@ -265,9 +202,15 @@ def _resolve_chunk_size(chunk_size: int | None) -> int:
     return chunk
 
 
-def _is_segmented(adversary: Adversary) -> bool:
-    """Whether the adversary declares coarser-than-per-round decision points."""
-    return type(adversary).next_elements is not Adversary.next_elements
+def _check_game_options(knowledge: str, epsilon: float | None) -> None:
+    """Reject a knowledge model outside :data:`KNOWLEDGE_MODELS` and a given
+    epsilon outside (0, 1), before any player moves."""
+    if knowledge not in KNOWLEDGE_MODELS:
+        raise ConfigurationError(
+            f"unknown knowledge model {knowledge!r}; expected one of {KNOWLEDGE_MODELS}"
+        )
+    if epsilon is not None and not 0.0 < epsilon < 1.0:
+        raise ConfigurationError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
 class _UpdateLog:
@@ -337,7 +280,7 @@ class _Judge:
         return report.error, report.witness
 
 
-def _play_chunked(
+def _play(
     sampler: StreamSampler,
     adversary: Adversary,
     stream_length: int,
@@ -348,16 +291,17 @@ def _play_chunked(
     checkpoints: Sequence[int] = (),
     judge: _Judge | None = None,
 ) -> tuple[Sequence[SampleUpdate], list[float]]:
-    """The chunked game loop of both runners.
+    """The game loop of both runners.
 
     Each iteration offers the adversary a segment of at most ``chunk``
     rounds, cut at the stream end and at the next checkpoint, so every
-    checkpoint sees exactly the sampler state of the per-element game.  A
-    one-element segment (every round of a period-1 attack) goes through
+    checkpoint is judged on the sampler state right after its round.  A
+    one-element segment (every round of a per-round adversary or a
+    period-1 attack, and every segment at ``chunk=1``) goes through
     ``process`` and ``observe_update``; a longer one through the sampler's
     vectorised ``extend`` and one columnar ``observe_update_batch``, with
     the update record built only when it is kept or the adversary listens.
-    Methods are looked up once, since a period-1 game runs this loop once
+    Methods are looked up once, since a per-round game runs this loop once
     per round.  ``judge`` (required with ``checkpoints``) tracks every
     segment and judges the checkpoints; returns the update record and the
     checkpoint errors.
@@ -441,58 +385,33 @@ def run_adaptive_game(
         is computed with respect to it.
     epsilon:
         If supplied together with ``set_system``, the result's ``succeeded``
-        flag reports whether the sample is an epsilon-approximation.
+        flag reports whether the sample is an epsilon-approximation; it
+        must lie in (0, 1).
     knowledge:
-        How much of the sampler's state the adversary observes (see module
-        docstring).
+        How much of the sampler's state the adversary observes, one of
+        :data:`KNOWLEDGE_MODELS` (see module docstring).
     keep_updates:
         Set to ``False`` to drop the per-round update log (saves memory on
         very long streams).
     chunk_size:
-        Maximum segment length for chunked execution (default
-        :data:`DEFAULT_CHUNK_SIZE`).  ``1`` forces the historical per-element
-        path; adversaries that never declare coarse decision points take
-        that path regardless.
+        Maximum segment length (default :data:`DEFAULT_CHUNK_SIZE`); ``1``
+        plays every round as its own one-element segment.
     """
     if stream_length < 1:
         raise ConfigurationError(f"stream length must be >= 1, got {stream_length}")
+    _check_game_options(knowledge, epsilon)
     if epsilon is not None and set_system is None:
         raise ConfigurationError("judging against epsilon requires a set system")
     chunk = _resolve_chunk_size(chunk_size)
 
     stream: list[Any] = []
-    updates: Sequence[SampleUpdate]
-    if chunk <= 1 or not _is_segmented(adversary):
-        if chunk > 1:
-            _warn_per_element_fallback(adversary)
-        # Per-element path: a decision point every round.
-        update_list: list[SampleUpdate] = []
-        for round_index in range(1, stream_length + 1):
-            element = adversary.next_element(
-                round_index, _observed_sample(sampler, knowledge, adversary)
-            )
-            update = sampler.process(element)
-            stream.append(element)
-            if keep_updates:
-                update_list.append(update)
-            if knowledge != "oblivious":
-                adversary.observe_update(update)
-        updates = update_list
-    else:
-        updates, _ = _play_chunked(
-            sampler, adversary, stream_length, chunk, knowledge, keep_updates, stream
-        )
-
+    updates, _ = _play(sampler, adversary, stream_length, chunk, knowledge, keep_updates, stream)
     sample = sampler.snapshot()
     error: float | None = None
     witness: Any = None
     succeeded: bool | None = None
     if set_system is not None:
-        if len(sample) == 0:
-            error, witness = 1.0, None
-        else:
-            report = set_system.max_discrepancy(stream, sample)
-            error, witness = report.error, report.witness
+        error, witness = _Judge(set_system, stream, None).error(sample)
         if epsilon is not None:
             succeeded = error <= epsilon
     return GameResult(
@@ -531,7 +450,8 @@ def run_continuous_game(
     Unlike the game in the paper, the runner does not halt at the first
     violation — it records the error at every checkpoint so experiments can
     plot complete trajectories — but :attr:`ContinuousGameResult.first_violation`
-    recovers the halting behaviour.
+    recovers the halting behaviour.  ``knowledge`` and ``epsilon`` are
+    validated as in :func:`run_adaptive_game`.
 
     When ``incremental`` is true (the default) and the set system provides an
     incremental tracker (:meth:`~repro.setsystems.base.SetSystem.make_tracker`),
@@ -541,13 +461,13 @@ def run_continuous_game(
     streams whose elements a tracker cannot index, such as the huge-integer
     universes of the Figure-3 attack — silently use the batch path.
 
-    Segments of the chunked path (see module docstring; ``chunk_size=1``
-    forces the per-element game) additionally break at checkpoint
-    boundaries, so every checkpoint observes exactly the same sampler state
-    as the per-element game.
+    Segments (see module docstring) additionally break at checkpoint
+    boundaries, so every checkpoint observes the sampler state right after
+    its round whatever ``chunk_size`` is.
     """
     if stream_length < 1:
         raise ConfigurationError(f"stream length must be >= 1, got {stream_length}")
+    _check_game_options(knowledge, epsilon)
     checkpoint_list = normalize_checkpoints(
         checkpoints, stream_length, epsilon=epsilon, checkpoint_ratio=checkpoint_ratio
     )
@@ -557,37 +477,10 @@ def run_continuous_game(
     judge = _Judge(
         set_system, stream, set_system.make_tracker(stream_length) if incremental else None
     )
-    errors: list[float] = []
-    updates: Sequence[SampleUpdate]
-    if chunk <= 1 or not _is_segmented(adversary):
-        if chunk > 1:
-            _warn_per_element_fallback(adversary)
-        next_checkpoint = 0
-        update_list: list[SampleUpdate] = []
-        for round_index in range(1, stream_length + 1):
-            element = adversary.next_element(
-                round_index, _observed_sample(sampler, knowledge, adversary)
-            )
-            update = sampler.process(element)
-            stream.append(element)
-            if keep_updates:
-                update_list.append(update)
-            judge.track((element,))
-            if knowledge != "oblivious":
-                adversary.observe_update(update)
-            if (
-                next_checkpoint < len(checkpoint_list)
-                and round_index == checkpoint_list[next_checkpoint]
-            ):
-                errors.append(judge.error(sampler.snapshot())[0])
-                next_checkpoint += 1
-        updates = update_list
-    else:
-        updates, errors = _play_chunked(
-            sampler, adversary, stream_length, chunk, knowledge, keep_updates, stream,
-            checkpoint_list, judge,
-        )
-
+    updates, errors = _play(
+        sampler, adversary, stream_length, chunk, knowledge, keep_updates, stream,
+        checkpoint_list, judge,
+    )
     sample = sampler.snapshot()
     final_error, witness = judge.error(sample)
     succeeded = None if epsilon is None else final_error <= epsilon

@@ -1,8 +1,9 @@
 """Protocol-contract rules.
 
 The repo's cross-layer contracts — every concrete sampler ships a
-vectorised ``extend`` kernel, every cadence-declaring adversary implements
-the block protocol, every registered scenario is exercised by a test —
+vectorised ``extend`` kernel, every concrete adversary declares its segment
+granularity, every cadence-declaring adversary implements the block
+protocol, every registered scenario is exercised by a test —
 were docstring conventions until PR 7's chunking bug showed what happens
 when one implementation forgets half a protocol.  These rules resolve the
 contracts across the whole class table (syntactic MRO over the project's
@@ -20,6 +21,7 @@ from .findings import Finding
 
 __all__ = [
     "SamplerExtendRule",
+    "AdversarySegmentsRule",
     "CadenceContractRule",
     "ScenarioCoverageRule",
     "PROTOCOL_RULES",
@@ -46,6 +48,8 @@ class SamplerExtendRule(Rule):
 
     ROOT = "StreamSampler"
     REQUIRED = "extend"
+    #: What a concrete subclass that inherits ``REQUIRED`` from the root costs.
+    CONSEQUENCE = "chunked games will fall back to the per-element loop"
 
     def check_project(self, project: ProjectIndex) -> Iterable[Finding]:
         roots = project.classes.get(self.ROOT, [])
@@ -67,10 +71,33 @@ class SamplerExtendRule(Rule):
                     yield info.module.finding(
                         info.node,
                         self.rule_id,
-                        f"concrete StreamSampler subclass `{info.name}` defines "
-                        "no `extend` kernel (and inherits none below the root); "
-                        "chunked games will fall back to the per-element loop",
+                        f"concrete {self.ROOT} subclass `{info.name}` defines no "
+                        f"`{self.REQUIRED}` (and inherits none below the root); "
+                        f"{self.CONSEQUENCE}",
                     )
+
+
+class AdversarySegmentsRule(SamplerExtendRule):
+    """PRO004 — every concrete ``Adversary`` subclass provides ``next_elements``.
+
+    The root's ``next_elements`` commits to a single element, so a concrete
+    adversary inheriting it plays every round as its own segment whatever
+    the chunk size.  Subclasses declare their granularity instead: whole
+    segments (``ObliviousAdversary``), cadence blocks (``CadencedAdversary``)
+    or an override of their own.
+    """
+
+    rule_id = "PRO004"
+    name = "adversary-segments"
+    description = (
+        "a concrete Adversary subclass must define (or inherit from a project "
+        "base below the root) `next_elements`; the root's one-element default "
+        "plays every round as its own segment"
+    )
+
+    ROOT = "Adversary"
+    REQUIRED = "next_elements"
+    CONSEQUENCE = "every round of its games is a one-element segment"
 
 
 class CadenceContractRule(Rule):
@@ -193,4 +220,5 @@ PROTOCOL_RULES: tuple[Rule, ...] = (
     SamplerExtendRule(),
     CadenceContractRule(),
     ScenarioCoverageRule(),
+    AdversarySegmentsRule(),
 )

@@ -81,7 +81,7 @@ __all__ = [
 
 #: Canonical report file name for this PR's benchmark artefact.  CI derives
 #: its output/artifact name from this constant instead of hardcoding it.
-BENCH_FILENAME = "BENCH_PR18.json"
+BENCH_FILENAME = "BENCH_PR19.json"
 
 #: Fields every benchmark record must carry (the report schema).
 RECORD_FIELDS = ("op", "n", "seconds", "throughput", "speedup")
@@ -273,7 +273,7 @@ def _full_reservoirs(loop: ReservoirSampler, extend: ReservoirSampler) -> None:
 
 
 # ----------------------------------------------------------------------
-# Games: the per-element path (chunk_size=1) vs the chunked engine
+# Games: one-element segments (chunk_size=1) vs the default chunking
 # ----------------------------------------------------------------------
 def _uniform() -> UniformAdversary:
     return UniformAdversary(_UNIVERSE, seed=1)
@@ -309,9 +309,9 @@ def _chunking(adversary: Callable[[], Any], every: int | None = None) -> Callabl
     return build
 
 
-def _same_game(per_element: Any, chunked: Any) -> None:
-    assert per_element.stream_length == chunked.stream_length
-    assert getattr(per_element, "checkpoints", None) == getattr(chunked, "checkpoints", None)
+def _same_game(one_element: Any, chunked: Any) -> None:
+    assert one_element.stream_length == chunked.stream_length
+    assert getattr(one_element, "checkpoints", None) == getattr(chunked, "checkpoints", None)
 
 
 def _figure3(n: int) -> Sides:
@@ -331,37 +331,11 @@ def _figure3(n: int) -> Sides:
     return partial(play, 1), partial(play, None)
 
 
-def _bit_identical_game(per_element: Any, chunked: Any) -> None:
+def _bit_identical_game(one_element: Any, chunked: Any) -> None:
     # Bernoulli's kernel is bit-identical to per-element processing and the
     # attack's decisions are chunking-independent, so the games must match.
-    assert per_element.stream == chunked.stream
-    assert per_element.sample == chunked.sample
-
-
-def _period_one(n: int) -> Sides:
-    """The paper's fully adaptive model: the mixing greedy attack at
-    ``decision_period=1`` in a continuous game on a Bernoulli sampler, so
-    both paths make one decision per round."""
-    probability = min(1.0, 100 / n)
-    step = max(1, n // 20)
-
-    def play(chunk_size: int | None) -> Any:
-        return run_continuous_game(
-            BernoulliSampler(probability, seed=0),
-            MixingGreedyDensityAdversary(Prefix(_UNIVERSE // 4), 1, _UNIVERSE),
-            n,
-            set_system=PrefixSystem(_UNIVERSE),
-            checkpoints=range(step, n + 1, step),
-            keep_updates=False,
-            chunk_size=chunk_size,
-        )
-
-    return partial(play, 1), partial(play, None)
-
-
-def _same_continuous_game(per_element: Any, chunked: Any) -> None:
-    _bit_identical_game(per_element, chunked)
-    assert per_element.checkpoint_errors == chunked.checkpoint_errors
+    assert one_element.stream == chunked.stream
+    assert one_element.sample == chunked.sample
 
 
 def _tracker(n: int) -> Sides:
@@ -575,9 +549,6 @@ OPS: tuple[Op, ...] = (
     Op("game/continuous", 100_000, _chunking(_uniform, every=250), _same_game, bound=1 / 3),
     Op("game/continuous-cadence", 100_000, _chunking(_greedy, every=1_000), _same_game, bound=1 / 3),
     Op("game/continuous-tracker", 100_000, _tracker, _same_errors, bound=0.2),
-    # Unbounded: at period 1 both paths make one decision per round, so the
-    # op records what a round costs rather than gating a ratio.
-    Op("game/period-one", 20_000, _period_one, _same_continuous_game),
 )
 
 

@@ -30,11 +30,9 @@ from collections.abc import Mapping
 from typing import Any
 
 from ..adversary.campaign import CAMPAIGN_MODES, phase_start_rounds
+from ..adversary.game import KNOWLEDGE_MODELS
 from ..distributed.faults import compile_fault_spec
 from ..exceptions import ConfigurationError
-
-#: Knowledge models accepted by the game runners.
-KNOWLEDGE_MODELS = ("full", "updates", "oblivious")
 
 #: Defense kinds accepted by the ``defense`` block.  ``oversample`` is
 #: Theorem 1.2's k -> factor*k capacity scaling (a spec rewrite, no wrapper);
@@ -365,7 +363,7 @@ class ScenarioConfig:
     set_system: dict[str, Any] = field(default_factory=lambda: {"kind": "prefix"})
     workers: int | None = None
     #: Maximum segment length for chunked game execution (``None`` = runner
-    #: default, ``1`` = the per-element path).  Chunking never changes *which*
+    #: default, ``1`` = one-element segments).  Chunking never changes *which*
     #: rounds the adversary controls or where checkpoints fall, so budget
     #: monotonicity is unaffected.
     chunk_size: int | None = None

@@ -16,8 +16,9 @@ and checks four such invariants on each:
     budget for a fixed seed (budget-independent attack prefixes plus
     budget-independent checkpoint schedules).
 ``chunking_independence``
-    Chunked columnar execution equals ``chunk_size=1`` bit-for-bit, for
-    sampler kernels that are chunk-invariant and deterministic routing.
+    The default segmentation equals ``chunk_size=1`` (one-element segments
+    through the same game loop) bit-for-bit, for sampler kernels that are
+    chunk-invariant and deterministic routing.
 ``sharded_agreement``
     A sharded deployment equals per-site standalone samplers fed the same
     routed substreams — per-site states and the merged coordinator view —
@@ -40,6 +41,7 @@ from typing import Any
 
 import numpy as np
 
+from ..adversary.game import KNOWLEDGE_MODELS
 from ..distributed.sharded import ShardedSampler, build_sharding_strategy
 from ..rng import ensure_generator, spawn_generators
 from .builders import MERGEABLE_SAMPLER_FAMILIES, SamplerFromSpec
@@ -260,7 +262,6 @@ _SITE_CHOICES = (2, 3, 4)
 _STRATEGY_CHOICES = ("random", "hash", "round_robin", "skewed")
 _STREAM_CHOICES = (64, 96, 128, 160)
 _UNIVERSE_CHOICES = (16, 32, 48)
-_KNOWLEDGE_CHOICES = ("full", "updates", "oblivious")
 _SET_SYSTEM_CHOICES = ("prefix", "interval")
 _PERIOD_CHOICES = (None, 4, 8)
 _BUDGET_TOLERANCE = 1e-12
@@ -366,7 +367,7 @@ def random_choices(
     return FuzzChoices(
         stream_length=int(_pick(rng, _STREAM_CHOICES)),
         universe_size=int(_pick(rng, _UNIVERSE_CHOICES)),
-        knowledge=_pick(rng, _KNOWLEDGE_CHOICES),
+        knowledge=_pick(rng, KNOWLEDGE_MODELS),
         set_system=_pick(rng, _SET_SYSTEM_CHOICES),
         sampler=sampler,
         sites=sites,
@@ -407,7 +408,7 @@ def choices_strategy() -> Any:
             FuzzChoices,
             stream_length=st.sampled_from(_STREAM_CHOICES),
             universe_size=st.sampled_from(_UNIVERSE_CHOICES),
-            knowledge=st.sampled_from(_KNOWLEDGE_CHOICES),
+            knowledge=st.sampled_from(KNOWLEDGE_MODELS),
             set_system=st.sampled_from(_SET_SYSTEM_CHOICES),
             sampler=st.just(sampler),
             sites=st.just(sites),
@@ -543,8 +544,8 @@ def _chunking_independence(config: ScenarioConfig, base: ScenarioResult) -> Inva
         strategy = config.sharding.get("strategy")
         if strategy not in DETERMINISTIC_ROUTING_STRATEGIES:
             return _skip(name, f"routing strategy {strategy!r} draws batched coins")
-    per_element = run_config(config.replace(chunk_size=1))
-    same = _comparable(per_element) == _comparable(base)
+    one_element = run_config(config.replace(chunk_size=1))
+    same = _comparable(one_element) == _comparable(base)
     return _result(name, same, "chunk_size=1 produced a different result")
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.adversary import (
     Adversary,
+    BatchGameRunner,
     CadencedAdversary,
     GeneratorAdversary,
     SortedAdversary,
@@ -322,7 +323,7 @@ class TestSegmentContract:
         "period, chunk_size, message",
         [
             (1, None, "'idle' returned an empty segment at round 1"),
-            (1, 1, "'idle' planned an empty decision block at round 1"),
+            (1, 1, "'idle' returned an empty segment at round 1"),
             (4, None, "'idle' planned an empty decision block at round 1"),
             (4, 1, "'idle' planned an empty decision block at round 1"),
         ],
@@ -330,3 +331,44 @@ class TestSegmentContract:
     def test_empty_planned_block_rejected(self, runner, period, chunk_size, message):
         with pytest.raises(ConfigurationError, match=message):
             _play(runner, self.Idle(period), chunk_size=chunk_size)
+
+
+class TestGameOptionsValidated:
+    """A knowledge model outside ``KNOWLEDGE_MODELS`` or a given epsilon
+    outside (0, 1) is rejected where a game starts, before any player moves."""
+
+    class Untouchable(Adversary):
+        name = "untouchable"
+
+        def next_element(self, round_index, observed_sample):
+            raise AssertionError("the game started")
+
+    BAD_OPTIONS = (
+        pytest.param({"knowledge": "Full"}, id="knowledge-Full"),
+        pytest.param({"knowledge": "bogus"}, id="knowledge-bogus"),
+        pytest.param({"epsilon": 0.0}, id="epsilon-0"),
+        pytest.param({"epsilon": -0.5}, id="epsilon-minus-half"),
+        pytest.param({"epsilon": 1.0}, id="epsilon-1"),
+    )
+    REJECTED = "unknown knowledge model|epsilon must lie in"
+
+    @pytest.mark.parametrize("options", BAD_OPTIONS)
+    @pytest.mark.parametrize(
+        "runner, schedule",
+        [
+            pytest.param(run_adaptive_game, {}, id="adaptive"),
+            pytest.param(run_continuous_game, {"checkpoints": (5, 10)}, id="continuous"),
+            pytest.param(run_continuous_game, {}, id="continuous-geometric"),
+        ],
+    )
+    def test_runners_reject_before_playing(self, runner, schedule, options):
+        sampler = BernoulliSampler(0.5, seed=0)
+        with pytest.raises(ConfigurationError, match=self.REJECTED):
+            runner(sampler, self.Untouchable(), 10, set_system=PrefixSystem(8), **schedule, **options)
+        assert sampler.rounds_processed == 0
+
+    @pytest.mark.parametrize("options", BAD_OPTIONS)
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_batch_runner_rejects_at_construction(self, continuous, options):
+        with pytest.raises(ConfigurationError, match=self.REJECTED):
+            BatchGameRunner(10, set_system=PrefixSystem(8), continuous=continuous, **options)

@@ -555,6 +555,78 @@ class TestSamplerExtendRule:
         assert findings == []
 
 
+ADVERSARY_TREE = """
+    from abc import ABC, abstractmethod
+
+    class Adversary(ABC):
+        @abstractmethod
+        def next_element(self, round_index, observed_sample):
+            ...
+
+        def next_elements(self, round_index, count, observed_sample):
+            return [self.next_element(round_index, observed_sample)]
+
+    class ObliviousAdversary(Adversary):
+        def next_elements(self, round_index, count, observed_sample):
+            ...
+"""
+
+
+class TestAdversarySegmentsRule:
+    def test_bad_per_round_subclass_of_the_root(self, tmp_path):
+        findings = run_engine(
+            tmp_path,
+            {
+                "adversary/base.py": ADVERSARY_TREE,
+                "adversary/probe.py": """
+                from .base import Adversary
+
+                class PerRoundProbe(Adversary):
+                    def next_element(self, round_index, observed_sample):
+                        return round_index
+                """,
+            },
+        )
+        assert rules_fired(findings) == {"PRO004"}
+        (finding,) = findings
+        assert "PerRoundProbe" in finding.message
+
+    def test_good_with_next_elements(self, tmp_path):
+        findings = run_engine(
+            tmp_path,
+            {
+                "adversary/base.py": ADVERSARY_TREE,
+                "adversary/probe.py": """
+                from .base import Adversary
+
+                class OneAtATime(Adversary):
+                    def next_element(self, round_index, observed_sample):
+                        return round_index
+
+                    def next_elements(self, round_index, count, observed_sample):
+                        return [round_index]
+                """,
+            },
+        )
+        assert findings == []
+
+    def test_good_next_elements_inherited_from_project_base(self, tmp_path):
+        findings = run_engine(
+            tmp_path,
+            {
+                "adversary/base.py": ADVERSARY_TREE,
+                "adversary/static.py": """
+                from .base import ObliviousAdversary
+
+                class Counting(ObliviousAdversary):
+                    def next_element(self, round_index, observed_sample):
+                        return round_index
+                """,
+            },
+        )
+        assert findings == []
+
+
 class TestCadenceContractRule:
     def test_bad_half_implemented_cadence(self, tmp_path):
         findings = run_engine(

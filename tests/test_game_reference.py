@@ -1,16 +1,23 @@
-"""Period-1 games against a reference player with no cadence machinery.
+"""Games against a reference player with no runner machinery.
 
-``TestChunkInvariance`` in ``test_adversary_cadence.py`` compares the
-chunked runner with the per-element runner, which share the adversaries'
-serving code.  These tests compare both with ``game_reference``, which
-calls only ``plan_block(r, 1, view)`` and ``observe_block([update])``: for
-every attack family, both runners must realise its stream, sample, update
-record and errors bit for bit — bare, inside a phased campaign and budget
-wrapped, at chunk size 1 and the default, under both knowledge models that
-feed the attack.
+``game_reference`` plays round by round: a cadenced attack plans a block
+with ``plan_block(r, decision_period, view)`` when its last one is used up
+and digests it with one ``observe_block`` once it has played, and any other
+adversary gets ``next_element`` and ``observe_update`` every round.  It
+shares no code with the runners' segment loop, so these tests pin that loop
+independently of how it chunks the stream: both runners must realise the
+reference's stream, sample, update record and errors bit for bit — for
+every attack family at several decision periods and for the static
+adversaries, at chunk sizes 1, 5, 32 and the default over Bernoulli (whose
+batched kernel is bit-identical to one element at a time), and at chunk
+size 1 over reservoir (whose batched kernel draws in batch order).  At
+period 1 every family is also checked inside a phased campaign and budget
+wrapped, under both knowledge models that feed the attack.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +26,10 @@ from test_adversary_cadence import ATTACK_FACTORIES, UNIVERSE
 
 from repro.adversary import (
     CampaignAdversary,
+    SortedAdversary,
+    StaticAdversary,
     SwitchingSingletonAdversary,
+    UniformAdversary,
     run_adaptive_game,
     run_continuous_game,
 )
@@ -39,6 +49,28 @@ SAMPLERS = {
     "bernoulli": lambda: BernoulliSampler(0.08, seed=11),
     "reservoir": lambda: ReservoirSampler(16, seed=11),
 }
+
+
+#: Every attack family at three decision periods, plus three static adversaries.
+ADVERSARIES = {
+    **{
+        f"{family}@{period}": partial(factory, period)
+        for family, factory in ATTACK_FACTORIES.items()
+        for period in (1, 7, 32)
+    },
+    "uniform": lambda: UniformAdversary(UNIVERSE, seed=3),
+    "static": lambda: StaticAdversary([(7 * r) % UNIVERSE + 1 for r in range(N)]),
+    "sorted": SortedAdversary,
+}
+#: The (sampler, chunk size) pairs whose games are bit-identical to the
+#: reference's round-by-round play.
+CHUNKINGS = [
+    ("bernoulli", 1),
+    ("bernoulli", 5),
+    ("bernoulli", 32),
+    ("bernoulli", None),
+    ("reservoir", 1),
+]
 
 
 def _benign():
@@ -75,6 +107,17 @@ def _reference(sampler, phases, knowledge, runner, **tail):
         sampler, phases, N, knowledge=knowledge, set_system=PrefixSystem(UNIVERSE),
         checkpoints=CHECKPOINTS if runner == "continuous" else (), **tail,
     )
+
+
+@pytest.mark.parametrize("runner", ["adaptive", "continuous"])
+@pytest.mark.parametrize("knowledge", ["full", "updates"])
+@pytest.mark.parametrize("sampler, chunk_size", CHUNKINGS)
+@pytest.mark.parametrize("name", sorted(ADVERSARIES))
+def test_every_adversary_matches_reference(name, sampler, chunk_size, knowledge, runner):
+    make = ADVERSARIES[name]
+    result = _play(runner, SAMPLERS[sampler](), make(), knowledge, chunk_size)
+    reference = _reference(SAMPLERS[sampler](), [(1, make())], knowledge, runner)
+    _assert_same_game(result, reference, runner)
 
 
 @pytest.mark.parametrize("runner", ["adaptive", "continuous"])

@@ -504,7 +504,7 @@ class TestMergeReduceExtend:
 
 
 class TestChunkedGameEquivalence:
-    """chunk_size=1 (the per-element path) vs default chunking, both runners."""
+    """chunk_size=1 (one-element segments) vs default chunking, both runners."""
 
     def test_adaptive_game_bit_identical_for_bernoulli(self):
         def play(chunk_size):
@@ -600,7 +600,8 @@ class TestChunkedGameEquivalence:
     def test_fully_adaptive_adversaries_take_the_per_element_path(self):
         # Adversary subclasses that don't declare segmentation still work:
         # the base Adversary.next_elements contract is per-round, so the
-        # runner calls next_element once per round even at default chunking.
+        # runner plays one-element segments, calling next_element once per
+        # round even at default chunking, and warns about nothing.
         from repro.adversary.base import Adversary
 
         class PerRound(Adversary):
@@ -614,43 +615,9 @@ class TestChunkedGameEquivalence:
                 return round_index
 
         adversary = PerRound()
-        # The fallback is taken silently only for explicit chunk_size=1;
-        # under default chunking it announces itself once per adversary
-        # identity (the latch is reset around every test by conftest).
-        with pytest.warns(RuntimeWarning, match="declares no decision cadence"):
-            result = run_adaptive_game(BernoulliSampler(0.5, seed=1), adversary, 100)
+        result = run_adaptive_game(BernoulliSampler(0.5, seed=1), adversary, 100)
         assert adversary.calls == 100
         assert result.stream == list(range(1, 101))
-
-    def test_fallback_warning_latch_is_keyed_by_adversary_identity(self):
-        """The once-per-process latch distinguishes (class, name) identities
-        and is cleared by :func:`reset_fallback_warnings`."""
-        import warnings
-
-        from repro.adversary import reset_fallback_warnings
-        from repro.adversary.base import Adversary
-
-        class PerRound(Adversary):
-            def __init__(self, name):
-                self.name = name
-
-            def next_element(self, round_index, observed_sample):
-                return round_index
-
-        def play(adversary):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                run_adaptive_game(BernoulliSampler(0.5, seed=1), adversary, 10)
-            return [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-        # Distinct names of the same class each warn once.
-        assert len(play(PerRound("alpha"))) == 1
-        assert len(play(PerRound("beta"))) == 1
-        # A repeat of an already-latched identity stays silent...
-        assert play(PerRound("alpha")) == []
-        # ...until the latch is reset.
-        reset_fallback_warnings()
-        assert len(play(PerRound("alpha"))) == 1
 
     def test_chunked_updates_log_matches_per_element_log(self):
         per_element = run_adaptive_game(
