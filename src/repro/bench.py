@@ -81,7 +81,7 @@ __all__ = [
 
 #: Canonical report file name for this PR's benchmark artefact.  CI derives
 #: its output/artifact name from this constant instead of hardcoding it.
-BENCH_FILENAME = "BENCH_PR19.json"
+BENCH_FILENAME = "BENCH_PR20.json"
 
 #: Fields every benchmark record must carry (the report schema).
 RECORD_FIELDS = ("op", "n", "seconds", "throughput", "speedup")
@@ -270,6 +270,23 @@ def _reservoir_extend(n: int) -> Sides:
 
 def _full_reservoirs(loop: ReservoirSampler, extend: ReservoirSampler) -> None:
     assert loop.sample_size == extend.sample_size == 1_000, (loop.sample_size, extend.sample_size)
+
+
+def _window_geometries(n: int) -> Sides:
+    """A per-element ``process`` loop over one stream at a short and at a
+    long window: about 140 vs 380 candidates at the end, so the ratio is
+    how per-element cost grows with the candidate count."""
+    data = _stream(n)
+    return (
+        _loop(partial(SlidingWindowSampler, 64, 256, seed=1), data),
+        _loop(partial(SlidingWindowSampler, 64, 8_192, seed=1), data),
+    )
+
+
+def _full_windows(short: SlidingWindowSampler, long: SlidingWindowSampler) -> None:
+    assert short.rounds_processed == long.rounds_processed
+    for window in (short, long):
+        assert window.sample_size == min(64, window.rounds_processed), window
 
 
 # ----------------------------------------------------------------------
@@ -521,8 +538,9 @@ OPS: tuple[Op, ...] = (
     Op("extend/reservoir", 1_000_000, _reservoir_extend, _full_reservoirs, bound=10.0),
     _extend_op("weighted-reservoir", 100_000, partial(WeightedReservoirSampler, 200, seed=1), _stream),
     _extend_op("priority", 100_000, partial(PrioritySampler, 200, seed=1), _stream),
-    # The per-element window re-scans its O(k log w) candidates every element.
-    _extend_op("sliding-window", 4_000, partial(SlidingWindowSampler, 64, 8192, seed=1), _stream),
+    # 20,000 elements overrun the 8,192-element window, so both sides expire.
+    _extend_op("sliding-window", 20_000, partial(SlidingWindowSampler, 64, 8192, seed=1), _stream),
+    Op("window/per-element", 20_000, _window_geometries, _full_windows, bound=1.5),
     _extend_op("misra-gries", 100_000, partial(MisraGriesSummary, 200), _heavy),
     _extend_op("kll", 100_000, partial(KLLSketch, 128, seed=1), _floats),
     _extend_op("greenwald-khanna", 100_000, partial(GreenwaldKhannaSketch, 0.02), _floats),

@@ -28,6 +28,8 @@ from typing import Any, Protocol, overload, runtime_checkable
 import numpy as np
 from numpy.typing import NDArray
 
+from ..exceptions import ConfigurationError
+
 
 @dataclass(frozen=True, slots=True)
 class SampleUpdate:
@@ -385,7 +387,7 @@ class FixedSizeSampler(StreamSampler):
     def __init__(self, capacity: int) -> None:
         super().__init__()
         if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
 
     def memory_footprint(self) -> int:

@@ -10,6 +10,14 @@ keeps, per rank, only the candidates that could still become one of the ``k``
 minima before they expire — the classical "chain/priority sampling over
 sliding windows" idea.  Memory is ``O(k log window)`` in expectation.
 
+Two kernels keep that candidate set.  Batches and merges go through
+:meth:`SlidingWindowSampler._fixed_point`, one newest-to-oldest scan.  One
+element at a time, ``process`` keeps each candidate's *domination count* —
+how many later live arrivals have a strictly smaller priority — and updates
+it in place with a few array operations: a candidate leaves only by expiry
+or when its count reaches ``k``.  The scan returns its survivors' counts, so
+either kernel can continue from the other's state.
+
 The adversarial experiments exercise it as an extension subject: the paper's
 guarantees are stated for whole-stream sampling, and the sliding-window
 variant inherits them per window via the same union-bound argument.
@@ -18,10 +26,13 @@ variant inherits them per window via the same union-bound argument.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from itertools import chain
 from typing import Any
+
+import numpy as np
+from numpy.typing import NDArray
 
 from ..exceptions import ConfigurationError
 from ..rng import RandomState, ensure_generator, spawn_generators
@@ -59,23 +70,60 @@ class SlidingWindowSampler(StreamSampler):
         self.capacity = int(capacity)
         self.window = int(window)
         self._rng = ensure_generator(seed)
-        # Candidates: (arrival_index, priority, element), kept sorted by
-        # arrival; the fixed point of :meth:`_fixed_point`.
-        self._candidates: list[tuple[int, float, Any]] = []
+        # Candidates: (arrival_index, priority, element) in arrival order.
+        # Candidate i's priority and domination count sit at index i of the
+        # two buffers, which are longer than the candidate list.
+        self._install([], [])
 
     # ------------------------------------------------------------------
     # StreamSampler interface
     # ------------------------------------------------------------------
     def _process(self, element: Any) -> SampleUpdate:
-        arrival = self.rounds_processed
+        """One arrival: expire, count, prune, append.
+
+        The new arrival dominates every live candidate of strictly larger
+        priority, so those counts grow by one and the ones reaching
+        ``capacity`` are pruned.  No other count changes: a kept candidate's
+        smaller-priority later arrivals are all kept (one pruned would take
+        it down too), so counting over the candidates equals counting over
+        the stream.  The result is the :meth:`_fixed_point` of the old
+        candidates plus the arrival.  The arrival is accepted when fewer
+        than ``capacity`` live priorities are at most its own: the sample is
+        the stable priority sort's first ``capacity`` entries, and the
+        newest arrival sorts after every equal priority.
+        """
+        arrival = self._round
         priority = float(self._rng.random())
-        self._candidates.append((arrival, priority, element))
-        self._candidates, priorities = self._fixed_point(
-            reversed(self._candidates), arrival - self.window
-        )
-        # The sample is the stable priority sort's first `capacity` entries,
-        # and the newest arrival sorts after every equal priority.
-        accepted = bisect_right(priorities, priority) <= self.capacity
+        candidates = self._candidates
+        priorities, counts = self._priorities, self._counts
+        n = len(candidates)
+        # Arrival order is expiry order, so the expired candidates are a prefix.
+        cutoff = arrival - self.window
+        expired = 0
+        while expired < n and candidates[expired][0] <= cutoff:
+            expired += 1
+        if expired:
+            del candidates[:expired]
+            n -= expired
+            priorities[:n] = priorities[expired : expired + n]
+            counts[:n] = counts[expired : expired + n]
+        dominated = priorities[:n] > priority
+        n_dominated = int(np.count_nonzero(dominated))
+        accepted = n - n_dominated < self.capacity
+        if n_dominated:
+            live_counts = counts[:n]
+            live_counts += dominated
+            for index in reversed((live_counts >= self.capacity).nonzero()[0].tolist()):
+                del candidates[index]
+                n -= 1
+                priorities[index:n] = priorities[index + 1 : n + 1]
+                counts[index:n] = counts[index + 1 : n + 1]
+        if n == len(priorities):
+            priorities = self._priorities = np.resize(priorities, 2 * n)
+            counts = self._counts = np.resize(counts, 2 * n)
+        priorities[n] = priority
+        counts[n] = 0
+        candidates.append((arrival, priority, element))
         return SampleUpdate(round_index=arrival, element=element, accepted=accepted)
 
     def extend(
@@ -91,7 +139,9 @@ class SlidingWindowSampler(StreamSampler):
         candidates plus the batch's live tail at the batch's final round —
         the same set per-round processing reaches incrementally, because
         dominators expire no earlier than the candidates they dominate, so
-        pruning early never changes the final set.
+        pruning early never changes the final set.  The scan also returns
+        the survivors' domination counts, so a later :meth:`process`
+        continues from exact state.
 
         The per-element ``accepted`` flag is defined against each
         intermediate state, so ``updates=True`` takes the sequential path
@@ -115,8 +165,8 @@ class SlidingWindowSampler(StreamSampler):
             reversed(priorities[first_live:].tolist()),
             reversed(elements[first_live:]),
         )
-        self._candidates, _ = self._fixed_point(
-            chain(live, reversed(self._candidates)), self._round - self.window
+        self._install(
+            *self._fixed_point(chain(live, reversed(self._candidates)), self._round - self.window)
         )
         return None
 
@@ -174,7 +224,7 @@ class SlidingWindowSampler(StreamSampler):
             self.window,
             seed=rng if rng is not None else spawn_generators(self._rng, 1)[0],
         )
-        merged._candidates, _ = self._fixed_point(reversed(combined), total_round - self.window)
+        merged._install(*self._fixed_point(reversed(combined), total_round - self.window))
         merged._round = total_round
         return merged
 
@@ -199,7 +249,7 @@ class SlidingWindowSampler(StreamSampler):
         return [element for _arrival, _priority, element in self._current_sample_entries()]
 
     def reset(self) -> None:
-        self._candidates = []
+        self._install([], [])
         self._round = 0
 
     def memory_footprint(self) -> int:
@@ -210,21 +260,23 @@ class SlidingWindowSampler(StreamSampler):
     # ------------------------------------------------------------------
     def _fixed_point(
         self, newest_first: Iterable[tuple[int, float, Any]], cutoff: int
-    ) -> tuple[list[tuple[int, float, Any]], list[float]]:
+    ) -> tuple[list[tuple[int, float, Any]], list[int]]:
         """Expire and prune candidates given newest arrival first.
 
-        Returns the kept candidates in arrival order and their priorities
-        sorted ascending.  A candidate is kept iff it arrived after
-        ``cutoff`` and fewer than ``capacity`` kept later arrivals have
-        strictly smaller priorities.  A dominated candidate can never
-        re-enter the sample: its dominators expire later.  The first expired
-        candidate ends the scan, and a priority above the ``capacity``-th
-        smallest kept one is rejected by a single comparison, so a lazy
-        ``newest_first`` only ever materialises the survivors.
+        Returns the kept candidates in arrival order and their domination
+        counts.  A candidate is kept iff it arrived after ``cutoff`` and
+        fewer than ``capacity`` kept later arrivals have strictly smaller
+        priorities; that number is its count.  A dominated candidate can
+        never re-enter the sample: its dominators expire later.  The first
+        expired candidate ends the scan, and a priority above the
+        ``capacity``-th smallest kept one is rejected by a single
+        comparison, so a lazy ``newest_first`` only ever materialises the
+        survivors.
         """
         capacity = self.capacity
         kept: list[tuple[int, float, Any]] = []
-        priorities: list[float] = []
+        counts: list[int] = []
+        priorities: list[float] = []  # the kept ones so far, ascending
         threshold = math.inf
         for candidate in newest_first:
             if candidate[0] <= cutoff:
@@ -232,13 +284,28 @@ class SlidingWindowSampler(StreamSampler):
             priority = candidate[1]
             if priority > threshold:
                 continue
-            insort(priorities, priority)
+            count = bisect_left(priorities, priority)
+            priorities.insert(count, priority)
             kept.append(candidate)
+            counts.append(count)
             if len(priorities) >= capacity:
                 threshold = priorities[capacity - 1]
         kept.reverse()
-        return kept, priorities
+        counts.reverse()
+        return kept, counts
+
+    def _install(self, candidates: list[tuple[int, float, Any]], counts: list[int]) -> None:
+        """Adopt ``candidates`` (arrival order) with their domination counts."""
+        n = len(candidates)
+        size = max(2 * n, 16)
+        self._candidates: list[tuple[int, float, Any]] = candidates
+        self._priorities: NDArray[np.float64] = np.empty(size)
+        self._priorities[:n] = [candidate[1] for candidate in candidates]
+        self._counts: NDArray[np.int64] = np.empty(size, dtype=np.int64)
+        self._counts[:n] = counts
 
     def _current_sample_entries(self) -> list[tuple[int, float, Any]]:
-        live = sorted(self._candidates, key=lambda candidate: candidate[1])
-        return live[: self.capacity]
+        """The ``capacity`` smallest priorities, in a stable priority sort."""
+        candidates = self._candidates
+        order = self._priorities[: len(candidates)].argsort(kind="stable")[: self.capacity]
+        return [candidates[index] for index in order.tolist()]

@@ -239,6 +239,23 @@ class TestScenarioConfigFile:
         assert main(["scenario", "run", "--config", self._write(tmp_path, payload)]) == 2
         assert "unknown scenario config fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            {"family": "reservoir", "capacity": 0},
+            {"family": "weighted_reservoir", "capacity": 0},
+            {"family": "sliding_window", "capacity": 0, "window": 8},
+        ],
+        ids=["reservoir", "weighted_reservoir", "sliding_window"],
+    )
+    def test_zero_capacity_exits_2(self, sampler, tmp_path, capsys):
+        payload = {"name": "empty", "stream_length": 64, "universe_size": 32,
+                   "trials": 1, "samplers": {"s": sampler}}
+        assert main(["scenario", "run", "--config", self._write(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert "error: capacity must be >= 1, got 0" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_non_object_json_exits_2(self, tmp_path, capsys):
         path = self._write(tmp_path, "[1, 2, 3]")
         assert main(["scenario", "run", "--config", path]) == 2

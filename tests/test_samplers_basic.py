@@ -17,6 +17,15 @@ from repro.samplers import (
 )
 
 
+@pytest.mark.parametrize("make", [PrioritySampler, WeightedReservoirSampler])
+@pytest.mark.parametrize("capacity", [0, -3])
+def test_non_positive_capacity_is_a_configuration_error(make, capacity):
+    """Every fixed-size sampler rejects its capacity like the sliding
+    window does, so the CLI reports it instead of a traceback."""
+    with pytest.raises(ConfigurationError, match="capacity must be >= 1"):
+        make(capacity)
+
+
 class TestBernoulliSampler:
     def test_invalid_probability_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -73,7 +82,7 @@ class TestBernoulliSampler:
 
 class TestReservoirSampler:
     def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ReservoirSampler(0)
 
     def test_invalid_eviction_policy_rejected(self):

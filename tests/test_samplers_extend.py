@@ -25,6 +25,7 @@ from repro.adversary import (
     run_adaptive_game,
     run_continuous_game,
 )
+from repro.distributed import FaultPlan, Reshard, ShardedSampler
 from repro.rng import ensure_generator
 from repro.samplers import (
     BernoulliSampler,
@@ -303,25 +304,63 @@ def _window_sample(priorities, capacity, window, t):
     return sorted(live, key=lambda i: priorities[i - 1])[:capacity]
 
 
+def _survivors(entries, capacity, cutoff):
+    """The candidates among ``(arrival, priority, element)`` entries in
+    arrival order: those arrived after ``cutoff`` with fewer than
+    ``capacity`` later live entries of strictly smaller priority."""
+    live = [entry for entry in entries if entry[0] > cutoff]
+    return [
+        entry
+        for i, entry in enumerate(live)
+        if sum(later[1] < entry[1] for later in live[i + 1 :]) < capacity
+    ]
+
+
 def _window_candidates(priorities, data, capacity, window, t):
     """``(arrival, priority, element)`` a sampler must hold after round
     ``t``: the live arrivals with fewer than ``capacity`` later live
     arrivals of strictly smaller priority."""
     live = range(max(1, t - window + 1), t + 1)
-    return [
-        (i, priorities[i - 1], data[i - 1])
-        for i in live
-        if sum(priorities[j - 1] < priorities[i - 1] for j in range(i + 1, t + 1)) < capacity
+    return _survivors([(i, priorities[i - 1], data[i - 1]) for i in live], capacity, t - window)
+
+
+def _assert_counts(sampler):
+    """Each candidate's stored domination count is the number of later
+    candidates with a strictly smaller priority."""
+    candidates = sampler._candidates
+    expected = [
+        sum(later[1] < entry[1] for later in candidates[i + 1 :])
+        for i, entry in enumerate(candidates)
     ]
+    assert sampler._counts[: len(candidates)].tolist() == expected
+
+
+class _TiedPriorities:
+    """Stands in for a sampler's generator with priorities that tie: one
+    fixed sequence over {0.25, 0.5, 0.75}, handed out in order by
+    ``random()`` and ``random(n)`` alike, as a real generator's scalar and
+    batch draws are."""
+
+    def __init__(self, seed, n):
+        self.priorities = np.random.default_rng(seed).choice([0.25, 0.5, 0.75], size=n)
+        self._drawn = 0
+
+    def random(self, size=None):
+        start = self._drawn
+        self._drawn += 1 if size is None else size
+        if size is None:
+            return float(self.priorities[start])
+        return self.priorities[start : self._drawn].copy()
 
 
 class TestSlidingWindowOracle:
     """The sliding-window sampler against a brute-force reference.
 
-    Every ingestion path shares one fixed-point kernel, so comparing
-    ``process`` with chunked ``extend`` alone would compare the kernel with
-    itself.  The reference recomputes the state from the window model, with
-    the priorities the sampler's generator draws.
+    ``process`` updates per-candidate domination counts in place, while
+    batches and merges re-run the fixed-point scan and hand its counts back,
+    so every path into the counted state is checked here: the reference
+    recomputes the candidates, the sample and the counts from the window
+    model, with the priorities the sampler's generator draws.
     """
 
     GEOMETRIES = [(1, 1), (3, 3), (4, 30), (32, 256), (8, 500)]
@@ -332,14 +371,7 @@ class TestSlidingWindowOracle:
         data = _stream(33)
         priorities = ensure_generator(self.SEED).random(len(data)).tolist()
         sampler = SlidingWindowSampler(capacity, window, seed=self.SEED)
-        for t, element in enumerate(data, start=1):
-            update = sampler.process(element)
-            sample = _window_sample(priorities, capacity, window, t)
-            assert update.accepted == (t in sample)
-            assert list(sampler.sample) == [data[i - 1] for i in sample]
-            # The candidate reference is quadratic in the window: spot-check it.
-            if t % 37 == 0 or t == len(data):
-                assert sampler._candidates == _window_candidates(priorities, data, capacity, window, t)
+        self._process_matches(sampler, priorities, data, capacity, window)
 
     @pytest.mark.parametrize("capacity,window", GEOMETRIES)
     @pytest.mark.parametrize("plan", CHUNK_PLANS)
@@ -348,10 +380,146 @@ class TestSlidingWindowOracle:
         priorities = ensure_generator(self.SEED).random(len(data)).tolist()
         sampler = SlidingWindowSampler(capacity, window, seed=self.SEED)
         _feed_chunks(sampler, data, plan)
-        t = len(data)
+        self._check_state(sampler, priorities, data, capacity, window)
+
+    MIXED_SCHEDULE = [
+        ("process", 60),
+        ("batch", 400),
+        ("process", 40),
+        ("records", 150),
+        ("process", 70),
+        ("batch", 9),
+        ("process", 30),
+    ]
+
+    @pytest.mark.parametrize("capacity,window", GEOMETRIES)
+    def test_mixed_schedule_matches_reference(self, capacity, window):
+        """``process``, ``extend(updates=False)``, ``extend(updates=True)``
+        and ``process`` again continue from each other's state, before and
+        after a ``reset``."""
+        length = sum(size for _kind, size in self.MIXED_SCHEDULE)
+        data = _stream(35, n=2 * length)
+        priorities = ensure_generator(self.SEED).random(len(data)).tolist()
+        sampler = SlidingWindowSampler(capacity, window, seed=self.SEED)
+        for start in (0, length):
+            if start:
+                sampler.reset()
+            stream, drawn = data[start : start + length], priorities[start : start + length]
+            cursor = 0
+            for kind, size in self.MIXED_SCHEDULE:
+                chunk = stream[cursor : cursor + size]
+                cursor += size
+                if kind == "batch":
+                    sampler.extend(chunk, updates=False)
+                else:
+                    updates = (
+                        sampler.extend(chunk)
+                        if kind == "records"
+                        else [sampler.process(element) for element in chunk]
+                    )
+                    for update in updates:
+                        t = update.round_index
+                        assert update.accepted == (t in _window_sample(drawn, capacity, window, t))
+                self._check_state(sampler, drawn, stream, capacity, window)
+
+    @pytest.mark.parametrize("capacity,window", GEOMETRIES)
+    def test_merge_then_stream_matches_single_sampler(self, capacity, window):
+        """A merge of consecutive parts keeps ingesting exactly like one
+        sampler fed the concatenated stream with the same priorities."""
+        data = _stream(36, n=1200)
+        shared = ensure_generator(self.SEED)
+        parts = [SlidingWindowSampler(capacity, window, seed=shared) for _ in range(3)]
+        parts[0].extend(data[:250], updates=False)
+        for element in data[250:300]:
+            parts[1].process(element)
+        parts[2].extend(data[300:700], updates=False)
+        merged = parts[0].merge(parts[1:], rng=shared)
+        single = SlidingWindowSampler(capacity, window, seed=self.SEED)
+        for element in data[:700]:
+            single.process(element)
+        assert merged._candidates == single._candidates
+        _assert_counts(merged)
+        for element in data[700:]:
+            assert merged.process(element) == single.process(element)
+            assert merged._candidates == single._candidates
+        priorities = ensure_generator(self.SEED).random(len(data)).tolist()
+        self._check_state(merged, priorities, data, capacity, window)
+
+    @pytest.mark.parametrize("capacity,window", [(1, 1), (3, 3), (4, 30), (8, 64)])
+    def test_sharded_sites_keep_ingesting_after_a_reshard_merge(self, capacity, window):
+        """Sliding-window sites fed one element at a time, with sites 0 and
+        1 merged mid-stream: after every round each site holds the
+        candidates of its own window stream, and the merged site's stream
+        is site 0's followed by site 1's."""
+        data = _stream(37, n=600)
+        sharded = ShardedSampler(
+            3,
+            lambda rng: SlidingWindowSampler(capacity, window, seed=rng),
+            seed=self.SEED,
+            fault_plan=FaultPlan(reshards=(Reshard(round=301, op="merge", site=0, other=1),)),
+        )
+        expected = [[] for _ in sharded.sites]
+        for element in data:
+            rounds = [site.rounds_processed for site in sharded.sites]
+            update = sharded.process(element)
+            sites = sharded.sites
+            if len(sites) < len(expected):
+                shifted = [(a + rounds[0], p, e) for a, p, e in expected[1]]
+                rounds[:2] = [rounds[0] + rounds[1]]
+                expected[:2] = [_survivors(expected[0] + shifted, capacity, rounds[0] - window)]
+            (index,) = [i for i, site in enumerate(sites) if site.rounds_processed != rounds[i]]
+            site = sites[index]
+            newest = site._candidates[-1]
+            assert newest[::2] == (site.rounds_processed, element)
+            expected[index] = _survivors(
+                [*expected[index], newest], capacity, site.rounds_processed - window
+            )
+            in_sample = sorted(expected[index], key=lambda entry: entry[1])[:capacity]
+            assert site._candidates == expected[index]
+            assert update.accepted == (newest in in_sample)
+            assert list(site.sample) == [entry[2] for entry in in_sample]
+            _assert_counts(site)
+        assert len(sharded.sites) == 2
+
+    @pytest.mark.parametrize("capacity,window", GEOMETRIES)
+    def test_tied_priorities_process_matches_reference(self, capacity, window):
+        """Under forced ties, domination stays strict and acceptance counts
+        equal priorities: the reference's strict ``<`` and stable sort."""
+        data = _stream(38, n=600)
+        sampler = SlidingWindowSampler(capacity, window, seed=self.SEED)
+        sampler._rng = tied = _TiedPriorities(self.SEED, len(data))
+        self._process_matches(sampler, tied.priorities.tolist(), data, capacity, window)
+
+    @pytest.mark.parametrize("capacity,window", GEOMETRIES)
+    @pytest.mark.parametrize("plan", CHUNK_PLANS)
+    def test_tied_priorities_chunked_extend_matches_reference(self, capacity, window, plan):
+        data = _stream(39)
+        sampler = SlidingWindowSampler(capacity, window, seed=self.SEED)
+        sampler._rng = tied = _TiedPriorities(self.SEED, len(data))
+        _feed_chunks(sampler, data, plan)
+        self._check_state(sampler, tied.priorities.tolist(), data, capacity, window)
+
+    def _process_matches(self, sampler, priorities, data, capacity, window):
+        """Feed ``data`` through ``process``, checking every acceptance and
+        sample against the reference."""
+        for t, element in enumerate(data, start=1):
+            update = sampler.process(element)
+            sample = _window_sample(priorities, capacity, window, t)
+            assert update.accepted == (t in sample)
+            assert list(sampler.sample) == [data[i - 1] for i in sample]
+            # The candidate reference is quadratic in the window: spot-check it.
+            if t % 37 == 0 or t == len(data):
+                self._check_state(sampler, priorities, data, capacity, window)
+
+    @staticmethod
+    def _check_state(sampler, priorities, data, capacity, window):
+        """Sample, candidates and counts equal the reference's after the
+        sampler's last round."""
+        t = sampler.rounds_processed
         sample = _window_sample(priorities, capacity, window, t)
         assert list(sampler.sample) == [data[i - 1] for i in sample]
         assert sampler._candidates == _window_candidates(priorities, data, capacity, window, t)
+        _assert_counts(sampler)
 
 
 class TestMisraGriesExtend:
