@@ -60,9 +60,9 @@ class BlockCadence(Protocol):
     of one protocol, and implementing only one silently reintroduces
     chunking-dependent games (the PR 7 bug class; the ``analyze`` PRO002
     rule enforces the same pairing statically).  :class:`CadencedAdversary`
-    is the canonical implementation; wrappers that forward the cadence
-    (budgeted attacks, composed campaigns) satisfy the protocol structurally
-    without inheriting from it.
+    is the canonical implementation.  Campaigns (the scenario layer's
+    budget among them) do not implement it: they forward
+    ``set_decision_period`` to their members.
     """
 
     decision_period: int
@@ -175,10 +175,14 @@ class ObliviousAdversary(Adversary):
     These realise the *static* setting of the paper: the stream they produce
     is independent of the sampler's coin flips, so the classical VC bounds
     apply to them.  Having no decision points at all, they commit to whole
-    segments: :meth:`next_elements` fills any requested count.
+    segments: :meth:`next_elements` fills any requested count.  They never
+    read the sample view either, so the runners never build it for them (a
+    coordinator merge on sharded deployments, an exposure under sketch
+    switching).
     """
 
     name = "oblivious"
+    uses_observed_sample = False
 
     def next_elements(
         self, round_index: int, count: int, observed_sample: Sequence[Any] | None
@@ -440,16 +444,18 @@ def block_outcome_for_element(
 def apply_decision_period(adversary: Adversary, decision_period: int) -> bool:
     """Re-declare an adversary's decision cadence, if it supports one.
 
-    Returns ``True`` when the adversary (or, for wrappers such as the
-    scenario layer's ``BudgetedAdversary``, its inner attack) accepted the
-    cadence, ``False`` when it declares none — oblivious adversaries have no
-    decision points to space out, and fully adaptive strategies without a
-    cadence protocol stay per-round.
+    Returns ``True`` when the adversary (or, for a
+    :class:`~repro.adversary.campaign.CampaignAdversary` — the scenario
+    layer's ``BudgetedAdversary`` among them — any of its members) accepted
+    the cadence, ``False`` when it declares none — oblivious adversaries
+    have no decision points to space out, and fully adaptive strategies
+    without a cadence protocol stay per-round.  Cadence is declared before a
+    game starts: the scenario layer applies it as it builds each attack.
     """
     setter = getattr(adversary, "set_decision_period", None)
     if setter is None:
         return False
     result = setter(int(decision_period))
-    # Wrapper setters report whether the inner attack accepted; the
+    # A campaign's setter reports whether any member accepted; the
     # CadencedAdversary setter returns None, meaning "applied".
     return True if result is None else bool(result)

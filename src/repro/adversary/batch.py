@@ -46,7 +46,7 @@ from ..exceptions import ConfigurationError
 from ..rng import RandomState, collapse_seed, derive_substream, spawn_generators
 from ..samplers.base import StreamSampler
 from ..setsystems.base import SetSystem
-from .base import Adversary, apply_decision_period
+from .base import Adversary
 from .game import (
     KnowledgeModel,
     _check_game_options,
@@ -182,7 +182,6 @@ class _TrialPayload:
     checkpoints: tuple[int, ...] | None
     checkpoint_ratio: float | None
     chunk_size: int | None
-    decision_period: int | None = None
 
 
 def _execute_trial(payload: _TrialPayload) -> TrialOutcome:
@@ -195,11 +194,6 @@ def _execute_trial(payload: _TrialPayload) -> TrialOutcome:
     )
     sampler = payload.sampler_factory(sampler_rng)
     adversary = payload.adversary_factory(adversary_rng)
-    if payload.decision_period is not None:
-        # Cadence is a property of the *strategy*: the runner re-declares it
-        # on cadence-capable adversaries (a no-op for oblivious ones, which
-        # have no decision points to space out).
-        apply_decision_period(adversary, payload.decision_period)
     if payload.continuous:
         assert payload.set_system is not None
         result = run_continuous_game(
@@ -335,13 +329,6 @@ class BatchGameRunner:
         Maximum segment length for chunked game execution (see
         :func:`~repro.adversary.game.run_adaptive_game`); ``None`` uses the
         default, ``1`` plays every round as its own one-element segment.
-    decision_period:
-        When set, re-declares the decision cadence of every constructed
-        adversary that supports one
-        (:func:`~repro.adversary.base.apply_decision_period`) before its
-        game starts — the sweep-level knob for reaction-cadence grids.
-        Oblivious adversaries and adversaries without a cadence protocol
-        are unaffected.
 
     Examples
     --------
@@ -372,15 +359,10 @@ class BatchGameRunner:
         seed: RandomState = None,
         workers: int | None = None,
         chunk_size: int | None = None,
-        decision_period: int | None = None,
     ) -> None:
         if stream_length < 1:
             raise ConfigurationError(f"stream length must be >= 1, got {stream_length}")
         _check_game_options(knowledge, epsilon)
-        if decision_period is not None and int(decision_period) < 1:
-            raise ConfigurationError(
-                f"decision period must be >= 1, got {decision_period}"
-            )
         if continuous and set_system is None:
             raise ConfigurationError("the continuous game requires a set system")
         if not continuous and (checkpoints is not None or checkpoint_ratio is not None):
@@ -410,7 +392,6 @@ class BatchGameRunner:
             self.checkpoints = None
         self.checkpoint_ratio = checkpoint_ratio
         self.chunk_size = chunk_size
-        self.decision_period = None if decision_period is None else int(decision_period)
         self.base_seed = collapse_seed(seed)
         self.workers = default_worker_count() if workers is None else max(1, int(workers))
 
@@ -443,7 +424,6 @@ class BatchGameRunner:
                 checkpoints=self.checkpoints,
                 checkpoint_ratio=self.checkpoint_ratio,
                 chunk_size=self.chunk_size,
-                decision_period=self.decision_period,
             )
             for sampler_label, sampler_factory in samplers.items()
             for adversary_label, adversary_factory in adversaries.items()

@@ -6,7 +6,10 @@ fill the sample, then poison a target range), *probe* before striking, or
 *collude* — several strategies splitting the round budget between them.
 :class:`CampaignAdversary` composes existing adversaries into those shapes
 behind the ordinary :class:`~repro.adversary.base.Adversary` interface, so
-every game runner, knowledge model and budget wrapper applies unchanged.
+every game runner and knowledge model applies unchanged.  The scenario
+layer's attack budget is itself a two-phase campaign (the attack, then
+benign filler), so a budgeted campaign scenario nests one campaign in
+another.
 
 Two composition modes:
 
@@ -43,6 +46,7 @@ cadence machinery sees exactly the substream it owns.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import replace as dataclass_replace
 from collections.abc import Sequence
@@ -96,9 +100,10 @@ class CampaignAdversary(Adversary):
     Parameters
     ----------
     members:
-        The member adversaries, in schedule order.  Members are plain
-        adversaries (never budget-wrapped themselves); the scenario layer
-        wraps the whole campaign in its ``BudgetedAdversary``.
+        The member adversaries, in schedule order.  A member may itself be
+        a campaign: below full budget the scenario layer's
+        ``BudgetedAdversary`` is a two-phase campaign whose first member is
+        the whole attack, campaign or not.
     mode:
         ``"phased"`` (consecutive phases, requires ``phase_starts``) or
         ``"interleaved"`` (round-robin slots of ``stride`` rounds).
@@ -153,44 +158,46 @@ class CampaignAdversary(Adversary):
             self.stride = int(stride)
         self.name = name or f"campaign({'+'.join(m.name for m in self.members)})"
         self._next_round = 1
+        # The cached run of :meth:`_run`; empty until the first lookup.
+        self._run_first, self._run_info = 1, (0, 0, 0)
 
     # ------------------------------------------------------------------
     # Schedule arithmetic (pure functions of the global round index)
     # ------------------------------------------------------------------
-    def _owner(self, round_index: int) -> int:
-        """Index of the member that owns global round ``round_index``."""
-        if self.mode == "phased":
-            return bisect_right(self._phase_starts, round_index) - 1
-        return ((round_index - 1) // self.stride) % len(self.members)
+    def _run(self, round_index: int) -> tuple[int, int, int]:
+        """The contiguous run containing global round ``round_index``.
 
-    def _local(self, round_index: int, member_index: int) -> int:
-        """The member-local 1-based round for global round ``round_index``."""
+        Returns its owner's index, its last global round (``sys.maxsize``
+        for the final phase) and the owner's local offset: the member-local
+        round is ``round_index - offset``.  The current run is cached, since
+        a game asks about the same run several times per round.
+        """
+        if self._run_first <= round_index <= self._run_info[1]:
+            return self._run_info
+        k = len(self.members)
         if self.mode == "phased":
-            return round_index - self._phase_starts[member_index] + 1
-        slot = (round_index - 1) // self.stride
-        within = (round_index - 1) % self.stride
-        return (slot // len(self.members)) * self.stride + within + 1
-
-    def _run_end(self, round_index: int, member_index: int) -> int | None:
-        """Last global round of the owner's contiguous run containing
-        ``round_index`` (``None`` when the run is unbounded — the final
-        phase)."""
-        if self.mode == "phased":
-            if member_index + 1 < len(self.members):
-                return self._phase_starts[member_index + 1] - 1
-            return None
-        slot = (round_index - 1) // self.stride
-        return (slot + 1) * self.stride
+            member = bisect_right(self._phase_starts, round_index) - 1
+            first = self._phase_starts[member]
+            last = self._phase_starts[member + 1] - 1 if member + 1 < k else sys.maxsize
+            offset = first - 1
+        else:
+            slot = (round_index - 1) // self.stride
+            member = slot % k
+            first = slot * self.stride + 1
+            last = first + self.stride - 1
+            offset = (slot - slot // k) * self.stride
+        self._run_first, self._run_info = first, (member, last, offset)
+        return self._run_info
 
     def _owners_of(self, round_indices: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`_owner` over a column of global round indices."""
+        """The owner of each global round in a column (vectorised)."""
         if self.mode == "phased":
             starts = np.asarray(self._phase_starts, dtype=np.int64)
             return np.searchsorted(starts, round_indices, side="right") - 1
         return ((round_indices - 1) // self.stride) % len(self.members)
 
     def _locals_of(self, round_indices: np.ndarray, member_index: int) -> np.ndarray:
-        """Vectorised :meth:`_local` for rounds all owned by one member."""
+        """Member-local rounds for a column of rounds all owned by one member."""
         if self.mode == "phased":
             return round_indices - self._phase_starts[member_index] + 1
         slots = (round_indices - 1) // self.stride
@@ -208,7 +215,7 @@ class CampaignAdversary(Adversary):
         # Per-request refinement: only the member about to play can read the
         # view, so its appetite (including mid-block declines under the
         # cadence protocol) is the campaign's.
-        return self.members[self._owner(self._next_round)].will_observe_sample()
+        return self.members[self._run(self._next_round)[0]].will_observe_sample()
 
     def next_element(
         self, round_index: int, observed_sample: Sequence[Any] | None
@@ -225,13 +232,10 @@ class CampaignAdversary(Adversary):
         decision granularity applies (per-round for fully adaptive members,
         whole cadence blocks otherwise).
         """
-        member_index = self._owner(round_index)
+        member_index, last, offset = self._run(round_index)
         member = self.members[member_index]
-        end = self._run_end(round_index, member_index)
-        take = count if end is None else min(count, end - round_index + 1)
-        elements = member.next_elements(
-            self._local(round_index, member_index), take, observed_sample
-        )
+        take = min(count, last - round_index + 1)
+        elements = member.next_elements(round_index - offset, take, observed_sample)
         if len(elements) > take:
             raise ConfigurationError(
                 f"campaign member {member.name!r} returned {len(elements)} elements "
@@ -241,12 +245,10 @@ class CampaignAdversary(Adversary):
         return elements
 
     def observe_update(self, update: SampleUpdate) -> None:
-        member_index = self._owner(update.round_index)
-        self.members[member_index].observe_update(
-            dataclass_replace(
-                update, round_index=self._local(update.round_index, member_index)
-            )
-        )
+        member_index, _, offset = self._run(update.round_index)
+        if offset:
+            update = dataclass_replace(update, round_index=update.round_index - offset)
+        self.members[member_index].observe_update(update)
 
     def observe_update_batch(self, updates: Sequence[SampleUpdate]) -> None:
         if len(updates) == 0:
@@ -273,32 +275,27 @@ class CampaignAdversary(Adversary):
             )
 
     def observes_updates(self, first_round: int, last_round: int) -> bool:
-        # Conservative OR over the members owning rounds in the segment.
+        # Conservative OR over the members owning rounds in the segment,
+        # walked run by run: k consecutive runs already cover every member.
         # The global bounds are forwarded as-is: no member implementation
         # conditions on the bounds (they are budget-free attacks), so this
         # only ever errs towards materialising updates a member ignores.
-        k = len(self.members)
-        if self.mode == "phased":
-            owners: Sequence[int] = range(
-                self._owner(first_round), self._owner(last_round) + 1
-            )
-        else:
-            first_slot = (first_round - 1) // self.stride
-            last_slot = (last_round - 1) // self.stride
-            if last_slot - first_slot + 1 >= k:
-                owners = range(k)
-            else:
-                owners = sorted({slot % k for slot in range(first_slot, last_slot + 1)})
-        return any(
-            self.members[m].observes_updates(first_round, last_round) for m in owners
-        )
+        round_index = first_round
+        for _ in self.members:
+            member_index, last, _offset = self._run(round_index)
+            if self.members[member_index].observes_updates(first_round, last_round):
+                return True
+            if last >= last_round:
+                return False
+            round_index = last + 1
+        return False
 
     def set_decision_period(self, decision_period: int) -> bool:
         """Forward a cadence re-declaration to every member.
 
         Returns ``True`` when any member accepted — the contract
         :func:`~repro.adversary.base.apply_decision_period` expects from
-        wrapper setters; members without a cadence protocol are unaffected.
+        composite setters; members without a cadence protocol are unaffected.
         """
         applied = [
             apply_decision_period(member, decision_period) for member in self.members

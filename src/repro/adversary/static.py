@@ -31,9 +31,9 @@ def _per_round_fallback(
     subclass's override of that documented per-round hook.  Each kernel
     therefore checks whether ``next_element`` still belongs to ``owner``
     (the class whose kernel is running); if not, the adversary reverts to
-    per-round decision points, which honour both the override and the live
-    state view it may read.  Returns ``None`` when the vectorised path is
-    safe.
+    per-round decision points, which honour the override (an override that
+    reads the state view must also declare ``uses_observed_sample = True``).
+    Returns ``None`` when the vectorised path is safe.
     """
     if type(adversary).next_element is not owner.next_element:
         return Adversary.next_elements(adversary, round_index, count, observed_sample)

@@ -151,15 +151,15 @@ class ScenarioCoverageRule(Rule):
     The scenario registry is the repo's public attack surface; a scenario
     nobody's tests name by its string identifier is only covered by
     registry-wide sweeps, which cannot pin its individual behaviour.  A
-    name counts as referenced when a test module contains the exact string
-    literal or uses the scenario's ``run_<name>`` helper.
+    name counts as referenced when a test module contains it as an exact
+    string literal (scenarios are run by name, ``run_scenario(name)``).
     """
 
     rule_id = "PRO003"
     name = "scenario-test-coverage"
     description = (
-        "every name registered in the scenario registry must appear (as a "
-        "string literal or `run_<name>` helper) in at least one test module"
+        "every name registered in the scenario registry must appear as a "
+        "string literal in at least one test module"
     )
 
     #: Call targets whose ``name=`` keyword registers a scenario.
@@ -168,15 +168,15 @@ class ScenarioCoverageRule(Rule):
     def check_project(self, project: ProjectIndex) -> Iterable[Finding]:
         if not project.test_modules:
             return
-        literals, identifiers = self._test_references(project)
+        literals = self._test_literals(project)
         for module, node, name in self._registered_names(project):
-            if name in literals or f"run_{name}" in identifiers:
+            if name in literals:
                 continue
             yield module.finding(
                 node,
                 self.rule_id,
                 f"registered scenario `{name}` is never referenced from a "
-                "test module (no string literal, no `run_{name}` helper use)",
+                "test module (no string literal names it)",
             )
 
     def _registered_names(
@@ -200,20 +200,13 @@ class ScenarioCoverageRule(Rule):
                         yield module, node, keyword.value.value
 
     @staticmethod
-    def _test_references(project: ProjectIndex) -> tuple[set[str], set[str]]:
-        literals: set[str] = set()
-        identifiers: set[str] = set()
-        for module in project.test_modules:
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    literals.add(node.value)
-                elif isinstance(node, ast.Name):
-                    identifiers.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    identifiers.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    identifiers.add(node.name)
-        return literals, identifiers
+    def _test_literals(project: ProjectIndex) -> set[str]:
+        return {
+            node.value
+            for module in project.test_modules
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
 
 
 PROTOCOL_RULES: tuple[Rule, ...] = (

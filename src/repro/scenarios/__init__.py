@@ -11,8 +11,8 @@ layer serves the ROADMAP's "as many scenarios as you can imagine" goal:
   :class:`~repro.adversary.batch.BatchGameRunner` (worker pools and
   scheduling-independent seeding apply to every scenario for free);
 * :data:`SCENARIOS` — the registry of named scenarios (``prefix_flood``,
-  ``bisection_probe``, ...), each with a ``run_<name>()`` runner and exposed
-  on the CLI as ``repro-experiments scenario {list,run,sweep}``.
+  ``bisection_probe``, ...), run by name with :func:`run_scenario` and
+  exposed on the CLI as ``repro-experiments scenario {list,run,sweep}``.
 
 See ``docs/architecture.md`` ("Scenario layer") for the spec schema.
 """
@@ -51,36 +51,7 @@ from .registry import (
     run_scenario,
     sweep_scenario,
 )
-from .library import (
-    run_bisection_probe,
-    run_cadence_probe,
-    run_colluding_split_budget,
-    run_cross_shard_skew,
-    run_difference_estimator_defense,
-    run_distributed_skew,
-    run_dp_aggregate_defense,
-    run_heavy_hitter_spoof,
-    run_hotspot_split_flood,
-    run_oversample_defense,
-    run_prefix_flood,
-    run_probe_then_strike,
-    run_quantile_shift,
-    run_query_flood_exposure,
-    run_reactive_prefix_flood,
-    run_recovery_window_strike,
-    run_reservoir_eviction,
-    run_shard_hotspot,
-    run_sharded_heavy_hitter_spoof,
-    run_sharded_prefix_flood,
-    run_sharded_reactive_skew,
-    run_sharded_sliding_window_burst,
-    run_sketch_switching_defense,
-    run_sliding_window_burst,
-    run_spam_then_poison,
-    run_stale_coordinator_probe,
-    run_stale_snapshot_strike,
-    run_static_baseline,
-)
+from . import library  # registers the built-in scenarios
 
 __all__ = [
     "DEFENSE_GRID",
@@ -111,34 +82,6 @@ __all__ = [
     "run_config",
     "run_matrix",
     "run_scenario",
-    "run_bisection_probe",
-    "run_cadence_probe",
-    "run_colluding_split_budget",
-    "run_cross_shard_skew",
-    "run_difference_estimator_defense",
-    "run_distributed_skew",
-    "run_dp_aggregate_defense",
-    "run_heavy_hitter_spoof",
-    "run_hotspot_split_flood",
-    "run_oversample_defense",
-    "run_prefix_flood",
-    "run_probe_then_strike",
-    "run_quantile_shift",
-    "run_query_flood_exposure",
-    "run_reactive_prefix_flood",
-    "run_recovery_window_strike",
-    "run_reservoir_eviction",
-    "run_shard_hotspot",
-    "run_sharded_heavy_hitter_spoof",
-    "run_sharded_prefix_flood",
-    "run_sharded_reactive_skew",
-    "run_sharded_sliding_window_burst",
-    "run_sketch_switching_defense",
-    "run_sliding_window_burst",
-    "run_spam_then_poison",
-    "run_stale_coordinator_probe",
-    "run_stale_snapshot_strike",
-    "run_static_baseline",
     "sweep_config",
     "sweep_scenario",
     "sweep_table",

@@ -8,10 +8,11 @@ game layer expects.  Two design constraints shape the module:
   :class:`~repro.adversary.batch.BatchGameRunner` must cross process
   boundaries, so they are module-level classes carrying only plain data
   (:class:`SamplerFromSpec`, :class:`AdversaryFromSpec`), never closures.
-* **Budget-independent attack prefixes** — :class:`BudgetedAdversary` wraps
-  the attack adversary without telling it the budget, and forwards sampler
-  feedback only for attack rounds, so two runs that differ only in budget
-  play byte-identical games up to the smaller attack horizon.
+* **Budget-independent attack prefixes** — :class:`BudgetedAdversary` is a
+  two-phase campaign (the attack, then benign filler): the attack never
+  learns the budget and sees feedback only for its own rounds, so two runs
+  that differ only in budget play byte-identical games up to the smaller
+  attack horizon.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from ..adversary import (
     Adversary,
     CampaignAdversary,
+    ObliviousAdversary,
     apply_decision_period,
     phase_start_rounds,
     BisectionAdversary,
@@ -48,7 +50,6 @@ from ..samplers import (
     StreamSampler,
     WeightedReservoirSampler,
 )
-from ..samplers.base import SampleUpdate, UpdateBatch
 from ..setsystems import (
     ContinuousPrefixSystem,
     HalfspaceSystem,
@@ -673,16 +674,30 @@ def build_benign_supplier(
     raise ConfigurationError(f"unknown benign spec kind {kind!r}")
 
 
-class BudgetedAdversary(Adversary):
+class _BenignFiller(ObliviousAdversary):
+    """Benign filler: one supplier call per round, in round order."""
+
+    name = "benign"
+
+    def __init__(self, benign: Callable[[], Any]) -> None:
+        self._benign = benign
+
+    def next_element(
+        self, round_index: int, observed_sample: Sequence[Any] | None
+    ) -> Any:
+        return self._benign()
+
+
+class BudgetedAdversary(CampaignAdversary):
     """Play an attack for the first ``attack_rounds`` rounds, then go benign.
 
-    The wrapper never reveals the budget to the inner attack, and sampler
-    feedback is forwarded only for attack rounds, so the inner adversary's
-    decisions over the shared prefix are identical across budgets — the
-    property the scenario monotonicity checks rely on.  The benign tail
-    reads nothing, so the wrapper declines the sample view past the attack
-    window.  :class:`AdversaryFromSpec` wraps only below full budget; with
-    no tail the wrapper would be a pure pass-through.
+    A two-phase campaign: ``inner`` owns rounds ``1..attack_rounds`` and a
+    benign filler every later round (``attack_rounds=0`` plays the filler
+    alone).  The attack never learns the budget and sees feedback only for
+    its own rounds, so its decisions over the shared prefix are identical
+    across budgets — the property the scenario monotonicity checks rely on.
+    The filler reads nothing, so the benign tail declines the sample view.
+    :class:`AdversaryFromSpec` builds one only below full budget.
     """
 
     def __init__(
@@ -695,92 +710,26 @@ class BudgetedAdversary(Adversary):
             raise ConfigurationError(f"attack rounds must be >= 0, got {attack_rounds}")
         self.inner = inner
         self.attack_rounds = int(attack_rounds)
-        self._benign = benign
-        self.name = inner.name
-        self._next_round = 1
-
-    def next_element(
-        self, round_index: int, observed_sample: Sequence[Any] | None
-    ) -> Any:
-        self._next_round = round_index + 1
-        if round_index <= self.attack_rounds:
-            return self.inner.next_element(round_index, observed_sample)
-        return self._benign()
-
-    def next_elements(
-        self, round_index: int, count: int, observed_sample: Sequence[Any] | None
-    ) -> list[Any]:
-        """Segment at the attack/benign boundary — the only decision point
-        the wrapper itself adds.
-
-        During the attack window the inner adversary's own granularity
-        applies (one element per segment for fully adaptive attacks, whole
-        segments for oblivious ones), capped at the boundary; the benign tail
-        commits to whole segments, with the supplier called once per round in
-        order so seeded streams match the per-round game bit for bit.
-        """
-        if round_index <= self.attack_rounds:
-            budget = min(count, self.attack_rounds - round_index + 1)
-            segment = self.inner.next_elements(round_index, budget, observed_sample)
+        filler = _BenignFiller(benign)
+        if self.attack_rounds == 0:
+            super().__init__([filler], phase_starts=[1], name=inner.name)
         else:
-            segment = [self._benign() for _ in range(count)]
-        self._next_round = round_index + len(segment)
-        return segment
-
-    def observe_update(self, update: SampleUpdate) -> None:
-        if update.round_index <= self.attack_rounds:
-            self.inner.observe_update(update)
-
-    def observe_update_batch(self, updates: Sequence[SampleUpdate]) -> None:
-        if len(updates) == 0:
-            return
-        if isinstance(updates, UpdateBatch):
-            # Round indices ascend within a segment, so the attack-window
-            # records are a prefix; slicing keeps the record columnar.
-            live = int(np.searchsorted(updates.round_indices, self.attack_rounds, side="right"))
-            if live:
-                self.inner.observe_update_batch(updates[:live] if live < len(updates) else updates)
-            return
-        for update in updates:
-            if update.round_index <= self.attack_rounds:
-                self.inner.observe_update(update)
-
-    def observes_updates(self, first_round: int, last_round: int) -> bool:
-        return first_round <= self.attack_rounds and self.inner.observes_updates(
-            first_round, min(last_round, self.attack_rounds)
-        )
-
-    @property
-    def uses_observed_sample(self) -> bool:  # type: ignore[override]
-        # The benign tail never reads the sample, so the wrapper's appetite
-        # is exactly the inner attack's — which lets the game runner skip
-        # materialising the (possibly merged) sample for update-driven
-        # attacks even when budget-wrapped.
-        return self.inner.uses_observed_sample
-
-    def will_observe_sample(self) -> bool:
-        return self._next_round <= self.attack_rounds and self.inner.will_observe_sample()
-
-    def set_decision_period(self, decision_period: int) -> bool:
-        """Forward a cadence re-declaration to the inner attack."""
-        return apply_decision_period(self.inner, decision_period)
-
-    def reset(self) -> None:
-        self.inner.reset()
-        self._next_round = 1
+            super().__init__(
+                [inner, filler], phase_starts=[1, self.attack_rounds + 1], name=inner.name
+            )
 
 
 class AdversaryFromSpec:
-    """Picklable ``AdversaryFactory``: budget wrapper around an attack spec.
+    """Picklable ``AdversaryFactory``: an attack spec under its budget.
 
-    With a ``campaign`` block on the config the inner attack is the compiled
+    With a ``campaign`` block on the config the attack is the compiled
     :class:`~repro.adversary.campaign.CampaignAdversary` instead of a single
-    family; the budget wrapper is identical either way, so campaigns inherit
-    the budget-independent attack prefix (and with it budget monotonicity)
-    for free.  At full budget (``attack_rounds >= stream_length``) the bare
-    attack is returned: it plays exactly as the wrapped one, without four
-    forwarding calls per round.  The benign supplier is built either way,
-    so a bad ``benign`` spec is rejected at every budget.
+    family; the budget is the same two-phase campaign either way, so
+    campaigns inherit the budget-independent attack prefix (and with it
+    budget monotonicity) for free.  At full budget (``attack_rounds >=
+    stream_length``) the bare attack is returned: it plays exactly as the
+    budgeted one, without the routing.  The benign supplier is built either
+    way, so a bad ``benign`` spec is rejected at every budget.
     """
 
     def __init__(self, config: ScenarioConfig) -> None:

@@ -1,11 +1,11 @@
 """The built-in attack scenarios.
 
 Each scenario is a declarative :class:`~repro.scenarios.config.ScenarioConfig`
-registered under a stable name, plus a ``run_<name>()`` convenience runner.
-They cover the attack surface the paper maps out — prefix flooding, adaptive
-bisection, eviction chasing, heavy-hitter spoofing, quantile shifting — and
-the deployment shapes of Section 1.2 (sliding windows, distributed sites),
-with a static baseline for contrast.  All of them execute through
+registered under a stable name; ``run_scenario(name, **overrides)`` runs any
+of them.  They cover the attack surface the paper maps out — prefix
+flooding, adaptive bisection, eviction chasing, heavy-hitter spoofing,
+quantile shifting — and the deployment shapes of Section 1.2 (sliding
+windows, distributed sites), with a static baseline for contrast.  All of them execute through
 :class:`~repro.adversary.batch.BatchGameRunner`, so worker pools and
 scheduling-independent seeding apply uniformly.
 
@@ -16,37 +16,8 @@ scale via ``run_scenario(name, stream_length=..., ...)`` overrides.
 
 from __future__ import annotations
 
-from typing import Any
-
 from .config import ScenarioConfig
-from .engine import ScenarioResult
-from .registry import Scenario, register_scenario, run_scenario
-
-__all__ = [
-    "run_bisection_probe",
-    "run_cadence_probe",
-    "run_colluding_split_budget",
-    "run_cross_shard_skew",
-    "run_distributed_skew",
-    "run_heavy_hitter_spoof",
-    "run_hotspot_split_flood",
-    "run_oversample_defense",
-    "run_prefix_flood",
-    "run_probe_then_strike",
-    "run_quantile_shift",
-    "run_reactive_prefix_flood",
-    "run_recovery_window_strike",
-    "run_reservoir_eviction",
-    "run_shard_hotspot",
-    "run_sharded_heavy_hitter_spoof",
-    "run_sharded_prefix_flood",
-    "run_sharded_reactive_skew",
-    "run_sharded_sliding_window_burst",
-    "run_sliding_window_burst",
-    "run_spam_then_poison",
-    "run_stale_coordinator_probe",
-    "run_static_baseline",
-]
+from .registry import Scenario, register_scenario
 
 _UNIVERSE = 256
 _STREAM = 2048
@@ -886,142 +857,3 @@ register_scenario(
     )
 )
 
-
-def run_prefix_flood(**overrides: Any) -> ScenarioResult:
-    """Run the ``prefix_flood`` scenario (optionally overriding config fields)."""
-    return run_scenario("prefix_flood", **overrides)
-
-
-def run_bisection_probe(**overrides: Any) -> ScenarioResult:
-    """Run the ``bisection_probe`` scenario."""
-    return run_scenario("bisection_probe", **overrides)
-
-
-def run_reservoir_eviction(**overrides: Any) -> ScenarioResult:
-    """Run the ``reservoir_eviction`` scenario."""
-    return run_scenario("reservoir_eviction", **overrides)
-
-
-def run_heavy_hitter_spoof(**overrides: Any) -> ScenarioResult:
-    """Run the ``heavy_hitter_spoof`` scenario."""
-    return run_scenario("heavy_hitter_spoof", **overrides)
-
-
-def run_quantile_shift(**overrides: Any) -> ScenarioResult:
-    """Run the ``quantile_shift`` scenario."""
-    return run_scenario("quantile_shift", **overrides)
-
-
-def run_sliding_window_burst(**overrides: Any) -> ScenarioResult:
-    """Run the ``sliding_window_burst`` scenario."""
-    return run_scenario("sliding_window_burst", **overrides)
-
-
-def run_distributed_skew(**overrides: Any) -> ScenarioResult:
-    """Run the ``distributed_skew`` scenario."""
-    return run_scenario("distributed_skew", **overrides)
-
-
-def run_shard_hotspot(**overrides: Any) -> ScenarioResult:
-    """Run the ``shard_hotspot`` scenario."""
-    return run_scenario("shard_hotspot", **overrides)
-
-
-def run_cross_shard_skew(**overrides: Any) -> ScenarioResult:
-    """Run the ``cross_shard_skew`` scenario."""
-    return run_scenario("cross_shard_skew", **overrides)
-
-
-def run_sharded_heavy_hitter_spoof(**overrides: Any) -> ScenarioResult:
-    """Run the ``sharded_heavy_hitter_spoof`` scenario."""
-    return run_scenario("sharded_heavy_hitter_spoof", **overrides)
-
-
-def run_sharded_prefix_flood(**overrides: Any) -> ScenarioResult:
-    """Run the ``sharded_prefix_flood`` scenario."""
-    return run_scenario("sharded_prefix_flood", **overrides)
-
-
-def run_sharded_sliding_window_burst(**overrides: Any) -> ScenarioResult:
-    """Run the ``sharded_sliding_window_burst`` scenario."""
-    return run_scenario("sharded_sliding_window_burst", **overrides)
-
-
-def run_reactive_prefix_flood(**overrides: Any) -> ScenarioResult:
-    """Run the ``reactive_prefix_flood`` scenario."""
-    return run_scenario("reactive_prefix_flood", **overrides)
-
-
-def run_cadence_probe(**overrides: Any) -> ScenarioResult:
-    """Run the ``cadence_probe`` scenario."""
-    return run_scenario("cadence_probe", **overrides)
-
-
-def run_sharded_reactive_skew(**overrides: Any) -> ScenarioResult:
-    """Run the ``sharded_reactive_skew`` scenario."""
-    return run_scenario("sharded_reactive_skew", **overrides)
-
-
-def run_recovery_window_strike(**overrides: Any) -> ScenarioResult:
-    """Run the ``recovery_window_strike`` fault scenario."""
-    return run_scenario("recovery_window_strike", **overrides)
-
-
-def run_hotspot_split_flood(**overrides: Any) -> ScenarioResult:
-    """Run the ``hotspot_split_flood`` fault scenario."""
-    return run_scenario("hotspot_split_flood", **overrides)
-
-
-def run_stale_coordinator_probe(**overrides: Any) -> ScenarioResult:
-    """Run the ``stale_coordinator_probe`` fault scenario."""
-    return run_scenario("stale_coordinator_probe", **overrides)
-
-
-def run_spam_then_poison(**overrides: Any) -> ScenarioResult:
-    """Run the ``spam_then_poison`` campaign scenario."""
-    return run_scenario("spam_then_poison", **overrides)
-
-
-def run_probe_then_strike(**overrides: Any) -> ScenarioResult:
-    """Run the ``probe_then_strike`` campaign scenario."""
-    return run_scenario("probe_then_strike", **overrides)
-
-
-def run_colluding_split_budget(**overrides: Any) -> ScenarioResult:
-    """Run the ``colluding_split_budget`` campaign scenario."""
-    return run_scenario("colluding_split_budget", **overrides)
-
-
-def run_static_baseline(**overrides: Any) -> ScenarioResult:
-    """Run the ``static_baseline`` scenario."""
-    return run_scenario("static_baseline", **overrides)
-
-
-def run_oversample_defense(**overrides: Any) -> ScenarioResult:
-    """Run the ``oversample_defense`` scenario."""
-    return run_scenario("oversample_defense", **overrides)
-
-
-def run_sketch_switching_defense(**overrides: Any) -> ScenarioResult:
-    """Run the ``sketch_switching_defense`` scenario."""
-    return run_scenario("sketch_switching_defense", **overrides)
-
-
-def run_dp_aggregate_defense(**overrides: Any) -> ScenarioResult:
-    """Run the ``dp_aggregate_defense`` scenario."""
-    return run_scenario("dp_aggregate_defense", **overrides)
-
-
-def run_difference_estimator_defense(**overrides: Any) -> ScenarioResult:
-    """Run the ``difference_estimator_defense`` scenario."""
-    return run_scenario("difference_estimator_defense", **overrides)
-
-
-def run_stale_snapshot_strike(**overrides: Any) -> ScenarioResult:
-    """Run the ``stale_snapshot_strike`` query-timing scenario."""
-    return run_scenario("stale_snapshot_strike", **overrides)
-
-
-def run_query_flood_exposure(**overrides: Any) -> ScenarioResult:
-    """Run the ``query_flood_exposure`` query-timing scenario."""
-    return run_scenario("query_flood_exposure", **overrides)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import (
-    BatchGameRunner,
     BisectionAdversary,
     CadencedAdversary,
     EvictionChaserAdversary,
@@ -37,7 +36,7 @@ from repro.exceptions import ConfigurationError
 from repro.samplers import BernoulliSampler
 from repro.samplers.base import SampleUpdate, UpdateBatch
 from repro.scenarios import ScenarioConfig, run_config
-from repro.setsystems import ContinuousPrefixSystem, Prefix, PrefixSystem
+from repro.setsystems import ContinuousPrefixSystem, Prefix
 
 UNIVERSE = 256
 
@@ -270,34 +269,6 @@ class TestApplyDecisionPeriod:
 
     def test_oblivious_adversaries_decline(self):
         assert not apply_decision_period(UniformAdversary(16, seed=0), 25)
-
-    def test_batch_runner_threads_the_knob(self):
-        def sampler(rng):
-            return BernoulliSampler(0.1, seed=rng)
-
-        def adversary(rng):
-            return MedianAttackAdversary(200)
-
-        def run(decision_period):
-            runner = BatchGameRunner(
-                200,
-                set_system=PrefixSystem(2**24),
-                seed=5,
-                decision_period=decision_period,
-            )
-            return runner.run_trials(sampler, adversary, trials=2)
-
-        imposed = run(16)
-        explicit = BatchGameRunner(200, set_system=PrefixSystem(2**24), seed=5).run_trials(
-            sampler, lambda rng: MedianAttackAdversary(200, decision_period=16), trials=2
-        )
-        assert [o.error for o in imposed] == [o.error for o in explicit]
-        # And a different cadence realises a different game.
-        assert [o.error for o in imposed] != [o.error for o in run(1)]
-
-    def test_batch_runner_validates_the_knob(self):
-        with pytest.raises(ConfigurationError):
-            BatchGameRunner(100, decision_period=0)
 
 
 class TestScenarioCadence:

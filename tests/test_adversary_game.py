@@ -16,6 +16,8 @@ from repro.adversary import (
     run_adaptive_game,
     run_continuous_game,
 )
+from repro.defenses import SketchSwitchingSampler
+from repro.distributed import ShardedSampler
 from repro.exceptions import ConfigurationError, StreamExhaustedError
 from repro.samplers import BernoulliSampler, ReservoirSampler
 from repro.setsystems import PrefixSystem
@@ -165,9 +167,8 @@ class TestAdaptiveGame:
         assert len(spy.seen) == 10 and all(view is None for view in spy.seen)
 
     def test_knowledge_full_exposes_sample(self, rng):
-        class Spy(UniformAdversary):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
+        class Spy(Adversary):
+            def __init__(self):
                 self.seen_sizes = []
 
             def next_element(self, round_index, observed_sample):
@@ -175,12 +176,28 @@ class TestAdaptiveGame:
                 self.seen_sizes.append(
                     None if observed_sample is None else len(observed_sample)
                 )
-                return super().next_element(round_index, observed_sample)
+                return round_index
 
-        spy = Spy(10, seed=rng)
+        spy = Spy()
         run_adaptive_game(BernoulliSampler(1.0, seed=rng), spy, 5, knowledge="full")
         # Before round i the sample holds i - 1 elements (probability 1 here).
         assert spy.seen_sizes == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("chunk_size", [1, 64, None])
+    def test_oblivious_adversaries_read_no_sample(self, chunk_size):
+        """Oblivious adversaries never look at the view, so under the full
+        knowledge model the runner must not build it: a sharded deployment
+        merges once (the final snapshot) and sketch switching never fires."""
+        sharded = ShardedSampler(
+            4, lambda rng: ReservoirSampler(16, seed=rng), strategy="hash", seed=1
+        )
+        run_adaptive_game(sharded, UniformAdversary(256, seed=2), 4096, chunk_size=chunk_size)
+        assert sharded.ledger.events("merge") == 1
+        switching = SketchSwitchingSampler(
+            lambda rng: BernoulliSampler(0.05, seed=rng), copies=4, seed=3
+        )
+        run_adaptive_game(switching, ZipfAdversary(256, seed=4), 4096, chunk_size=chunk_size)
+        assert switching.switches_used == 0
 
     def test_overridden_next_element_is_honoured_under_default_chunking(self, rng):
         """Subclasses of the vectorised static adversaries that override the

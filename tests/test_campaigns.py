@@ -8,7 +8,7 @@ The pins, in the order the scenario engine relies on them:
   (phase starts, interleaved slot edges), so chunked runners stay correct;
 * **local round indices** — every member sees its own contiguous stream
   ``1, 2, 3, ...`` in both element requests and forwarded update records
-  (columnar batches included);
+  (columnar batches included), whatever order rounds are asked in;
 * **composition is conservative** — a single-member campaign plays exactly
   like the bare member, end to end through ``run_config``;
 * **config validation** — the ``campaign`` block is checked at construction
@@ -179,6 +179,86 @@ class TestInterleavedSchedule:
             CampaignAdversary(
                 [RecordingMember("a")], mode="interleaved", phase_starts=[1]
             )
+
+
+class Listener(RecordingMember):
+    """Recording member with a fixed answer to ``observes_updates``."""
+
+    def __init__(self, tag: str, listens: bool) -> None:
+        super().__init__(tag)
+        self.listens = listens
+
+    def observes_updates(self, first_round, last_round):
+        return self.listens
+
+
+#: Three-member schedules with runs of unequal length.
+SCHEDULES = {
+    "phased": dict(mode="phased", phase_starts=[1, 9, 30]),
+    "interleaved": dict(mode="interleaved", stride=5),
+}
+
+
+def _owner_map(schedule: dict, rounds: int) -> tuple[dict, dict]:
+    """Brute force: the owner and member-local round of every global round."""
+    owner, local, played = {}, {}, [0, 0, 0]
+    for r in range(1, rounds + 1):
+        if schedule["mode"] == "phased":
+            m = max(i for i, start in enumerate(schedule["phase_starts"]) if start <= r)
+        else:
+            m = ((r - 1) // schedule["stride"]) % 3
+        played[m] += 1
+        owner[r], local[r] = m, played[m]
+    return owner, local
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+class TestRoutingDependsOnlyOnTheRound:
+    """Requests, updates and listening queries at random rounds, out of
+    order and across resets, route exactly as a brute-force owner map
+    says: the campaign's run lookup may cache, but never remember."""
+
+    N, MAX_ASK = 80, 12
+
+    def test_requests_and_updates(self, schedule):
+        members = [RecordingMember(tag) for tag in "abc"]
+        campaign = CampaignAdversary(members, **SCHEDULES[schedule])
+        owner, local = _owner_map(SCHEDULES[schedule], self.N + self.MAX_ASK)
+        rng = np.random.default_rng(7)
+        for step in range(400):
+            if step % 97 == 96:
+                campaign.reset()
+            r = int(rng.integers(1, self.N + 1))
+            count = int(rng.integers(1, self.MAX_ASK + 1))
+            m = owner[r]
+            cap = 1
+            while cap < count and owner[r + cap] == m:
+                cap += 1
+            before = [len(member.requests) for member in members]
+            assert campaign.next_elements(r, count, None) == ["abc"[m]] * cap
+            assert [len(member.requests) for member in members] == [
+                n + (i == m) for i, n in enumerate(before)
+            ]
+            assert members[m].requests[-1] == (local[r], cap)
+            u = int(rng.integers(1, self.N + 1))
+            campaign.observe_update(SampleUpdate(round_index=u, element="x", accepted=True))
+            assert members[owner[u]].update_rounds[-1] == local[u]
+
+    @pytest.mark.parametrize("listening", [0, 1, 2])
+    def test_observes_updates_across_runs(self, schedule, listening):
+        members = [Listener(tag, i == listening) for i, tag in enumerate("abc")]
+        campaign = CampaignAdversary(members, **SCHEDULES[schedule])
+        owner, _ = _owner_map(SCHEDULES[schedule], self.N + 40)
+        rng = np.random.default_rng(listening)
+        for step in range(300):
+            if step % 61 == 60:
+                campaign.reset()
+            first = int(rng.integers(1, self.N + 1))
+            last = first + int(rng.integers(0, 40))
+            expected = any(owner[r] == listening for r in range(first, last + 1))
+            assert campaign.observes_updates(first, last) is expected
+            # Move the cached run somewhere else before the next query.
+            campaign.next_elements(int(rng.integers(1, self.N + 1)), 1, None)
 
 
 class TestConstruction:

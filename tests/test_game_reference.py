@@ -11,8 +11,10 @@ every attack family at several decision periods and for the static
 adversaries, at chunk sizes 1, 5, 32 and the default over Bernoulli (whose
 batched kernel is bit-identical to one element at a time), and at chunk
 size 1 over reservoir (whose batched kernel draws in batch order).  At
-period 1 every family is also checked inside a phased campaign and budget
-wrapped, under both knowledge models that feed the attack.
+period 1 every family is also checked inside a phased campaign, and at
+periods 1, 7 and 32 under a partial budget, alone and around a phased
+campaign whose second phase the budget cuts, under both knowledge models
+that feed the attack.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from repro.setsystems import PrefixSystem
 N = 400
 #: The second phase of the campaign games starts here.
 SECOND_PHASE = 161
-#: Attack rounds of the budget-wrapped games; the benign tail follows.
+#: Attack rounds of the budgeted games; the benign tail follows.
 ATTACK_ROUNDS = 240
 CHECKPOINTS = (*range(37, N + 1, 37), N)
 SAMPLERS = {
@@ -151,6 +153,41 @@ class TestPeriodOneMatchesReference:
         reference = _reference(
             SAMPLERS["bernoulli"](), [(1, factory(1))], knowledge, runner,
             attack_rounds=ATTACK_ROUNDS, benign=_benign(),
+        )
+        _assert_same_game(result, reference, runner)
+
+
+@pytest.mark.parametrize("runner", ["adaptive", "continuous"])
+@pytest.mark.parametrize("chunk_size", [1, None])
+@pytest.mark.parametrize("knowledge", ["full", "updates"])
+@pytest.mark.parametrize("family", sorted(ATTACK_FACTORIES))
+class TestBudgetMatchesReference:
+    """The budget at every cadence: a period-7 or period-32 block is cut at
+    the attack/benign boundary and its records are never observed, and a
+    budget around a phased campaign ends inside the second phase."""
+
+    @pytest.mark.parametrize("period", [7, 32])
+    def test_partial_budget(self, period, family, knowledge, chunk_size, runner):
+        factory = partial(ATTACK_FACTORIES[family], period)
+        wrapped = BudgetedAdversary(factory(), _benign(), ATTACK_ROUNDS)
+        result = _play(runner, SAMPLERS["bernoulli"](), wrapped, knowledge, chunk_size)
+        reference = _reference(
+            SAMPLERS["bernoulli"](), [(1, factory())], knowledge, runner,
+            attack_rounds=ATTACK_ROUNDS, benign=_benign(),
+        )
+        _assert_same_game(result, reference, runner)
+
+    @pytest.mark.parametrize("period", [1, 7, 32])
+    def test_budgeted_campaign(self, period, family, knowledge, chunk_size, runner):
+        factory = partial(ATTACK_FACTORIES[family], period)
+        campaign = CampaignAdversary(
+            [factory(), factory()], mode="phased", phase_starts=[1, SECOND_PHASE]
+        )
+        wrapped = BudgetedAdversary(campaign, _benign(), ATTACK_ROUNDS)
+        result = _play(runner, SAMPLERS["bernoulli"](), wrapped, knowledge, chunk_size)
+        reference = _reference(
+            SAMPLERS["bernoulli"](), [(1, factory()), (SECOND_PHASE, factory())],
+            knowledge, runner, attack_rounds=ATTACK_ROUNDS, benign=_benign(),
         )
         _assert_same_game(result, reference, runner)
 

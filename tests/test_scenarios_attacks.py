@@ -32,7 +32,6 @@ from repro.scenarios import (
     get_scenario,
     list_scenarios,
     run_config,
-    run_prefix_flood,
     run_scenario,
     sweep_scenario,
 )
@@ -170,13 +169,6 @@ class TestScenarioSemantics:
         one = run_scenario("prefix_flood", seed=1, **SMALL)
         two = run_scenario("prefix_flood", seed=2, **SMALL)
         assert one.cells != two.cells
-
-    def test_run_name_helpers_match_registry(self):
-        via_helper = run_prefix_flood(**SMALL)
-        via_registry = run_scenario("prefix_flood", **SMALL)
-        assert via_helper.to_dict(include_timing=False) == via_registry.to_dict(
-            include_timing=False
-        )
 
     def test_run_config_accepts_ad_hoc_scenarios(self):
         """Unregistered configs run through the same engine."""
