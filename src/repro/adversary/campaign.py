@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from dataclasses import replace as dataclass_replace
 from collections.abc import Sequence
 from typing import Any
 
@@ -247,7 +246,9 @@ class CampaignAdversary(Adversary):
     def observe_update(self, update: SampleUpdate) -> None:
         member_index, _, offset = self._run(update.round_index)
         if offset:
-            update = dataclass_replace(update, round_index=update.round_index - offset)
+            update = SampleUpdate(
+                update.round_index - offset, update.element, update.accepted, update.evicted
+            )
         self.members[member_index].observe_update(update)
 
     def observe_update_batch(self, updates: Sequence[SampleUpdate]) -> None:

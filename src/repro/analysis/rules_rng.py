@@ -45,6 +45,11 @@ _CONSTRUCTOR_ATTRS = frozenset(
     }
 )
 
+#: Names importable from ``numpy.random`` (or a submodule such as
+#: ``numpy.random.bit_generator``) without touching the legacy global
+#: state: the constructors above plus the seed-sequence interfaces.
+_IMPORTABLE_NAMES = _CONSTRUCTOR_ATTRS | {"ISeedSequence", "ISpawnableSeedSequence"}
+
 #: Methods in which assigning an existing generator to an attribute means
 #: two summaries now share (and advance) one stream.
 _COPYING_METHODS = frozenset(
@@ -92,7 +97,14 @@ class RandomModuleRule(Rule):
 
 
 class GlobalNumpyRngRule(Rule):
-    """RNG002 — the legacy global ``np.random.*`` state is banned."""
+    """RNG002 — the legacy global ``np.random.*`` state is banned.
+
+    Three spellings reach it: attribute access on numpy
+    (``np.random.seed``), attribute access on an alias of the
+    ``numpy.random`` module (``from numpy import random as npr``, then
+    ``npr.rand``), and a name imported from it
+    (``from numpy.random import random``).
+    """
 
     rule_id = "RNG002"
     name = "global-numpy-rng"
@@ -103,6 +115,32 @@ class GlobalNumpyRngRule(Rule):
     )
 
     def check_module(self, module: Module) -> Iterable[Finding]:
+        module_aliases: set[str] = set()
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                module_aliases.update(
+                    alias.asname
+                    for alias in node.names
+                    if alias.name == "numpy.random" and alias.asname
+                )
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                source = node.module or ""
+                if source == "numpy":
+                    module_aliases.update(
+                        alias.asname or alias.name
+                        for alias in node.names
+                        if alias.name == "random"
+                    )
+                elif source == "numpy.random" or source.startswith("numpy.random."):
+                    for alias in node.names:
+                        if alias.name not in _IMPORTABLE_NAMES:
+                            yield module.finding(
+                                node,
+                                self.rule_id,
+                                f"`from {source} import {alias.name}` reaches the "
+                                "process-global legacy RNG; draw from a seeded "
+                                "Generator instead",
+                            )
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Attribute):
                 continue
@@ -110,9 +148,13 @@ class GlobalNumpyRngRule(Rule):
             if dotted is None:
                 continue
             parts = dotted.split(".")
-            if len(parts) != 3 or parts[0] not in ("np", "numpy"):
+            if len(parts) == 3 and parts[0] in ("np", "numpy") and parts[1] == "random":
+                attr = parts[2]
+            elif len(parts) == 2 and parts[0] in module_aliases:
+                attr = parts[1]
+            else:
                 continue
-            if parts[1] != "random" or parts[2] in _CONSTRUCTOR_ATTRS:
+            if attr in _CONSTRUCTOR_ATTRS:
                 continue
             yield module.finding(
                 node,

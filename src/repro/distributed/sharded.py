@@ -58,7 +58,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..exceptions import ConfigurationError
-from ..rng import RandomState, _stable_string_key, ensure_generator, spawn_generators
+from ..rng import RandomState, _stable_string_key, ensure_generator, spawn_generators, with_lazy_spawns
 from ..samplers.base import Mergeable, SampleUpdate, StreamSampler, UpdateBatch
 from .faults import FaultPlan, FaultTransition, MessageCostLedger
 
@@ -343,6 +343,23 @@ class _MergedView(NamedTuple):
     sampler: StreamSampler | None
 
 
+class _LiveSites(NamedTuple):
+    """What a coordinator merge needs of the topology.
+
+    Only a fault transition or a reshard changes it, so it is surveyed
+    there (``ShardedSampler._topology_changed``), not on every read.
+    """
+
+    #: The live sites in index order; the first is the merge's primary.
+    sites: tuple[StreamSampler, ...]
+    #: The live sites the primary merges.
+    rest: tuple[StreamSampler, ...]
+    #: Whether the family's merge takes substream offsets.
+    wants_offsets: bool
+    #: The primary's ``merged_sample`` draw, if its family has one.
+    draw: Callable[..., list[Any]] | None
+
+
 class ShardedSampler(StreamSampler):
     """A ``K``-site sharded deployment behind the ``StreamSampler`` interface.
 
@@ -405,7 +422,10 @@ class ShardedSampler(StreamSampler):
         self._rng = ensure_generator(seed)
         route_rng, merge_rng, *site_rngs = spawn_generators(self._rng, num_sites + 2)
         self._route_rng = route_rng
-        self._merge_rng = merge_rng
+        # Every fresh reservoir read spawns one child from the merge stream
+        # that only a later merge or split would seed a generator from;
+        # lazy spawns make those parity children cheap.
+        self._merge_rng = with_lazy_spawns(merge_rng)
         self._site_factory = site_factory
         self._sites = [site_factory(site_rng) for site_rng in site_rngs]
         for site in self._sites:
@@ -431,6 +451,7 @@ class ShardedSampler(StreamSampler):
             getattr(site, "observe_exposure", None) is not None for site in self._sites
         )
         self._memo: _MergedView | None = None
+        self._live = self._survey()
 
     @staticmethod
     def _validate_site(site: Any) -> None:
@@ -601,7 +622,7 @@ class ShardedSampler(StreamSampler):
         self._down[site] = True
         self._loss[site] = loss
         self.ledger.record("crash")
-        self._version += 1
+        self._topology_changed()
 
     def _recover_site(self, site: int) -> None:
         self._check_site_index(site, "recover")
@@ -614,7 +635,7 @@ class ShardedSampler(StreamSampler):
             self._replay_buffers[site] = []
             self._sites[site].extend(buffer, updates=False)
         self.ledger.record("recovery", messages=1, payload=len(buffer))
-        self._version += 1
+        self._topology_changed()
 
     # ------------------------------------------------------------------
     # State
@@ -674,7 +695,7 @@ class ShardedSampler(StreamSampler):
         adversary had read them directly.  When every site is down the
         coordinator serves an empty sample.
         """
-        if self.rounds_processed == 0 or all(self._down):
+        if self._round == 0 or not self._live.sites:
             return ()
         if self._tracks_exposure:
             for site in self._sites:
@@ -706,35 +727,49 @@ class ShardedSampler(StreamSampler):
         built.  Unless the sites track exposure, the result becomes the
         memo.
         """
-        survivors = [
-            site for site, down in zip(self._sites, self._down) if not down
-        ]
-        if not survivors:
+        live = self._live
+        if not live.sites:
             raise ConfigurationError(
                 "every site is down; the coordinator has no state to merge"
             )
-        primary, rest = survivors[0], survivors[1:]
         options: dict[str, Any] = {"rng": self._merge_rng}
-        if getattr(primary, "merge_wants_offsets", False):
-            total = self.rounds_processed
-            options["offsets"] = [total - site.rounds_processed for site in survivors]
-        draw = getattr(primary, "merged_sample", None) if read_only else None
-        if draw is not None:
-            view = _MergedView(self._version, tuple(draw(rest, **options)), None)
+        if live.wants_offsets:
+            total = self._round
+            options["offsets"] = [total - site.rounds_processed for site in live.sites]
+        if read_only and live.draw is not None:
+            view = _MergedView(self._version, tuple(live.draw(live.rest, **options)), None)
         else:
-            merged = primary.merge(rest, **options)
+            merged = live.sites[0].merge(live.rest, **options)
             # Reading an exposure-tracking sampler's sample is an exposure,
             # so only a read does it (such deployments never fill the memo).
             served = tuple(merged.sample) if read_only or not self._tracks_exposure else ()
             view = _MergedView(self._version, served, merged)
         self.ledger.record(
             "merge",
-            messages=len(survivors),
-            payload=sum(site.memory_footprint() for site in survivors),
+            messages=len(live.sites),
+            payload=sum([site.memory_footprint() for site in live.sites]),
         )
         if not self._tracks_exposure:
             self._memo = view
         return view
+
+    def _survey(self) -> _LiveSites:
+        """The live sites and what merging them needs of their family."""
+        sites = tuple(
+            site for site, down in zip(self._sites, self._down) if not down
+        )
+        primary = sites[0] if sites else None
+        return _LiveSites(
+            sites,
+            sites[1:],
+            bool(getattr(primary, "merge_wants_offsets", False)),
+            getattr(primary, "merged_sample", None),
+        )
+
+    def _topology_changed(self) -> None:
+        """A fault transition or reshard: advance the view, re-survey the sites."""
+        self._version += 1
+        self._live = self._survey()
 
     # ------------------------------------------------------------------
     # Elastic topology
@@ -776,7 +811,7 @@ class ShardedSampler(StreamSampler):
         if strategy is not None:
             self.strategy = build_sharding_strategy(strategy)
         self.ledger.record("reshard_split", messages=1, payload=moved)
-        self._version += 1
+        self._topology_changed()
         return self.num_sites - 1
 
     def merge_sites(
@@ -816,7 +851,7 @@ class ShardedSampler(StreamSampler):
         if strategy is not None:
             self.strategy = build_sharding_strategy(strategy)
         self.ledger.record("reshard_merge", messages=1, payload=absorbed)
-        self._version += 1
+        self._topology_changed()
         return keep
 
     def degradation_report(self) -> dict[str, Any]:
@@ -829,9 +864,7 @@ class ShardedSampler(StreamSampler):
         family-specific report under ``"merged"`` (e.g. a Misra–Gries
         ``max_underestimate``, a reservoir sample-size shortfall).
         """
-        survivors = [
-            site for site, down in zip(self._sites, self._down) if not down
-        ]
+        survivors = self._live.sites
         total = self.rounds_processed
         survivor_rounds = sum(site.rounds_processed for site in survivors)
         pending = sum(len(buffer) for buffer in self._replay_buffers)
@@ -873,8 +906,8 @@ class ShardedSampler(StreamSampler):
         self._replay_buffers = [[] for _ in range(self.num_sites)]
         self._dropped = [0] * self.num_sites
         self._wiped_rounds = 0
-        self._version += 1
         self._memo = None
+        self._topology_changed()
         self.ledger.reset()
 
     # ------------------------------------------------------------------

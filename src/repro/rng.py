@@ -9,10 +9,15 @@ derived from a single experiment seed.  This module centralises that logic.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from typing import Any
+from collections.abc import Iterable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
+from numpy.typing import NDArray
+
+if TYPE_CHECKING:
+    from typing_extensions import Self
 
 RandomState = int | np.random.Generator | None
 
@@ -49,6 +54,69 @@ def spawn_generators(seed: RandomState, count: int) -> list[np.random.Generator]
     else:
         children = np.random.SeedSequence(seed).spawn(count)
     return [np.random.Generator(_DEFAULT_BIT_GENERATOR(child)) for child in children]
+
+
+class LazySeedSequence(ISpawnableSeedSequence):
+    """A :class:`numpy.random.SeedSequence` that is built on first use.
+
+    ``spawn`` hands out children with the ``spawn_key`` and count that
+    ``SeedSequence.spawn`` would give, as lazy sequences of their own: a
+    child mixes its entropy pool only when a generator is seeded from it
+    (``generate_state``), so a spawn whose child is never used costs one
+    small object.  Every generated state equals the eager sequence's.
+    """
+
+    def __init__(
+        self,
+        entropy: Any,
+        spawn_key: tuple[int, ...],
+        pool_size: int,
+        n_children_spawned: int = 0,
+    ) -> None:
+        self.entropy = entropy
+        self.spawn_key = spawn_key
+        self.pool_size = pool_size
+        self.n_children_spawned = n_children_spawned
+        self._built: np.random.SeedSequence | None = None
+
+    def generate_state(
+        self, n_words: int, dtype: Any = np.uint32
+    ) -> NDArray[np.uint32 | np.uint64]:
+        built = self._built
+        if built is None:
+            built = self._built = np.random.SeedSequence(
+                self.entropy, spawn_key=self.spawn_key, pool_size=self.pool_size
+            )
+        return built.generate_state(n_words, dtype)
+
+    def spawn(self, n_children: int) -> list[Self]:
+        first = self.n_children_spawned
+        self.n_children_spawned = first + n_children
+        return [
+            type(self)(self.entropy, (*self.spawn_key, index), self.pool_size)
+            for index in range(first, first + n_children)
+        ]
+
+
+def with_lazy_spawns(generator: np.random.Generator) -> np.random.Generator:
+    """A twin of ``generator`` whose seed sequence spawns lazily.
+
+    The twin starts in ``generator``'s current state and its seed sequence
+    is a :class:`LazySeedSequence` with the same entropy, ``spawn_key`` and
+    spawn count, so it draws the same bits and spawns the same children as
+    ``generator`` would.  For streams that spawn far more children than
+    they seed generators from.
+    """
+    bit_generator = generator.bit_generator
+    seq: Any = bit_generator.seed_seq
+    lazy = LazySeedSequence(
+        seq.entropy, seq.spawn_key, seq.pool_size, seq.n_children_spawned
+    )
+    # numpy's stubs admit only a SeedSequence; bit generators take any
+    # ISeedSequence.
+    twin = type(bit_generator)(lazy)  # type: ignore[arg-type]
+    twin.state = bit_generator.state
+    return np.random.Generator(twin)
 
 
 def collapse_seed(seed: RandomState) -> int:
@@ -93,61 +161,6 @@ def _stable_string_key(label: str) -> int:
         value ^= char
         value = (value * 16777619) & 0xFFFFFFFF
     return value
-
-
-def hypergeometric_split(
-    rng: np.random.Generator,
-    counts: Sequence[int],
-    size: int,
-    available: Sequence[int] | None = None,
-) -> list[int]:
-    """Draw a multivariate-hypergeometric allocation of ``size`` slots.
-
-    Part ``i`` summarises ``counts[i]`` stream elements; the returned
-    allocation says how many of the ``size`` output slots each part
-    contributes, distributed exactly as a uniform ``size``-subset of the
-    union of all substreams would be — the merge rule of [CTW16]-style
-    coordinator sampling behind :meth:`~repro.samplers.reservoir.
-    ReservoirSampler.merge`.
-
-    ``available`` caps how many elements part ``i`` can actually supply
-    (its locally stored sample).  Slack caused by the cap is redistributed
-    greedily to parts with spare stored elements, as the coordinator always
-    did.  The draw sequence (one conditional ``hypergeometric`` per part)
-    is kept identical to the historical coordinator implementation so
-    seeded merges reproduce across releases.
-    """
-    counts = [int(count) for count in counts]
-    if available is None:
-        available = counts
-    remaining_size = int(size)
-    remaining_total = sum(counts)
-    allocation: list[int] = []
-    for part, count in enumerate(counts):
-        if remaining_size == 0 or remaining_total == 0:
-            allocation.append(0)
-            continue
-        other = remaining_total - count
-        draw = int(
-            rng.hypergeometric(
-                ngood=count, nbad=max(other, 0), nsample=remaining_size
-            )
-        ) if other >= 0 and remaining_size <= remaining_total else remaining_size
-        draw = min(draw, count, int(available[part]), remaining_size)
-        allocation.append(draw)
-        remaining_size -= draw
-        remaining_total -= count
-    # Any slack (caused by capping at the locally available sample) is
-    # redistributed greedily to parts with spare stored elements.
-    part = 0
-    while remaining_size > 0 and part < len(counts):
-        spare = int(available[part]) - allocation[part]
-        grant = min(spare, remaining_size)
-        if grant > 0:
-            allocation[part] += grant
-            remaining_size -= grant
-        part += 1
-    return allocation
 
 
 def bernoulli_trial(rng: np.random.Generator, probability: float) -> bool:

@@ -23,7 +23,7 @@ from typing import Any, Literal
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..rng import RandomState, ensure_generator, hypergeometric_split, spawn_generators
+from ..rng import RandomState, ensure_generator, spawn_generators
 from .base import FixedSizeSampler, SampleUpdate, UpdateBatch
 
 EvictionPolicy = Literal["uniform", "fifo", "min-value"]
@@ -161,11 +161,10 @@ class ReservoirSampler(FixedSizeSampler):
         """Merge sharded reservoirs into one uniform sample of the union.
 
         The [CTW16] coordinator rule: a multivariate-hypergeometric draw
-        over the parts' stream counts
-        (:func:`~repro.rng.hypergeometric_split`) decides how many of the
-        merged slots each part contributes, and those slots are filled by
-        sampling the part's reservoir without replacement.  The merged
-        reservoir is therefore distributed exactly as a uniform
+        over the parts' stream counts decides how many of the merged slots
+        each part contributes, and those slots are filled by sampling the
+        part's reservoir without replacement (``_coordinator_draw``).  The
+        merged reservoir is therefore distributed exactly as a uniform
         ``min(capacity, total)``-subset of the union of all substreams, and
         — because Vitter's rule only needs the current round — it can keep
         streaming from round ``total`` onwards without losing uniformity.
@@ -207,6 +206,9 @@ class ReservoirSampler(FixedSizeSampler):
         (a reshard's sibling generator) therefore match whichever form the
         caller used, and twin generators give
         ``merged_sample(others, rng=a) == merge(others, rng=b).sample``.
+        The child is dropped, so on a stream that spawns lazily
+        (:func:`~repro.rng.with_lazy_spawns`, as a sharded deployment's merge
+        stream does) it costs one small object.
         """
         merge_rng = self._rng if rng is None else rng
         sample = self._coordinator_draw(others, merge_rng)
@@ -216,26 +218,49 @@ class ReservoirSampler(FixedSizeSampler):
     def _coordinator_draw(
         self, others: Sequence["ReservoirSampler"], rng: np.random.Generator
     ) -> list[Any]:
-        """The [CTW16] draw: a hypergeometric allocation, then a uniform
-        subset of each part's reservoir of the allocated size."""
+        """The [CTW16] draw: how many merged slots each part fills, then a
+        uniform subset of each part's reservoir of that size.
+
+        The allocation is multivariate hypergeometric over the parts' stream
+        counts, drawn part by part: one conditional ``hypergeometric`` per
+        part, capped at the part's stored sample.  Slack left by the caps
+        goes greedily to the first parts with spare stored elements.  Then
+        one ``choice(replace=False)`` per part that fills fewer slots than
+        it stores.  This call sequence is kept from the first coordinator,
+        so seeded merges reproduce across releases.
+        """
         parts = self._validate_merge_parts(others)
-        counts = [part.rounds_processed for part in parts]
-        allocation = hypergeometric_split(
-            rng,
-            counts,
-            min(self.capacity, sum(counts)),
-            available=[len(part._sample) for part in parts],
-        )
+        total = sum([part._round for part in parts])
+        remaining = min(self.capacity, total)
+        allocation: list[int] = []
+        for part in parts:
+            if remaining == 0:
+                break
+            count = part._round
+            # After a cap the slots left can outnumber the rounds left, and
+            # then each later part gives all it can.
+            draw = remaining
+            if remaining <= total:
+                draw = int(rng.hypergeometric(count, total - count, remaining))
+            draw = min(draw, count, len(part._sample), remaining)
+            allocation.append(draw)
+            remaining -= draw
+            total -= count
+        index = 0
+        while remaining and index < len(allocation):
+            grant = min(len(parts[index]._sample) - allocation[index], remaining)
+            if grant > 0:
+                allocation[index] += grant
+                remaining -= grant
+            index += 1
         sample: list[Any] = []
         for part, slots in zip(parts, allocation):
-            if slots == 0:
-                continue
             local = part._sample
             if slots == len(local):
                 sample.extend(local)
-                continue
-            indices = rng.choice(len(local), size=slots, replace=False)
-            sample.extend([local[i] for i in indices.tolist()])
+            elif slots:
+                picks = rng.choice(len(local), size=slots, replace=False)
+                sample.extend(map(local.__getitem__, picks.tolist()))
         return sample
 
     def split(

@@ -95,6 +95,10 @@ class SnapshotStore:
             )
         self.sampler = sampler
         self.staleness_rounds = staleness_rounds
+        # Whether reads have side effects is fixed for the sampler's
+        # lifetime (reshards keep a deployment's site family), so it is
+        # decided once; the stale-window check depends on the round.
+        self._exposure_tracked = _exposure_tracked(sampler)
         self._snapshot: Snapshot | None = None
         self._refreshes = 0
         self._reads = 0
@@ -136,7 +140,7 @@ class SnapshotStore:
     def must_bypass(self) -> bool:
         """True when reads must reach the sampler regardless of the bound
         (exposure-tracked deployments and active fault-plan stale windows)."""
-        if _exposure_tracked(self.sampler):
+        if self._exposure_tracked:
             return True
         plan = getattr(self.sampler, "fault_plan", None)
         return plan is not None and plan.is_stale(self.sampler.rounds_processed)

@@ -88,6 +88,48 @@ class TestGlobalNumpyRngRule:
         )
         assert findings == []
 
+    def test_bad_legacy_names_imported_from_numpy_random(self, tmp_path):
+        findings = run_engine(
+            tmp_path,
+            {
+                "mod.py": (
+                    "from numpy.random import random, seed\n"
+                    "from numpy.random.mtrand import rand\n"
+                    "seed(0)\n"
+                    "x = random() + rand()\n"
+                )
+            },
+        )
+        assert [f.rule for f in findings] == ["RNG002"] * 3
+
+    def test_bad_calls_through_a_numpy_random_alias(self, tmp_path):
+        findings = run_engine(
+            tmp_path,
+            {
+                "a.py": "from numpy import random as npr\nx = npr.rand()\n",
+                "b.py": "from numpy import random\nrandom.seed(1)\n",
+                "c.py": "import numpy.random as nr\nx = nr.normal()\n",
+            },
+        )
+        assert [(f.file, f.rule) for f in findings] == [
+            ("pkg/a.py", "RNG002"), ("pkg/b.py", "RNG002"), ("pkg/c.py", "RNG002")
+        ]
+
+    def test_good_constructor_and_interface_imports(self, tmp_path):
+        findings = run_engine(
+            tmp_path,
+            {
+                "mod.py": (
+                    "from numpy import random as npr\n"
+                    "from numpy.random import PCG64, Generator, SeedSequence\n"
+                    "from numpy.random.bit_generator import ISpawnableSeedSequence\n"
+                    "g = Generator(PCG64(SeedSequence(3)))\n"
+                    "h = npr.default_rng(4)\n"
+                )
+            },
+        )
+        assert findings == []
+
     def test_good_generator_method_named_random(self, tmp_path):
         # rng.random() is a Generator method, not the global namespace.
         findings = run_engine(

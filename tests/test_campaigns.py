@@ -24,8 +24,10 @@ import pytest
 
 from repro.adversary import CampaignAdversary, phase_start_rounds
 from repro.adversary.base import Adversary, CadencedAdversary
+from repro.adversary.game import run_adaptive_game
 from repro.exceptions import ConfigurationError
 from repro.samplers.base import SampleUpdate, UpdateBatch
+from repro.samplers.reservoir import ReservoirSampler
 from repro.scenarios import ScenarioConfig, run_config
 from repro.scenarios.builders import CADENCED_ADVERSARY_FAMILIES
 
@@ -133,6 +135,33 @@ class TestPhasedSchedule:
         )
         assert second.update_rounds == [2]
         assert first.update_rounds == []
+
+    def test_update_driven_member_past_the_first_phase_sees_shifted_records(self):
+        """Played at period 1, every update a later member receives is the
+        sampler's own record with the round shifted to the member's clock."""
+
+        class PerRoundRecorder(RecordingMember):
+            def __init__(self, tag: str) -> None:
+                super().__init__(tag)
+                self.updates: list[SampleUpdate] = []
+
+            def next_elements(self, round_index, count, observed_sample):
+                self.requests.append((round_index, 1))
+                return [f"{self.tag}{round_index}"]
+
+            def observe_update(self, update: SampleUpdate) -> None:
+                self.updates.append(update)
+
+        first, second = PerRoundRecorder("a"), PerRoundRecorder("b")
+        campaign = CampaignAdversary([first, second], phase_starts=[1, 11])
+        result = run_adaptive_game(ReservoirSampler(4, seed=3), campaign, 30)
+        originals = list(result.updates)
+        assert first.updates == originals[:10]
+        assert second.updates == [
+            SampleUpdate(update.round_index - 10, update.element, update.accepted, update.evicted)
+            for update in originals[10:]
+        ]
+        assert any(update.evicted is not None for update in second.updates)
 
     def test_observes_updates_ors_the_owning_members(self):
         class Deaf(RecordingMember):

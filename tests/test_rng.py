@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.rng import (
+    LazySeedSequence,
     bernoulli_trial,
     derive_substream,
     ensure_generator,
     sample_without_replacement,
     spawn_generators,
+    with_lazy_spawns,
 )
 
 
@@ -57,6 +61,59 @@ class TestSpawnGenerators:
         base = ensure_generator(5)
         children = spawn_generators(base, 2)
         assert len(children) == 2
+
+
+def _assert_same_sequence(lazy, eager) -> None:
+    assert lazy.spawn_key == eager.spawn_key
+    assert lazy.n_children_spawned == eager.n_children_spawned
+    assert np.array_equal(lazy.generate_state(4, np.uint64), eager.generate_state(4, np.uint64))
+    assert np.array_equal(lazy.generate_state(7), eager.generate_state(7))
+
+
+class TestLazySeedSequence:
+    """Lazy children are the children ``SeedSequence.spawn`` gives."""
+
+    @pytest.mark.parametrize("counts", [(1,), (3,), (1, 1, 2), (0, 4, 1)])
+    def test_spawns_match_numpy(self, counts):
+        eager = np.random.SeedSequence(2024).spawn(3)[2]
+        lazy = LazySeedSequence(eager.entropy, eager.spawn_key, eager.pool_size)
+        for count in counts:
+            for lazy_child, eager_child in zip(lazy.spawn(count), eager.spawn(count), strict=True):
+                _assert_same_sequence(lazy_child, eager_child)
+                for lazy_grandchild, eager_grandchild in zip(
+                    lazy_child.spawn(2), eager_child.spawn(2), strict=True
+                ):
+                    _assert_same_sequence(lazy_grandchild, eager_grandchild)
+                assert lazy_child.n_children_spawned == eager_child.n_children_spawned == 2
+            assert lazy.n_children_spawned == eager.n_children_spawned
+
+    def test_a_child_is_built_only_when_a_generator_is_seeded(self):
+        (child,) = LazySeedSequence(7, (), 4).spawn(1)
+        assert child._built is None
+        generator = np.random.Generator(np.random.PCG64(child))
+        assert child._built is not None
+        eager = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7).spawn(1)[0]))
+        assert generator.random() == eager.random()
+
+    def test_twin_continues_the_generator(self):
+        original = spawn_generators(11, 3)[1]
+        original.random(5)
+        original.bit_generator.seed_seq.spawn(2)
+        reference = pickle.loads(pickle.dumps(original))
+        twin = with_lazy_spawns(original)
+        assert isinstance(twin.bit_generator.seed_seq, LazySeedSequence)
+        assert np.array_equal(twin.random(6), reference.random(6))
+        for lazy, eager in zip(spawn_generators(twin, 3), spawn_generators(reference, 3), strict=True):
+            _assert_same_sequence(lazy.bit_generator.seed_seq, eager.bit_generator.seed_seq)
+            assert lazy.integers(0, 2**62) == eager.integers(0, 2**62)
+
+    def test_pickled_generator_keeps_its_lazy_sequence(self):
+        twin = with_lazy_spawns(spawn_generators(3, 2)[0])
+        twin.bit_generator.seed_seq.spawn(4)
+        copy = pickle.loads(pickle.dumps(twin))
+        assert copy.bit_generator.seed_seq.n_children_spawned == 4
+        assert copy.random() == twin.random()
+        assert spawn_generators(copy, 1)[0].random() == spawn_generators(twin, 1)[0].random()
 
 
 class TestDeriveSubstream:

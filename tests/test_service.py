@@ -305,6 +305,48 @@ class TestQueryServiceIngest:
         assert service.query("discrepancy") == 0.0
 
 
+class TestLockFreeBypass:
+    """``acquire`` serves the published pair without the lock only when the
+    store may cache; exposure-tracked deployments and reads inside a stale
+    window always reach the sampler through the store."""
+
+    def test_exposure_tracked_reads_reach_the_sampler(self):
+        def defended_site(rng):
+            return SketchSwitchingSampler(
+                lambda r: ReservoirSampler(8, seed=r), copies=2, seed=rng
+            )
+
+        service = QueryService(
+            ShardedSampler(2, defended_site, strategy="hash", seed=1),
+            staleness_rounds=1_000_000,
+        )
+        service.ingest(list(range(1, 40)))
+        store = service._store
+        for expected in range(1, 4):
+            service.acquire()
+            assert store.stats()["reads"] == store.stats()["refreshes"] == expected
+        assert service.sampler.ledger.events("merge") == 3
+
+    def test_reads_inside_a_stale_window_reach_the_sampler(self):
+        plan = FaultPlan(stale_windows=(StaleWindow(round=41, duration=40),))
+        service = QueryService(
+            ShardedSampler(2, _reservoir_site, strategy="hash", seed=1, fault_plan=plan),
+            staleness_rounds=1_000,
+        )
+        store = service._store
+        service.ingest(list(range(1, 41)))
+        published = service.acquire()
+        service.acquire()
+        assert store.stats()["reads"] == 0, "outside the window reads are lock-free"
+        service.ingest(list(range(41, 61)))
+        assert service.acquire() is not published
+        service.acquire()
+        assert store.stats()["reads"] == 2
+        service.ingest(list(range(61, 101)))
+        service.acquire()
+        assert store.stats()["reads"] == 2, "past the window reads are lock-free again"
+
+
 def _switching_service():
     """A service whose reads fire a sketch-switching exposure hook, in a
     state where the next read also makes a switch fire."""

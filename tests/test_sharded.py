@@ -4,6 +4,7 @@ and the scenario-level ``sharding`` block.
 
 from __future__ import annotations
 
+import pickle
 from collections import Counter
 from typing import ClassVar
 
@@ -16,6 +17,7 @@ from repro.distributed import (
     FaultPlan,
     HashSharding,
     RandomSharding,
+    Reshard,
     RoundRobinSharding,
     ShardedSampler,
     SiteCrash,
@@ -24,6 +26,7 @@ from repro.distributed import (
     build_sharding_strategy,
 )
 from repro.exceptions import ConfigurationError
+from repro.rng import LazySeedSequence
 from repro.samplers import BernoulliSampler, ReservoirSampler, SlidingWindowSampler
 from repro.scenarios import ScenarioConfig, run_config
 from repro.setsystems import PrefixSystem
@@ -433,6 +436,124 @@ class TestCoordinatorReadPath:
             deployment.extend(more, updates=False)
         for site in range(served.num_sites):
             assert tuple(served.site_sample(site)) == tuple(full.site_sample(site))
+
+
+class TestReadsFollowTheTopology:
+    """Reads merge exactly the live sites, whatever transitions fired.
+
+    The coordinator surveys its live sites at each crash, recovery and
+    reshard rather than on every read.  A twin that draws each read from
+    scratch, with the live sites recomputed from ``sites`` and
+    ``down_sites``, must serve the same sample, and every read must cost
+    one message per live site.
+    """
+
+    PLAN = FaultPlan(
+        crashes=(
+            SiteCrash(site=1, round=60, recovery_rounds=100, loss="replay"),
+            SiteCrash(site=2, round=400, loss="drop"),
+        ),
+        reshards=(
+            Reshard(round=220, op="split", site=0),
+            Reshard(round=300, op="merge", site=3, other=4),
+        ),
+    )
+
+    @staticmethod
+    def step(served: ShardedSampler, reference: ShardedSampler, chunk) -> None:
+        for deployment in (served, reference):
+            deployment.extend(chunk, updates=False)
+        down = set(reference.down_sites)
+        live = [site for index, site in enumerate(reference.sites) if index not in down]
+        expected = live[0].merged_sample(live[1:], rng=reference._merge_rng)
+        messages = served.ledger.messages("merge")
+        assert tuple(served.sample) == tuple(expected)
+        assert served.ledger.messages("merge") - messages == len(live)
+
+    def test_reads_merge_exactly_the_live_sites(self):
+        served, reference = (
+            ShardedSampler(4, reservoir_site, strategy="random", seed=41, fault_plan=self.PLAN)
+            for _ in range(2)
+        )
+        stream = uniform_stream(600, 64, seed=8)
+        for start in range(0, len(stream), 10):
+            self.step(served, reference, stream[start : start + 10])
+        assert served.num_sites == 4 and served.down_sites == (2,)
+        # A reset revives every site; the plan's first crash is at round 60.
+        for deployment in (served, reference):
+            deployment.reset()
+        for start in range(0, 50, 10):
+            self.step(served, reference, stream[start : start + 10])
+
+
+class TestLazyMergeStream:
+    """The merge stream spawns lazily, and nothing else changes.
+
+    Every fresh reservoir read spawns one child from the merge stream, and
+    a later ``split_site`` seeds the sibling from the next one, so a twin
+    whose merge stream is a plain numpy generator must match read for read
+    and site for site, across reshards and a pickle round trip.
+    """
+
+    @staticmethod
+    def deploy() -> ShardedSampler:
+        return ShardedSampler(4, reservoir_site, strategy="random", seed=31)
+
+    @staticmethod
+    def with_plain_merge_stream(deployment: ShardedSampler) -> ShardedSampler:
+        lazy = deployment._merge_rng.bit_generator.seed_seq
+        assert isinstance(lazy, LazySeedSequence)
+        eager = np.random.SeedSequence(
+            lazy.entropy, spawn_key=lazy.spawn_key, pool_size=lazy.pool_size
+        )
+        deployment._merge_rng = np.random.Generator(np.random.PCG64(eager))
+        return deployment
+
+    @staticmethod
+    def play(deployments, stream, reads: int) -> None:
+        step = len(stream) // reads
+        for start in range(0, step * reads, step):
+            for deployment in deployments:
+                deployment.extend(stream[start : start + step], updates=False)
+            first, *others = (tuple(deployment.sample) for deployment in deployments)
+            assert all(other == first for other in others)
+
+    @staticmethod
+    def assert_same_state(left: ShardedSampler, right: ShardedSampler) -> None:
+        assert left.num_sites == right.num_sites
+        for site in range(left.num_sites):
+            assert tuple(left.site_sample(site)) == tuple(right.site_sample(site))
+        assert left.ledger.to_dict() == right.ledger.to_dict()
+        assert (
+            left._merge_rng.bit_generator.seed_seq.n_children_spawned
+            == right._merge_rng.bit_generator.seed_seq.n_children_spawned
+        )
+
+    def test_reads_and_reshards_match_a_plain_merge_stream(self):
+        lazy, plain = self.deploy(), self.with_plain_merge_stream(self.deploy())
+        both = (lazy, plain)
+        self.play(both, uniform_stream(800, 64, seed=1), reads=40)
+        for deployment in both:
+            deployment.split_site(0)
+        self.assert_same_state(lazy, plain)
+        self.play(both, uniform_stream(600, 64, seed=2), reads=30)
+        for deployment in both:
+            deployment.split_site(4)
+            deployment.merge_sites(1, 2)
+        self.play(both, uniform_stream(300, 64, seed=3), reads=15)
+        self.assert_same_state(lazy, plain)
+        assert lazy.ledger.events("merge") == 85
+
+    def test_pickled_mid_stream_continues_identically(self):
+        original = self.deploy()
+        self.play((original,), uniform_stream(500, 64, seed=4), reads=25)
+        copy = pickle.loads(pickle.dumps(original))
+        both = (original, copy)
+        self.play(both, uniform_stream(400, 64, seed=5), reads=20)
+        for deployment in both:
+            deployment.split_site(1)
+        self.play(both, uniform_stream(400, 64, seed=6), reads=20)
+        self.assert_same_state(original, copy)
 
 
 class TestShardedGames:
