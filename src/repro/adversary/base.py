@@ -101,7 +101,10 @@ class Adversary(ABC):
         chunked runner asks before materialising the sample for each segment
         request, so adversaries that know they are mid-way through a
         committed block (the cadence protocol) can decline the view they are
-        guaranteed to ignore.  The default is the static declaration.
+        guaranteed to ignore.  The default is the static declaration.  It
+        may only narrow that declaration: the runners read
+        :attr:`uses_observed_sample` once per game and never ask an
+        adversary that declares it false.
         """
         return self.uses_observed_sample
 

@@ -245,33 +245,33 @@ class _UpdateLog:
 class _Judge:
     """Worst-range error of snapshots against the stream played so far.
 
-    Prefers the incremental tracker; an element or snapshot the tracker
-    cannot index deactivates it, and this (and every later) judgement
-    recomputes from the stream the runner keeps anyway.
+    Prefers the incremental tracker, which each judgement first feeds every
+    element played since the last one (``add`` for one element, ``add_batch``
+    otherwise), so the game loop never touches it between checkpoints.  An
+    element or snapshot the tracker cannot index deactivates it, and this
+    (and every later) judgement recomputes from the stream the runner keeps
+    anyway.
     """
 
     def __init__(self, set_system: SetSystem, stream: list[Any], tracker: Any) -> None:
         self.set_system = set_system
         self.stream = stream
         self.tracker = tracker
-
-    def track(self, elements: Sequence[Any]) -> None:
-        if self.tracker is None:
-            return
-        try:
-            if len(elements) == 1:
-                self.tracker.add(elements[0])
-            else:
-                self.tracker.add_batch(elements)
-        except TrackerUnsupportedError:
-            self.tracker = None
+        #: How many elements of ``stream`` the tracker has been fed.
+        self._tracked = 0
 
     def error(self, sample: tuple[Any, ...]) -> tuple[float, Any]:
         """The error (and witness) of ``sample``; an empty sample scores 1."""
         if len(sample) == 0:
             return 1.0, None
         if self.tracker is not None:
+            stream, start = self.stream, self._tracked
+            self._tracked = len(stream)
             try:
+                if self._tracked == start + 1:
+                    self.tracker.add(stream[start])
+                elif self._tracked > start:
+                    self.tracker.add_batch(stream[start:])
                 report = self.tracker.checkpoint(sample)
                 return report.error, report.witness
             except TrackerUnsupportedError:
@@ -301,10 +301,10 @@ def _play(
     ``process`` and ``observe_update``; a longer one through the sampler's
     vectorised ``extend`` and one columnar ``observe_update_batch``, with
     the update record built only when it is kept or the adversary listens.
-    Methods are looked up once, since a per-round game runs this loop once
-    per round.  ``judge`` (required with ``checkpoints``) tracks every
-    segment and judges the checkpoints; returns the update record and the
-    checkpoint errors.
+    Methods are looked up once, and the adversary's static sample appetite
+    read once, since a per-round game runs this loop once per round.
+    ``judge`` (required with ``checkpoints``) judges the checkpoints; returns
+    the update record and the checkpoint errors.
     """
     log = _UpdateLog()
     errors: list[float] = []
@@ -316,8 +316,10 @@ def _play(
     process, extend = sampler.process, sampler.extend
     append_element, extend_stream = stream.append, stream.extend
     append_update, append_batch = log.append_update, log.append_batch
-    track = None if judge is None else judge.track
-    full, listens = knowledge == "full", knowledge != "oblivious"
+    # will_observe_sample only refines uses_observed_sample, so an adversary
+    # that never reads the view is never asked.
+    full = knowledge == "full" and adversary.uses_observed_sample
+    listens = knowledge != "oblivious"
     next_checkpoint = 0
     stop = checkpoints[0] if checkpoints else stream_length
     round_index = 0
@@ -352,8 +354,6 @@ def _play(
                 append_batch(batch)
             if feed:
                 observe_update_batch(batch)
-        if track is not None:
-            track(segment)
         round_index += size
         if round_index == stop and next_checkpoint < len(checkpoints):
             errors.append(judge.error(sampler.snapshot())[0])

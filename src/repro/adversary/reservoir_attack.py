@@ -20,8 +20,8 @@ ablations run this adversary alongside the Figure-3 attack to confirm neither
 beats a properly sized reservoir.
 
 Decision cadence: the acceptance schedule ``k / i`` is *known in advance*,
-so a whole block's early/late phase split is computed in one vectorised
-mask; only the one-round back-off after a noticed in-range acceptance is
+so a whole block's early/late phase split is planned without feedback; only
+the one-round back-off after a noticed in-range acceptance is
 feedback-driven, and with ``decision_period=p`` that notice arrives at block
 boundaries.  ``p=1`` reproduces the historical per-round chaser exactly.
 """
@@ -95,17 +95,14 @@ class EvictionChaserAdversary(CadencedAdversary):
         self, round_index: int, count: int, observed_sample: Sequence[Any] | None
     ) -> list[Any]:
         # The early/late phase of every round in the block is known up front:
-        # acceptance probability k / i against the switch threshold, in one
-        # vectorised comparison.
-        rounds = np.arange(round_index, round_index + count)
-        # Same float expression as the historical per-round rule, so the
-        # phase boundary lands on exactly the same round.
-        acceptance = np.minimum(1.0, self.reservoir_size / np.maximum(rounds, 1))
-        early = acceptance >= self.switch_threshold
+        # acceptance probability k / i against the switch threshold, the same
+        # float expression as the historical per-round rule, so the phase
+        # boundary lands on exactly the same round.
+        k, threshold = self.reservoir_size, self.switch_threshold
         elements: list[Any] = []
         backoff = self._recent_in_range_accepted
-        for is_early in early:
-            if is_early:
+        for i in range(round_index, round_index + count):
+            if min(1.0, k / max(i, 1)) >= threshold:
                 # Early phase: whatever we submit is likely stored, so keep
                 # the stored mass out of the target range.
                 elements.append(self._out_supplier())

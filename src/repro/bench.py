@@ -377,15 +377,18 @@ def _window_copy(rng: Any) -> SlidingWindowSampler:
 
 
 def _defended(
-    wrapper: Callable[..., Any], copy_factory: Callable[[Any], Any] = _bernoulli_copy
+    wrapper: Callable[..., Any],
+    copy_factory: Callable[[Any], Any] = _bernoulli_copy,
+    feed: Callable[[Callable[[], Any], list[Any]], Callable[[], Any]] = _ingest,
 ) -> Callable[[int], Sides]:
-    """A 2-copy defense vs its undefended sampler, both through one extend."""
+    """A 2-copy defense vs its undefended sampler, both fed by ``feed``:
+    one ``extend`` call (:func:`_ingest`) or a ``process`` loop (:func:`_loop`)."""
 
     def build(n: int) -> Sides:
         data = _stream(n)
         return (
-            _ingest(partial(copy_factory, 1), data),
-            _ingest(partial(wrapper, copy_factory, copies=2, seed=1), data),
+            feed(partial(copy_factory, 1), data),
+            feed(partial(wrapper, copy_factory, copies=2, seed=1), data),
         )
 
     return build
@@ -553,6 +556,31 @@ OPS: tuple[Op, ...] = (
         _defended(DifferenceEstimatorSampler, _window_copy),
         _same_ingest,
         bound=2.4,
+    ),
+    # Fully adaptive games feed a defense one round at a time: picking the
+    # serving copy must cost little next to the second copy's own work.
+    # Short sides keep one measurement within one phase of the host's speed;
+    # the window op runs past a rotation.
+    Op(
+        "defended/per-round/sketch-switching",
+        5_000,
+        _defended(SketchSwitchingSampler, feed=_loop),
+        _same_ingest,
+        bound=3.0,
+    ),
+    Op(
+        "defended/per-round/dp-aggregate",
+        5_000,
+        _defended(DPAggregateSampler, feed=_loop),
+        _same_ingest,
+        bound=3.0,
+    ),
+    Op(
+        "defended/per-round/difference-estimator",
+        10_000,
+        _defended(DifferenceEstimatorSampler, _window_copy, _loop),
+        _same_ingest,
+        bound=3.0,
     ),
     Op("sharded/ingest", 100_000, _sharded_ingest, _same_sites, bound=0.5),
     Op("sharded/hash-routing", 100_000, _hash_routing, _same_sites, bound=2.0),

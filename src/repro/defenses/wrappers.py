@@ -64,7 +64,10 @@ __all__ = [
 ]
 
 #: Knuth multiplicative constant used for the stable round -> copy hash.
-_KNUTH = np.uint64(2654435761)
+_KNUTH = 2654435761
+
+#: The hash's products wrap mod 2^64, as ``uint64`` arithmetic does.
+_MASK64 = (1 << 64) - 1
 
 
 class ReplicatedDefenseSampler(StreamSampler):
@@ -84,7 +87,9 @@ class ReplicatedDefenseSampler(StreamSampler):
         draws (DP noise seeding); ``copies + 1`` substreams are derived.
 
     Every copy ingests every element; subclasses only decide which copy
-    *serves* each observation (:meth:`_serving_indices`).  Update records —
+    *serves* each observation, by one rule written twice: per round
+    (:meth:`_serving_copy`, for ``process`` and reads) and per column of
+    rounds (:meth:`_serving_indices`, for ``extend``).  Update records —
     the adversary's feedback under the ``updates`` knowledge model — are the
     serving copy's records for each round, so the adversary observes exactly
     the copy it could also query, never the hidden ones.
@@ -122,13 +127,14 @@ class ReplicatedDefenseSampler(StreamSampler):
         """Copy index serving each of the given 1-based rounds."""
         raise NotImplementedError
 
+    def _serving_copy(self, round_index: int) -> int:
+        """Copy index serving the 1-based round ``round_index``: the scalar
+        form of :meth:`_serving_indices`, with no array built."""
+        raise NotImplementedError
+
     def _serving_index(self) -> int:
         """Copy index serving a read of the *current* state."""
-        if self._round == 0:
-            return 0
-        return int(
-            self._serving_indices(np.array([self._round], dtype=np.int64))[0]
-        )
+        return self._serving_copy(self._round) if self._round else 0
 
     def observe_exposure(self) -> None:
         """Hook: the serving copy's state was just shown to an observer.
@@ -143,17 +149,21 @@ class ReplicatedDefenseSampler(StreamSampler):
     # ------------------------------------------------------------------
     # Streaming interface
     # ------------------------------------------------------------------
-    def _process(self, element: Any) -> SampleUpdate:
-        serving = int(
-            self._serving_indices(np.array([self._round], dtype=np.int64))[0]
-        )
-        result: SampleUpdate | None = None
-        for index, copy_ in enumerate(self._copies):
-            update = copy_.process(element)
-            if index == serving:
-                result = update
-        assert result is not None
-        return result
+    def process(self, element: Any) -> SampleUpdate:
+        """Feed ``element`` to every copy; return the serving copy's record.
+
+        A round of a fully adaptive game, so it runs in one frame: the
+        scalar rule picks the serving copy and no array is built.
+        """
+        self._round += 1
+        serving = self._serving_copy(self._round)
+        updates: list[SampleUpdate] = []
+        for copy_ in self._copies:
+            updates.append(copy_.process(element))
+        return updates[serving]
+
+    def _process(self, element: Any) -> SampleUpdate:  # pragma: no cover
+        raise NotImplementedError("replication defenses override process() directly")
 
     def extend(
         self, elements: Iterable[Any], updates: bool = True
@@ -354,6 +364,9 @@ class SketchSwitchingSampler(ReplicatedDefenseSampler):
     def _serving_indices(self, round_indices: np.ndarray) -> np.ndarray:
         return np.full(len(round_indices), self._active, dtype=np.int64)
 
+    def _serving_copy(self, round_index: int) -> int:
+        return self._active
+
     @property
     def sample(self) -> Sequence[Any]:
         """The active copy's sample; reading it counts as an exposure."""
@@ -420,8 +433,11 @@ class DPAggregateSampler(ReplicatedDefenseSampler):
         self._salt = int(self._defense_rng.integers(0, 2**32))
 
     def _serving_indices(self, round_indices: np.ndarray) -> np.ndarray:
-        mixed = (round_indices.astype(np.uint64) * _KNUTH) ^ np.uint64(self._salt)
+        mixed = (round_indices.astype(np.uint64) * np.uint64(_KNUTH)) ^ np.uint64(self._salt)
         return (mixed % np.uint64(self.copies)).astype(np.int64)
+
+    def _serving_copy(self, round_index: int) -> int:
+        return (((round_index * _KNUTH) & _MASK64) ^ self._salt) % self.copies
 
     # ------------------------------------------------------------------
     # Private scalar queries
@@ -521,3 +537,6 @@ class DifferenceEstimatorSampler(ReplicatedDefenseSampler):
 
     def _serving_indices(self, round_indices: np.ndarray) -> np.ndarray:
         return ((round_indices - 1) // self.rotation_period) % self.copies
+
+    def _serving_copy(self, round_index: int) -> int:
+        return ((round_index - 1) // self.rotation_period) % self.copies

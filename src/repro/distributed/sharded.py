@@ -479,16 +479,9 @@ class ShardedSampler(StreamSampler):
                 self._replay_buffers[site].append(element)
             else:
                 self._dropped[site] += 1
-            return SampleUpdate(
-                round_index=self._round, element=element, accepted=False
-            )
+            return SampleUpdate(self._round, element, False)
         site_update = self._sites[site].process(element)
-        return SampleUpdate(
-            round_index=self._round,
-            element=element,
-            accepted=site_update.accepted,
-            evicted=site_update.evicted,
-        )
+        return SampleUpdate(self._round, element, site_update.accepted, site_update.evicted)
 
     def extend(
         self, elements: Iterable[Any], updates: bool = True

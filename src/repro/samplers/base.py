@@ -15,15 +15,14 @@ per-round outcome of a whole segment lives in structure-of-arrays form
 rare evictions), and per-element :class:`SampleUpdate` views are materialised
 lazily only where a caller actually indexes or iterates the batch.  On
 million-element streams this is what keeps the vectorised sampler kernels
-from drowning in dataclass allocations.
+from drowning in per-element record allocations.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from typing import Any, Protocol, overload, runtime_checkable
+from typing import Any, NamedTuple, Protocol, overload, runtime_checkable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -31,9 +30,14 @@ from numpy.typing import NDArray
 from ..exceptions import ConfigurationError
 
 
-@dataclass(frozen=True, slots=True)
-class SampleUpdate:
+class SampleUpdate(NamedTuple):
     """Outcome of feeding one element to a sampler.
+
+    An immutable named tuple: a sampler builds one per ``process`` call, so
+    it must be cheap to make (the hot paths pass the fields positionally).
+    Being a tuple, it iterates over its four fields and equals a plain
+    tuple of the same values; copy one with a changed field through
+    ``update._replace(round_index=...)``.
 
     Attributes
     ----------
@@ -159,10 +163,10 @@ class UpdateBatch(Sequence[SampleUpdate]):
     # ------------------------------------------------------------------
     def _view(self, offset: int) -> SampleUpdate:
         return SampleUpdate(
-            round_index=int(self.round_indices[offset]),
-            element=self.elements[offset],
-            accepted=bool(self.accepted[offset]),
-            evicted=self.evictions.get(offset),
+            int(self.round_indices[offset]),
+            self.elements[offset],
+            bool(self.accepted[offset]),
+            self.evictions.get(offset),
         )
 
     def __len__(self) -> int:

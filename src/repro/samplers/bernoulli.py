@@ -52,9 +52,7 @@ class BernoulliSampler(StreamSampler):
         accepted = bool(self._rng.random() < self.probability)
         if accepted:
             self._sample.append(element)
-        return SampleUpdate(
-            round_index=self.rounds_processed, element=element, accepted=accepted
-        )
+        return SampleUpdate(self._round, element, accepted)
 
     def extend(
         self, elements: Iterable[Any], updates: bool = True

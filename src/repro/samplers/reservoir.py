@@ -67,25 +67,23 @@ class ReservoirSampler(FixedSizeSampler):
     # StreamSampler interface
     # ------------------------------------------------------------------
     def _process(self, element: Any) -> SampleUpdate:
-        i = self.rounds_processed
+        i = self._round
         if len(self._sample) < self.capacity:
             self._sample.append(element)
             self._insertion_order.append(i)
             self._total_accepted += 1
-            return SampleUpdate(round_index=i, element=element, accepted=True)
+            return SampleUpdate(i, element, True)
 
         accept_probability = self.capacity / i
         if self._rng.random() >= accept_probability:
-            return SampleUpdate(round_index=i, element=element, accepted=False)
+            return SampleUpdate(i, element, False)
 
         slot = self._choose_victim_slot()
         evicted = self._sample[slot]
         self._sample[slot] = element
         self._insertion_order[slot] = i
         self._total_accepted += 1
-        return SampleUpdate(
-            round_index=i, element=element, accepted=True, evicted=evicted
-        )
+        return SampleUpdate(i, element, True, evicted)
 
     def extend(
         self, elements: Iterable[Any], updates: bool = True

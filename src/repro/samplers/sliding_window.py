@@ -124,7 +124,7 @@ class SlidingWindowSampler(StreamSampler):
         priorities[n] = priority
         counts[n] = 0
         candidates.append((arrival, priority, element))
-        return SampleUpdate(round_index=arrival, element=element, accepted=accepted)
+        return SampleUpdate(arrival, element, accepted)
 
     def extend(
         self, elements: Iterable[Any], updates: bool = True

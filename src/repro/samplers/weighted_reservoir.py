@@ -76,20 +76,11 @@ class WeightedReservoirSampler(FixedSizeSampler):
         self._tiebreak += 1
         if len(self._heap) < self.capacity:
             heapq.heappush(self._heap, entry)
-            return SampleUpdate(
-                round_index=self.rounds_processed, element=element, accepted=True
-            )
+            return SampleUpdate(self._round, element, True)
         if key > self._heap[0][0]:
             evicted_entry = heapq.heapreplace(self._heap, entry)
-            return SampleUpdate(
-                round_index=self.rounds_processed,
-                element=element,
-                accepted=True,
-                evicted=evicted_entry[2],
-            )
-        return SampleUpdate(
-            round_index=self.rounds_processed, element=element, accepted=False
-        )
+            return SampleUpdate(self._round, element, True, evicted_entry[2])
+        return SampleUpdate(self._round, element, False)
 
     def extend(
         self, elements: Iterable[Any], updates: bool = True

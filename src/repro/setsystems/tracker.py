@@ -175,21 +175,41 @@ class DenseCountTracker(DiscrepancyTracker):
             )
         return value - 1
 
+    def _indices(self, elements: Sequence[Any]) -> np.ndarray:
+        """:meth:`_index` of every element of a non-empty sequence, as an array.
+
+        A sequence of exact ``int`` takes one numpy conversion and one
+        bounds check.  Anything else (bools, floats, numpy scalars, ints
+        beyond ``int64``) and any out-of-universe value goes through
+        :meth:`_index` element by element, so both paths accept, reject and
+        report exactly what :meth:`_index` does.
+        """
+        if set(map(type, elements)) <= {int}:
+            try:
+                indices = np.array(elements, dtype=np.int64) - 1
+            except OverflowError:
+                pass
+            else:
+                # Negative indices wrap to values of at least 2^63 here.
+                if int(indices.view(np.uint64).max()) < self.universe_size:
+                    return indices
+        return np.fromiter(
+            (self._index(element) for element in elements),
+            dtype=np.int64,
+            count=len(elements),
+        )
+
     def add(self, element: Any) -> None:
         index = self._index(element)
         self._counts[index] += 1
         self._n += 1
 
     def add_batch(self, elements: Iterable[Any]) -> None:
-        elements = list(elements)
+        if not isinstance(elements, Sequence):
+            elements = list(elements)
         if not elements:
             return
-        indices = np.fromiter(
-            (self._index(element) for element in elements),
-            dtype=np.int64,
-            count=len(elements),
-        )
-        np.add.at(self._counts, indices, 1)
+        np.add.at(self._counts, self._indices(elements), 1)
         self._n += len(elements)
 
     def reset(self) -> None:
@@ -207,12 +227,7 @@ class DenseCountTracker(DiscrepancyTracker):
         """Dense per-value counts of a sample snapshot (validated)."""
         if len(sample) == 0:
             raise EmptySampleError("an empty sample is never an epsilon-approximation")
-        indices = np.fromiter(
-            (self._index(element) for element in sample),
-            dtype=np.int64,
-            count=len(sample),
-        )
-        return np.bincount(indices, minlength=self.universe_size)
+        return np.bincount(self._indices(sample), minlength=self.universe_size)
 
     def _cumulative_difference(self, sample: Sequence[Any]) -> np.ndarray:
         """``F_stream(v) - F_sample(v)`` for every universe value ``v``.

@@ -15,7 +15,7 @@ stream, sample, update record and errors.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.adversary import CadencedAdversary
@@ -116,7 +116,7 @@ def reference_game(
         stream.append(element)
         updates.append(update)
         if attacking and knowledge != "oblivious":
-            player.observe(replace(update, round_index=local))
+            player.observe(update._replace(round_index=local))
         if round_index in checkpoints:
             errors.append(_error(set_system, stream, sampler.snapshot()))
     sample = sampler.snapshot()

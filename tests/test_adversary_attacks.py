@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.adversary import (
@@ -278,6 +279,44 @@ class TestEvictionChaser:
         assert adversary.next_element(1000, None) == 99
         # The back-off lasts one round.
         assert adversary.next_element(1001, None) == 1
+
+    @pytest.mark.parametrize("period", [1, 7, 32])
+    @pytest.mark.parametrize(
+        "reservoir_size, switch_threshold",
+        [(10, 0.5), (7, 0.3), (3, 0.1), (1, 1 / 3), (5, 1.0), (64, 0.75)],
+    )
+    def test_plan_matches_the_array_phase_rule(self, period, reservoir_size, switch_threshold):
+        """Consecutive block plans through the boundary round ``k / threshold``
+        equal the rule evaluated over an array of rounds, with a back-off
+        pending at every third block."""
+        adversary = EvictionChaserAdversary(
+            Prefix(10),
+            1,
+            99,
+            reservoir_size=reservoir_size,
+            switch_threshold=switch_threshold,
+            decision_period=period,
+        )
+        boundary = reservoir_size / switch_threshold
+        first, block, backoff = 1, 0, False
+        while first <= boundary + 3 * period:
+            if block % 3 == 2:
+                adversary._recent_in_range_accepted = backoff = True
+            rounds = np.arange(first, first + period)
+            early = np.minimum(1.0, reservoir_size / np.maximum(rounds, 1)) >= switch_threshold
+            expected = []
+            for is_early in early:
+                if is_early:
+                    expected.append(99)
+                elif backoff:
+                    backoff = False
+                    expected.append(99)
+                else:
+                    expected.append(1)
+            assert adversary.plan_block(first, period, None) == expected, first
+            assert adversary._recent_in_range_accepted == backoff
+            first, block = first + period, block + 1
+        assert not early.any()  # the last block lies wholly in the late phase
 
     def test_cannot_defeat_theorem_sized_reservoir(self, rng):
         from repro.core.bounds import reservoir_adaptive_size

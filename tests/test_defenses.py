@@ -259,6 +259,56 @@ class TestDifferenceEstimatorRotation:
         assert list(serving[30:40]) == [0] * 10  # copies recycle
 
 
+def _rule_rounds() -> list[int]:
+    """Random rounds, rotation boundaries, and rounds above 2^33, where the
+    DP hash's product ``r * 2654435761`` wraps mod 2^64."""
+    rng = np.random.default_rng(3)
+    boundaries = [edge + step for edge in (10, 20, 30, 32, 64, 96) for step in (-1, 0, 1)]
+    return [
+        1,
+        2,
+        *rng.integers(1, 10**6, size=200).tolist(),
+        *boundaries,
+        *rng.integers(2**33, 2**62, size=200).tolist(),
+        2**33,
+        2**63 - 1,
+    ]
+
+
+class TestOneRoundServingRule:
+    """``process`` and reads pick the serving copy by a scalar rule, which
+    must equal the column rule ``extend`` uses, round for round."""
+
+    @pytest.mark.parametrize("copies", [2, 3, 5])
+    @pytest.mark.parametrize("kind", sorted(WRAPPERS))
+    def test_scalar_rule_equals_the_column_rule(self, kind, copies):
+        options = {"rotation_period": 10} if kind == "difference_estimator" else {}
+        wrapper = make_wrapper(kind, copies=copies, **options)
+        if kind == "sketch_switching":
+            wrapper.extend(list(range(1, 9)), updates=False)
+            wrapper.observe_exposure()
+            wrapper.extend(list(range(1, 17)), updates=False)
+            wrapper.observe_exposure()
+            assert wrapper.switches_used == 1
+        rounds = _rule_rounds()
+        column = wrapper._serving_indices(np.array(rounds, dtype=np.int64)).tolist()
+        assert [wrapper._serving_copy(r) for r in rounds] == column
+
+    @pytest.mark.parametrize("kind", sorted(WRAPPERS))
+    def test_round_zero_read_serves_copy_zero(self, kind):
+        wrapper = make_wrapper(kind, copies=3, seed=5)
+        if kind != "sketch_switching":
+            # The rule itself would pick another copy at round 0.
+            assert wrapper._serving_copy(0) != 0
+        for _ in range(2):
+            assert wrapper.rounds_processed == 0
+            assert wrapper._serving_index() == 0
+            if kind != "difference_estimator":
+                assert wrapper.sample is wrapper.copy_samplers[0].sample
+            wrapper.extend(list(range(1, 40)), updates=False)
+            wrapper.reset()
+
+
 class TestSpaceAccountingAndMerge:
     @pytest.mark.parametrize("kind", sorted(WRAPPERS))
     def test_memory_footprint_sums_the_copies(self, kind):

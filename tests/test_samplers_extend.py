@@ -73,6 +73,30 @@ def _feed_chunks_sketch(sketch, data, plan):
         sketch.extend(data[cursor:])
 
 
+class TestSampleUpdate:
+    """The per-round record is an immutable named tuple."""
+
+    def test_fields_cannot_be_assigned(self):
+        update = SampleUpdate(4, "a", True)
+        for name in SampleUpdate._fields:
+            with pytest.raises(AttributeError):
+                setattr(update, name, None)
+        assert update == SampleUpdate(4, "a", True, None)
+
+    def test_replace_round_trips(self):
+        update = SampleUpdate(4, "a", True, evicted="b")
+        shifted = update._replace(round_index=1)
+        assert shifted == SampleUpdate(1, "a", True, "b")
+        assert shifted._replace(round_index=4) == update
+        assert update._replace() == update
+
+    def test_is_a_tuple_of_its_fields(self):
+        update = SampleUpdate(2, "x", False)
+        assert tuple(update) == (2, "x", False, None)
+        assert update == (2, "x", False, None)
+        assert SampleUpdate._fields == ("round_index", "element", "accepted", "evicted")
+
+
 class TestUpdateBatch:
     def test_lazy_views_and_equality(self):
         records = [

@@ -8,8 +8,9 @@ situations, always with identical reported errors:
   explicitly enumerated systems) — ``make_tracker`` returns ``None``;
 * the system has a tracker but the stream carries an element the tracker
   cannot index (outside the universe, non-integral, astronomically large) —
-  the tracker raises ``TrackerUnsupportedError`` mid-stream and the runner
-  recomputes every remaining (and the current) checkpoint from the stream.
+  the tracker raises ``TrackerUnsupportedError`` when the runner feeds it
+  that element, at the next checkpoint, and the runner recomputes that and
+  every later checkpoint from the stream.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 
 from repro.adversary import StaticAdversary, run_continuous_game
 from repro.exceptions import TrackerUnsupportedError
-from repro.samplers import ReservoirSampler
+from repro.samplers import BernoulliSampler, ReservoirSampler
 from repro.setsystems import (
     ExplicitSetSystem,
     HalfspaceSystem,
@@ -133,3 +134,33 @@ class TestFallbackBeforeFirstCheckpoint:
         stream = [base + i for i in uniform_stream(N, N, seed=4)]
         tracked, batch = _play(PrefixSystem(2**130), stream)
         _assert_identical(tracked, batch)
+
+
+@pytest.mark.parametrize("bad_element", [None, 0, N + 17, 2.5, 2**200])
+class TestCheckpointTimeJudging:
+    """The runner feeds the tracker only when it judges a checkpoint: one
+    ``add`` or ``add_batch`` call with everything played since the last
+    judgement.  Neither that nor the chunking may move any error."""
+
+    @staticmethod
+    def _errors(stream, checkpoints, chunk_size, incremental):
+        result = run_continuous_game(
+            BernoulliSampler(0.5, seed=3),  # extend is bit-identical to process
+            StaticAdversary(stream),
+            len(stream),
+            set_system=PrefixSystem(N),
+            checkpoints=checkpoints,
+            incremental=incremental,
+            chunk_size=chunk_size,
+        )
+        return result.checkpoint_errors + [result.error]
+
+    @pytest.mark.parametrize("checkpoints", [CHECKPOINTS, range(1, N + 1)], ids=["sparse", "every"])
+    def test_errors_agree_across_chunk_sizes_and_paths(self, bad_element, checkpoints):
+        stream = uniform_stream(N, N, seed=11)
+        if bad_element is not None:
+            stream[20] = bad_element
+        reference = self._errors(stream, checkpoints, 1, incremental=False)
+        for chunk_size in (1, 7, None):
+            for incremental in (True, False):
+                assert self._errors(stream, checkpoints, chunk_size, incremental) == reference

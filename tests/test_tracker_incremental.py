@@ -9,6 +9,7 @@ adversarial streams.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -233,3 +234,66 @@ class TestTrackerEdgeCases:
         assert huge.make_tracker(stream_length=DenseCountTracker.MAX_DENSE_UNIVERSE) is not None
         # Small universes always qualify, whatever the stream length.
         assert PrefixSystem(1024).make_tracker(stream_length=10) is not None
+
+
+class TestVectorisedIndexing:
+    """A batch, or a checkpoint's sample, of exact ``int`` is indexed with
+    one numpy conversion; anything else goes through ``_index`` element by
+    element.  Both routes must accept, count and reject exactly alike."""
+
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            [3, 7],
+            [3.0, 4],
+            [True, 2],
+            [np.int64(5), np.int32(16), np.uint8(1)],
+            (1, UNIVERSE, UNIVERSE, 2),
+            range(1, UNIVERSE + 1),
+        ],
+        ids=["ints", "floats", "bool", "numpy-ints", "tuple", "range"],
+    )
+    @pytest.mark.parametrize("system_cls", SYSTEMS)
+    def test_equals_per_element_index(self, system_cls, elements):
+        one = system_cls(UNIVERSE).make_tracker()
+        other = system_cls(UNIVERSE).make_tracker()
+        expected = [one._index(element) for element in elements]
+        assert one._indices(elements).tolist() == expected
+        for element in elements:
+            one.add(element)
+        other.add_batch(elements)
+        assert one.stream_length == other.stream_length == len(expected)
+        assert one._counts.tolist() == other._counts.tolist()
+        sample_counts = np.bincount(expected, minlength=UNIVERSE)
+        assert one._sample_counts(elements).tolist() == sample_counts.tolist()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[0], [UNIVERSE + 1], [2.5], ["7"], [2**70], [-1], [3, 0], [4, 2**70, 5]],
+        ids=["zero", "above", "fraction", "string", "huge", "negative", "then-zero", "then-huge"],
+    )
+    def test_rejection_changes_nothing(self, bad):
+        tracker = PrefixSystem(UNIVERSE).make_tracker()
+        tracker.add_batch([1, 5, 9])
+        counts = tracker._counts.tolist()
+        before = tracker.checkpoint([5, 9])
+        offender = next(element for element in bad if not self._indexable(tracker, element))
+        with pytest.raises(TrackerUnsupportedError) as expected:
+            tracker._index(offender)
+        for call in (tracker.add_batch, tracker.checkpoint):
+            with pytest.raises(TrackerUnsupportedError) as raised:
+                call(bad)
+            assert str(raised.value) == str(expected.value)
+            assert tracker.stream_length == 3
+            assert tracker._counts.tolist() == counts
+        after = tracker.checkpoint([5, 9])
+        assert (after.error, after.witness) == (before.error, before.witness)
+
+    @staticmethod
+    def _indexable(tracker, element) -> bool:
+        try:
+            tracker._index(element)
+        except TrackerUnsupportedError:
+            return False
+        return True
+
