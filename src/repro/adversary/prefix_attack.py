@@ -16,15 +16,27 @@ per-round update records — ``decision_needs = "sample"``), so with
 greedy direction for the whole block, and keeps its stream-density
 bookkeeping in one vectorised step per block.  ``p=1`` is the historical
 per-round greedy, decision for decision.
+
+Decision cost: a sample handed over as a tuple is immutable, so its density
+is memoised on its identity.  Bernoulli and reservoir samplers hand out the
+same tuple until their sample changes (in O(k ln n) of n reservoir rounds,
+about pn Bernoulli rounds), so a decision on an unchanged sample is O(1);
+any other sequence is recounted on every read.  A block of a fixed
+element is counted from its known membership, not element by element.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from functools import partial
 from typing import Any
 
 from ..exceptions import ConfigurationError
 from .base import CadencedAdversary
+
+
+def _count_members(target_range: Any, elements: Sequence[Any]) -> int:
+    return sum(map(target_range.__contains__, elements))
 
 
 class GreedyDensityAdversary(CadencedAdversary):
@@ -63,24 +75,37 @@ class GreedyDensityAdversary(CadencedAdversary):
     ) -> None:
         super().__init__(decision_period)
         self.target_range = target_range
-        self._in_supplier = self._as_supplier(in_range_element, expected_inside=True)
-        self._out_supplier = self._as_supplier(out_range_element, expected_inside=False)
+        count_in = getattr(target_range, "count_in", None)
+        # A target without ``count_in`` is counted through its membership test.
+        self._count_in: Callable[[Sequence[Any]], int] = (
+            count_in if count_in is not None else partial(_count_members, target_range)
+        )
+        self._in_supplier, self._in_hits = self._as_supplier(in_range_element, expected_inside=True)
+        self._out_supplier, self._out_hits = self._as_supplier(
+            out_range_element, expected_inside=False
+        )
         self.widen = widen
         self._stream_hits = 0
         self._stream_length = 0
+        # The last tuple sample counted and its density.
+        self._counted: tuple[Any, ...] | None = None
+        self._counted_density = 0.0
 
     def _as_supplier(
         self, spec: Any | Callable[[], Any], expected_inside: bool
-    ) -> Callable[[], Any]:
+    ) -> tuple[Callable[[], Any], int | None]:
+        """The supplier of ``spec`` and, for a fixed element, its in-range
+        count per submission (1 or 0); ``None`` for a callable, whose
+        elements are counted as they come."""
         if callable(spec):
-            return spec
+            return spec, None
         inside = spec in self.target_range
         if inside != expected_inside:
             raise ConfigurationError(
                 f"element {spec!r} is {'inside' if inside else 'outside'} the target "
                 f"range but was supplied as the {'in' if expected_inside else 'out'}-range element"
             )
-        return lambda: spec
+        return (lambda: spec), int(inside)
 
     # ------------------------------------------------------------------
     # Cadence interface
@@ -101,16 +126,24 @@ class GreedyDensityAdversary(CadencedAdversary):
 
     def _submit_block(self, send_in_range: bool, count: int) -> list[Any]:
         """Draw the block's elements and keep the stream-density bookkeeping."""
-        supplier = self._in_supplier if send_in_range else self._out_supplier
-        elements = [supplier() for _ in range(count)]
+        if send_in_range:
+            supplier, hits = self._in_supplier, self._in_hits
+        else:
+            supplier, hits = self._out_supplier, self._out_hits
         self._stream_length += count
-        self._stream_hits += self._count_in_range(elements)
+        if hits is not None:
+            self._stream_hits += hits * count
+            return [supplier()] * count
+        elements = [supplier() for _ in range(count)]
+        self._stream_hits += self._count_in(elements)
         return elements
 
     def reset(self) -> None:
         super().reset()
         self._stream_hits = 0
         self._stream_length = 0
+        self._counted = None
+        self._counted_density = 0.0
 
     # ------------------------------------------------------------------
     # Helpers
@@ -120,22 +153,18 @@ class GreedyDensityAdversary(CadencedAdversary):
             return 0.0
         return self._stream_hits / self._stream_length
 
-    def _count_in_range(self, elements: Sequence[Any]) -> int:
-        """Positions of ``elements`` inside the target range.
-
-        Uses the range's ``count_in`` (one bound comparison per element for
-        prefixes and intervals); a target without one is counted through
-        its membership test.
-        """
-        count_in = getattr(self.target_range, "count_in", None)
-        if count_in is None:
-            return sum(map(self.target_range.__contains__, elements))
-        return count_in(elements)
-
     def _sample_density(self, observed_sample: Sequence[Any] | None) -> float:
+        """The target's share of the observed sample, memoised on the
+        identity of the last tuple counted (a tuple cannot change, and the
+        memo's reference keeps its identity from being reused)."""
         if not observed_sample:
             return 0.0
-        return self._count_in_range(observed_sample) / len(observed_sample)
+        if observed_sample is self._counted:
+            return self._counted_density
+        density = self._count_in(observed_sample) / len(observed_sample)
+        if type(observed_sample) is tuple:
+            self._counted, self._counted_density = observed_sample, density
+        return density
 
     def _current_gap(self, observed_sample: Sequence[Any] | None) -> float:
         """The density gap ``d_R(X_{i-1}) - d_R(S_{i-1})`` the adversary reacts to.

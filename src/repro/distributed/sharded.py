@@ -790,7 +790,7 @@ class ShardedSampler(StreamSampler):
         splitter = getattr(parent, "split", None)
         if splitter is not None:
             sibling = splitter(rng=self._merge_rng)
-            moved = len(sibling.sample)
+            moved = sibling.sample_size
         else:
             sibling = self._site_factory(spawn_generators(self._rng, 1)[0])
             self._validate_site(sibling)

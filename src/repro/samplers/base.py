@@ -333,7 +333,15 @@ class StreamSampler(ABC):
     @property
     @abstractmethod
     def sample(self) -> Sequence[Any]:
-        """The currently maintained sample ``S_i`` (a subsequence of the stream)."""
+        """The currently maintained sample ``S_i`` (a subsequence of the stream).
+
+        Treat the result as read-only.  Samplers that store their sample
+        (Bernoulli and reservoir, through :class:`StoredSample`) return a
+        tuple that later rounds never change: reads between two changes
+        return the same object, and a reference held across a change keeps
+        the old sample rather than tracking the sampler.  Other samplers
+        may build a new sequence on every read.
+        """
 
     @property
     def rounds_processed(self) -> int:
@@ -383,6 +391,36 @@ class StreamSampler(ABC):
             f"{type(self).__name__}(rounds={self.rounds_processed}, "
             f"sample_size={self.sample_size})"
         )
+
+
+class StoredSample:
+    """Mixin for samplers that keep their sample in the list ``_sample``.
+
+    :attr:`sample` is a tuple copy of that list, built on the first read
+    after a change and handed out again until the next one.  Reads of an
+    unchanged sample therefore cost O(1) and return the same object, which
+    callers may memoise on (the greedy density attack counts each sample
+    once), and a view already handed out never changes.  Every path that
+    changes ``_sample`` sets ``_view`` to ``None``.  Size reads go to the
+    list and never build a view.
+    """
+
+    _sample: list[Any]
+    _view: tuple[Any, ...] | None
+
+    @property
+    def sample(self) -> tuple[Any, ...]:
+        view = self._view
+        if view is None:
+            view = self._view = tuple(self._sample)
+        return view
+
+    @property
+    def sample_size(self) -> int:
+        return len(self._sample)
+
+    def memory_footprint(self) -> int:
+        return len(self._sample)
 
 
 class FixedSizeSampler(StreamSampler):

@@ -17,10 +17,10 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..rng import RandomState, ensure_generator, spawn_generators
-from .base import SampleUpdate, StreamSampler, UpdateBatch
+from .base import SampleUpdate, StoredSample, StreamSampler, UpdateBatch
 
 
-class BernoulliSampler(StreamSampler):
+class BernoulliSampler(StoredSample, StreamSampler):
     """Keep each element independently with probability ``probability``.
 
     Parameters
@@ -31,6 +31,8 @@ class BernoulliSampler(StreamSampler):
         Seed or generator for the sampler's private coin flips.  The adversary
         observes the sampler's *state* (its sample) but never its future
         randomness, matching the model of Section 2.
+
+    :attr:`sample` is a cached tuple view (:class:`~repro.samplers.base.StoredSample`).
     """
 
     name = "bernoulli"
@@ -44,6 +46,7 @@ class BernoulliSampler(StreamSampler):
         self.probability = float(probability)
         self._rng = ensure_generator(seed)
         self._sample: list[Any] = []
+        self._view: tuple[Any, ...] | None = None
 
     # ------------------------------------------------------------------
     # StreamSampler interface
@@ -52,6 +55,7 @@ class BernoulliSampler(StreamSampler):
         accepted = bool(self._rng.random() < self.probability)
         if accepted:
             self._sample.append(element)
+            self._view = None
         return SampleUpdate(self._round, element, accepted)
 
     def extend(
@@ -72,9 +76,10 @@ class BernoulliSampler(StreamSampler):
         accepted = coins < self.probability
         start_round = self._round
         self._round += len(elements)
-        self._sample.extend(
-            element for element, taken in zip(elements, accepted) if taken
-        )
+        kept = [element for element, taken in zip(elements, accepted) if taken]
+        if kept:
+            self._sample.extend(kept)
+            self._view = None
         if not updates:
             return None
         round_indices = np.arange(
@@ -123,12 +128,9 @@ class BernoulliSampler(StreamSampler):
                 )
         return parts
 
-    @property
-    def sample(self) -> Sequence[Any]:
-        return self._sample
-
     def reset(self) -> None:
         self._sample = []
+        self._view = None
         self._round = 0
 
     # ------------------------------------------------------------------

@@ -24,12 +24,12 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..rng import RandomState, ensure_generator, spawn_generators
-from .base import FixedSizeSampler, SampleUpdate, UpdateBatch
+from .base import FixedSizeSampler, SampleUpdate, StoredSample, UpdateBatch
 
 EvictionPolicy = Literal["uniform", "fifo", "min-value"]
 
 
-class ReservoirSampler(FixedSizeSampler):
+class ReservoirSampler(StoredSample, FixedSizeSampler):
     """Maintain a uniform fixed-size sample of the stream seen so far.
 
     Parameters
@@ -44,6 +44,8 @@ class ReservoirSampler(FixedSizeSampler):
         policy the paper's guarantees cover); ``"fifo"`` always overwrites the
         oldest surviving element and ``"min-value"`` overwrites the smallest
         element — both are provided solely for the ablation experiments.
+
+    :attr:`sample` is a cached tuple view (:class:`~repro.samplers.base.StoredSample`).
     """
 
     name = "reservoir"
@@ -60,6 +62,7 @@ class ReservoirSampler(FixedSizeSampler):
         self.eviction = eviction
         self._rng = ensure_generator(seed)
         self._sample: list[Any] = []
+        self._view: tuple[Any, ...] | None = None
         self._insertion_order: list[int] = []
         self._total_accepted = 0
 
@@ -70,6 +73,7 @@ class ReservoirSampler(FixedSizeSampler):
         i = self._round
         if len(self._sample) < self.capacity:
             self._sample.append(element)
+            self._view = None
             self._insertion_order.append(i)
             self._total_accepted += 1
             return SampleUpdate(i, element, True)
@@ -81,6 +85,7 @@ class ReservoirSampler(FixedSizeSampler):
         slot = self._choose_victim_slot()
         evicted = self._sample[slot]
         self._sample[slot] = element
+        self._view = None
         self._insertion_order[slot] = i
         self._total_accepted += 1
         return SampleUpdate(i, element, True, evicted)
@@ -109,11 +114,12 @@ class ReservoirSampler(FixedSizeSampler):
         fill_batch: UpdateBatch | None = None
         position = 0
         # Fill phase (and any rounds before it): sequential, at most k steps.
-        if len(self._sample) < self.capacity:
+        if elements and len(self._sample) < self.capacity:
             position = min(len(elements), self.capacity - len(self._sample))
             fill = elements[:position]
             start_round = self._round
             self._sample.extend(fill)
+            self._view = None
             self._insertion_order.extend(
                 range(start_round + 1, start_round + len(fill) + 1)
             )
@@ -136,6 +142,8 @@ class ReservoirSampler(FixedSizeSampler):
         slots = self._rng.integers(0, self.capacity, size=len(accepted_positions))
         self._round = start_round + len(rest)
         self._total_accepted += len(accepted_positions)
+        if len(accepted_positions):
+            self._view = None
         evictions: dict[int, Any] | None = {} if updates else None
         for offset, slot in zip(accepted_positions, slots):
             slot = int(slot)
@@ -312,6 +320,7 @@ class ReservoirSampler(FixedSizeSampler):
         sibling._round = n_sibling
         keep = [i for i in range(stored) if i not in chosen]
         self._sample = [self._sample[i] for i in keep]
+        self._view = None
         self._insertion_order = [self._insertion_order[i] for i in keep]
         self._round = n_keep
         return sibling
@@ -354,12 +363,9 @@ class ReservoirSampler(FixedSizeSampler):
                 )
         return parts
 
-    @property
-    def sample(self) -> Sequence[Any]:
-        return self._sample
-
     def reset(self) -> None:
         self._sample = []
+        self._view = None
         self._insertion_order = []
         self._total_accepted = 0
         self._round = 0

@@ -25,3 +25,12 @@ def test_gate_judges_the_minimums_plus_the_floor():
     assert Timing(op, 1, [1.0, 3.0], [1.12, 5.0]).passes
     assert not Timing(op, 1, [1.0, 3.0], [1.13, 1.14]).passes
     assert Timing(replace(op, bound=None), 1, [1.0], [9.0]).passes
+
+
+def test_summary_reports_the_median_per_repeat_ratio():
+    """The minimums can come from two phases of the host's speed; the
+    per-repeat ratios compare sides that ran back to back."""
+    timing = Timing(OPS[0], 1, [1.0, 2.0, 2.0], [2.0, 2.0, 2.0])
+    assert timing.ratio == pytest.approx(2.0)
+    assert timing.paired_ratio == pytest.approx(1.0)
+    assert "1.000 per repeat" in timing.summary()

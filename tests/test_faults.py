@@ -283,7 +283,7 @@ class TestCrashSemantics:
             sharded.process(element)
         assert len(sharded.site_sample(1)) == 4
         sharded.process(data[9])  # round 10: the crash fires first
-        assert sharded.site_sample(1) == []
+        assert sharded.site_sample(1) == ()
         assert sharded.down_sites == (1,)
 
     def test_down_site_updates_are_not_accepted(self):
