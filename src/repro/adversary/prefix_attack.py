@@ -18,11 +18,12 @@ bookkeeping in one vectorised step per block.  ``p=1`` is the historical
 per-round greedy, decision for decision.
 
 Decision cost: a sample handed over as a tuple is immutable, so its density
-is memoised on its identity.  Bernoulli and reservoir samplers hand out the
-same tuple until their sample changes (in O(k ln n) of n reservoir rounds,
-about pn Bernoulli rounds), so a decision on an unchanged sample is O(1);
-any other sequence is recounted on every read.  A block of a fixed
-element is counted from its known membership, not element by element.
+is memoised on its identity.  Bernoulli, reservoir, sliding-window,
+priority and weighted-reservoir samplers hand out the same tuple until
+their sample changes (in O(k ln n) of n reservoir rounds, about pn
+Bernoulli rounds), so a decision on an unchanged sample is O(1); any other
+sequence is recounted on every read.  A block of a fixed element is
+counted from its known membership, not element by element.
 """
 
 from __future__ import annotations

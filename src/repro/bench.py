@@ -81,7 +81,7 @@ __all__ = [
 
 #: Canonical report file name for this PR's benchmark artefact.  CI derives
 #: its output/artifact name from this constant instead of hardcoding it.
-BENCH_FILENAME = "BENCH_PR20.json"
+BENCH_FILENAME = "BENCH_PR25.json"
 
 #: Fields every benchmark record must carry (the report schema).
 RECORD_FIELDS = ("op", "n", "seconds", "throughput", "speedup")
@@ -294,6 +294,29 @@ def _full_windows(short: SlidingWindowSampler, long: SlidingWindowSampler) -> No
     assert short.rounds_processed == long.rounds_processed
     for window in (short, long):
         assert window.sample_size == min(64, window.rounds_processed), window
+
+
+def _window_reads(n: int) -> Sides:
+    """A per-element ``process`` loop on a (64, 8192) window, without and
+    with a ``sample`` read after every round, as a fully adaptive game
+    reads it.  The sample changes in few rounds and reads in between are
+    O(1), so the reads should cost little next to the kernel."""
+    data = _stream(n)
+
+    def play(read: bool) -> SlidingWindowSampler:
+        window = SlidingWindowSampler(64, 8_192, seed=1)
+        for element in data:
+            window.process(element)
+            if read:
+                _ = window.sample
+        return window
+
+    return partial(play, False), partial(play, True)
+
+
+def _same_windows(bare: SlidingWindowSampler, read: SlidingWindowSampler) -> None:
+    assert bare.rounds_processed == read.rounds_processed
+    assert bare.sample == read.sample
 
 
 # ----------------------------------------------------------------------
@@ -564,6 +587,7 @@ OPS: tuple[Op, ...] = (
     # 20,000 elements overrun the 8,192-element window, so both sides expire.
     _extend_op("sliding-window", 20_000, partial(SlidingWindowSampler, 64, 8192, seed=1), _stream),
     Op("window/per-element", 20_000, _window_geometries, _full_windows, bound=1.5),
+    Op("window/read-per-round", 20_000, _window_reads, _same_windows, bound=1.5),
     _extend_op("misra-gries", 100_000, partial(MisraGriesSummary, 200), _heavy),
     _extend_op("kll", 100_000, partial(KLLSketch, 128, seed=1), _floats),
     _extend_op("greenwald-khanna", 100_000, partial(GreenwaldKhannaSketch, 0.02), _floats),

@@ -224,6 +224,12 @@ class ReplicatedDefenseSampler(StreamSampler):
         """The serving copy's maintained sample."""
         return self._copies[self._serving_index()].sample
 
+    @property
+    def sample_size(self) -> int:
+        """The serving copy's sample size; a size read shows no sample, so
+        it is no exposure."""
+        return self._copies[self._serving_index()].sample_size
+
     def memory_footprint(self) -> int:
         """Elements held across all copies (the defense's true space cost)."""
         return sum(copy_.memory_footprint() for copy_ in self._copies)

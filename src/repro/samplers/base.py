@@ -335,12 +335,13 @@ class StreamSampler(ABC):
     def sample(self) -> Sequence[Any]:
         """The currently maintained sample ``S_i`` (a subsequence of the stream).
 
-        Treat the result as read-only.  Samplers that store their sample
-        (Bernoulli and reservoir, through :class:`StoredSample`) return a
-        tuple that later rounds never change: reads between two changes
-        return the same object, and a reference held across a change keeps
-        the old sample rather than tracking the sampler.  Other samplers
-        may build a new sequence on every read.
+        Treat the result as read-only.  The five samplers that keep their
+        sample in memory (Bernoulli, reservoir, sliding window, priority and
+        weighted reservoir, through :class:`CachedView`) return a tuple
+        that later rounds never change: reads between two changes return
+        the same object, and a reference held across a change keeps the old
+        sample rather than tracking the sampler.  Sketches still build a
+        new sequence on every read.
         """
 
     @property
@@ -393,27 +394,41 @@ class StreamSampler(ABC):
         )
 
 
-class StoredSample:
-    """Mixin for samplers that keep their sample in the list ``_sample``.
+class CachedView:
+    """Mixin for samplers that keep their sample in memory.
 
-    :attr:`sample` is a tuple copy of that list, built on the first read
+    :attr:`sample` is a tuple built by :meth:`_build_view` on the first read
     after a change and handed out again until the next one.  Reads of an
     unchanged sample therefore cost O(1) and return the same object, which
     callers may memoise on (the greedy density attack counts each sample
     once), and a view already handed out never changes.  Every path that
-    changes ``_sample`` sets ``_view`` to ``None``.  Size reads go to the
-    list and never build a view.
+    can change the sample sets ``_view`` to ``None``.
     """
 
-    _sample: list[Any]
     _view: tuple[Any, ...] | None
 
     @property
     def sample(self) -> tuple[Any, ...]:
         view = self._view
         if view is None:
-            view = self._view = tuple(self._sample)
+            view = self._view = self._build_view()
         return view
+
+    def _build_view(self) -> tuple[Any, ...]:
+        """The current sample as a new tuple."""
+        raise NotImplementedError
+
+
+class StoredSample(CachedView):
+    """Cached views of a sample kept in the list ``_sample``.
+
+    Size reads go to the list and never build a view.
+    """
+
+    _sample: list[Any]
+
+    def _build_view(self) -> tuple[Any, ...]:
+        return tuple(self._sample)
 
     @property
     def sample_size(self) -> int:

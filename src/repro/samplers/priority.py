@@ -12,17 +12,17 @@ experiments can be rerun against it unchanged.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from typing import Any
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..rng import RandomState, ensure_generator
-from .base import FixedSizeSampler, SampleUpdate, UpdateBatch
+from .base import CachedView, FixedSizeSampler, SampleUpdate, UpdateBatch
 
 
-class PrioritySampler(FixedSizeSampler):
+class PrioritySampler(CachedView, FixedSizeSampler):
     """Keep the ``k`` elements with the largest priorities ``w_i / u_i``.
 
     Parameters
@@ -33,6 +33,8 @@ class PrioritySampler(FixedSizeSampler):
         Callable mapping an element to a positive weight (defaults to 1).
     seed:
         Seed or generator for the uniform draws.
+
+    :attr:`sample` is a cached tuple view (:class:`~repro.samplers.base.CachedView`).
     """
 
     name = "priority"
@@ -48,6 +50,7 @@ class PrioritySampler(FixedSizeSampler):
         self.weight = weight if weight is not None else (lambda _element: 1.0)
         self._rng = ensure_generator(seed)
         self._heap: list[tuple[float, int, Any]] = []
+        self._view: tuple[Any, ...] | None = None
         self._tiebreak = 0
 
     def _process(self, element: Any) -> SampleUpdate:
@@ -62,9 +65,11 @@ class PrioritySampler(FixedSizeSampler):
         self._tiebreak += 1
         if len(self._heap) < self.capacity:
             heapq.heappush(self._heap, entry)
+            self._view = None
             return SampleUpdate(self._round, element, True)
         if priority > self._heap[0][0]:
             evicted_entry = heapq.heapreplace(self._heap, entry)
+            self._view = None
             return SampleUpdate(self._round, element, True, evicted_entry[2])
         return SampleUpdate(self._round, element, False)
 
@@ -130,16 +135,18 @@ class PrioritySampler(FixedSizeSampler):
                     accepted[offset] = True
                     if updates:
                         evictions[offset] = evicted_entry[2]
+        if accepted.any():
+            self._view = None
         if not updates:
             return None
         round_indices = np.arange(start_round + 1, start_round + n + 1, dtype=np.int64)
         return UpdateBatch(round_indices, elements, accepted, evictions)
 
-    @property
-    def sample(self) -> Sequence[Any]:
-        return [element for _priority, _tiebreak, element in self._heap]
+    def _build_view(self) -> tuple[Any, ...]:
+        return tuple([element for _priority, _tiebreak, element in self._heap])
 
     def reset(self) -> None:
         self._heap = []
+        self._view = None
         self._tiebreak = 0
         self._round = 0

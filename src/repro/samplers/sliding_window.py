@@ -36,10 +36,10 @@ from numpy.typing import NDArray
 
 from ..exceptions import ConfigurationError
 from ..rng import RandomState, ensure_generator, spawn_generators
-from .base import SampleUpdate, StreamSampler, UpdateBatch
+from .base import CachedView, SampleUpdate, StreamSampler, UpdateBatch
 
 
-class SlidingWindowSampler(StreamSampler):
+class SlidingWindowSampler(CachedView, StreamSampler):
     """Uniform ``k``-sample over the last ``window`` stream elements.
 
     Parameters
@@ -50,6 +50,8 @@ class SlidingWindowSampler(StreamSampler):
         Window length ``w``; only the most recent ``w`` elements are eligible.
     seed:
         Seed or generator for priorities.
+
+    :attr:`sample` is a cached tuple view (:class:`~repro.samplers.base.CachedView`).
     """
 
     name = "sliding-window"
@@ -90,7 +92,10 @@ class SlidingWindowSampler(StreamSampler):
         candidates plus the arrival.  The arrival is accepted when fewer
         than ``capacity`` live priorities are at most its own: the sample is
         the stable priority sort's first ``capacity`` entries, and the
-        newest arrival sorts after every equal priority.
+        newest arrival sorts after every equal priority.  Only an accepted
+        arrival or an expiry changes the sample: a pruned candidate has
+        ``capacity`` live later arrivals of strictly smaller priority, so it
+        is no member, and a rejected arrival sorts after the members.
         """
         arrival = self._round
         priority = float(self._rng.random())
@@ -110,6 +115,8 @@ class SlidingWindowSampler(StreamSampler):
         dominated = priorities[:n] > priority
         n_dominated = int(np.count_nonzero(dominated))
         accepted = n - n_dominated < self.capacity
+        if accepted or expired:
+            self._view = None
         if n_dominated:
             live_counts = counts[:n]
             live_counts += dominated
@@ -244,9 +251,8 @@ class SlidingWindowSampler(StreamSampler):
                 )
         return parts
 
-    @property
-    def sample(self) -> Sequence[Any]:
-        return [element for _arrival, _priority, element in self._current_sample_entries()]
+    def _build_view(self) -> tuple[Any, ...]:
+        return tuple([element for _arrival, _priority, element in self._current_sample_entries()])
 
     def reset(self) -> None:
         self._install([], [])
@@ -296,6 +302,7 @@ class SlidingWindowSampler(StreamSampler):
 
     def _install(self, candidates: list[tuple[int, float, Any]], counts: list[int]) -> None:
         """Adopt ``candidates`` (arrival order) with their domination counts."""
+        self._view: tuple[Any, ...] | None = None
         n = len(candidates)
         size = max(2 * n, 16)
         self._candidates: list[tuple[int, float, Any]] = candidates

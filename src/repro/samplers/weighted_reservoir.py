@@ -13,17 +13,17 @@ weights has another lever to pull).
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from typing import Any
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..rng import RandomState, ensure_generator
-from .base import FixedSizeSampler, SampleUpdate, UpdateBatch
+from .base import CachedView, FixedSizeSampler, SampleUpdate, UpdateBatch
 
 
-class WeightedReservoirSampler(FixedSizeSampler):
+class WeightedReservoirSampler(CachedView, FixedSizeSampler):
     """A-Res weighted reservoir sampler.
 
     Parameters
@@ -36,6 +36,8 @@ class WeightedReservoirSampler(FixedSizeSampler):
         stream (in distribution).
     seed:
         Seed or generator for the key draws.
+
+    :attr:`sample` is a cached tuple view (:class:`~repro.samplers.base.CachedView`).
     """
 
     name = "weighted-reservoir"
@@ -53,6 +55,7 @@ class WeightedReservoirSampler(FixedSizeSampler):
         # Min-heap of (key, tiebreak, element); the reservoir holds the k
         # largest keys seen so far.
         self._heap: list[tuple[float, int, Any]] = []
+        self._view: tuple[Any, ...] | None = None
         self._tiebreak = 0
 
     # ------------------------------------------------------------------
@@ -76,9 +79,11 @@ class WeightedReservoirSampler(FixedSizeSampler):
         self._tiebreak += 1
         if len(self._heap) < self.capacity:
             heapq.heappush(self._heap, entry)
+            self._view = None
             return SampleUpdate(self._round, element, True)
         if key > self._heap[0][0]:
             evicted_entry = heapq.heapreplace(self._heap, entry)
+            self._view = None
             return SampleUpdate(self._round, element, True, evicted_entry[2])
         return SampleUpdate(self._round, element, False)
 
@@ -160,17 +165,19 @@ class WeightedReservoirSampler(FixedSizeSampler):
                     accepted[offset] = True
                     if updates:
                         evictions[offset] = evicted_entry[2]
+        if accepted.any():
+            self._view = None
         if not updates:
             return None
         round_indices = np.arange(start_round + 1, start_round + n + 1, dtype=np.int64)
         return UpdateBatch(round_indices, elements, accepted, evictions)
 
-    @property
-    def sample(self) -> Sequence[Any]:
-        return [element for _key, _tiebreak, element in self._heap]
+    def _build_view(self) -> tuple[Any, ...]:
+        return tuple([element for _key, _tiebreak, element in self._heap])
 
     def reset(self) -> None:
         self._heap = []
+        self._view = None
         self._tiebreak = 0
         self._round = 0
 

@@ -200,6 +200,20 @@ class TestSketchSwitchingSchedule:
         assert wrapper.switches_used == 1  # R - 1 switches, then the last copy holds
         assert wrapper.sample == wrapper.copy_samplers[1].sample
 
+    def test_size_reads_are_no_exposure(self):
+        """Sizing the wrapper shows no sample: neither ``degradation_report``
+        nor ``sample_size`` starts an exposure epoch or spends a switch,
+        while a ``sample`` read still exposes the serving copy."""
+        wrapper = SketchSwitchingSampler(lambda rng: ReservoirSampler(4, seed=rng), copies=3, seed=1)
+        wrapper.extend(list(range(49)))
+        assert wrapper.degradation_report()["sample_size"] == 4
+        assert wrapper._exposed_round is None
+        wrapper.extend(list(range(59)))
+        assert wrapper.sample_size == 4
+        assert (wrapper._exposed_round, wrapper.switches_used) == (None, 0)
+        wrapper.sample
+        assert (wrapper._exposed_round, wrapper.switches_used) == (108, 0)
+
     def test_reset_restores_the_first_copy(self):
         wrapper = SketchSwitchingSampler(bernoulli_factory, copies=2, growth=1.1, seed=1)
         wrapper.extend(list(range(1, 51)), updates=False)
@@ -317,6 +331,18 @@ class TestSpaceAccountingAndMerge:
         assert wrapper.memory_footprint() == sum(
             copy_.memory_footprint() for copy_ in wrapper.copy_samplers
         )
+
+    @pytest.mark.parametrize("kind", sorted(WRAPPERS))
+    def test_sample_size_is_the_serving_copys(self, kind):
+        """Bernoulli copies hold samples of different sizes, so only the
+        serving copy's size equals the size of the sample a read serves.
+        The read goes first: under sketch switching it may switch copies,
+        and the size read must follow."""
+        rotation = {"rotation_period": 5} if kind == "difference_estimator" else {}
+        wrapper = make_wrapper(kind, copies=3, **rotation)
+        for start in range(0, 60, 3):
+            wrapper.extend(list(range(start, start + 3)), updates=False)
+            assert len(wrapper.sample) == wrapper.sample_size
 
     def test_matched_space_spec_divides_the_budget(self):
         assert matched_space_spec({"family": "reservoir", "capacity": 48}, 4) == {

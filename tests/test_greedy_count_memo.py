@@ -6,9 +6,9 @@ known membership.  Every game here is played twice from the same seeds:
 once by the real attack and once by a test-local greedy that recounts the
 whole stream and the whole observed sample at every decision.  The played
 streams must be equal element for element, across samplers whose views are
-cached tuples (Bernoulli, reservoir), a fresh tuple per read (a sharded
-reservoir), a fresh list per read (a sliding window), a changing serving
-copy (sketch switching, DP aggregation) and one list mutated in place.
+cached tuples (Bernoulli, reservoir, sliding window), a fresh tuple per
+read (a sharded reservoir), a changing serving copy (sketch switching, DP
+aggregation) and one list mutated in place.
 """
 
 from __future__ import annotations
@@ -207,6 +207,19 @@ class _CountingPrefix(Range):
         return sum(element <= self.bound for element in elements)
 
 
+class _ViewRecordingGreedy(MixingGreedyDensityAdversary):
+    """The mixing greedy, keeping every sample it is handed (so no two
+    distinct views can share an identity)."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.seen: list[Any] = []
+
+    def plan_block(self, round_index: int, count: int, observed_sample: Any) -> list[Any]:
+        self.seen.append(observed_sample)
+        return super().plan_block(round_index, count, observed_sample)
+
+
 class TestCountMemo:
     def test_a_tuple_is_counted_once_until_it_changes(self):
         target = _CountingPrefix(10)
@@ -247,6 +260,17 @@ class TestCountMemo:
         assert supplied.next_elements(1, 5, ()) == [50] * 5
         assert target.counted == [5]
         assert (supplied._stream_hits, supplied._stream_length) == (0, 5)
+
+    def test_a_period_one_game_counts_each_window_view_once(self):
+        """A window hands out one tuple per change of its sample, so the
+        attack counts each view it is handed once, and far fewer views than
+        decisions."""
+        target = _CountingPrefix(_UNIVERSE // 4)
+        adversary = _ViewRecordingGreedy(target, 1, _UNIVERSE)
+        run_adaptive_game(SlidingWindowSampler(8, 200, seed=0), adversary, 2_000, keep_updates=False)
+        assert all(type(view) is tuple for view in adversary.seen)
+        views = {id(view) for view in adversary.seen if view}
+        assert len(target.counted) == len(views) < len(adversary.seen) // 4
 
     def test_a_period_one_game_counts_each_reservoir_sample_once(self):
         """The per-decision cost: one count per change of the sample, not
