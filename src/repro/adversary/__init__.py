@@ -25,7 +25,6 @@ Static (oblivious) adversaries:
 
 from .base import (
     Adversary,
-    BlockCadence,
     CadencedAdversary,
     ObliviousAdversary,
     apply_decision_period,
@@ -67,7 +66,6 @@ from .threshold import (
 __all__ = [
     "Adversary",
     "BatchCellStats",
-    "BlockCadence",
     "BatchGameRunner",
     "CadencedAdversary",
     "CampaignAdversary",

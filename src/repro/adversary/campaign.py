@@ -5,7 +5,7 @@ The paper's game has a single adversary, but the follow-up threat models
 fill the sample, then poison a target range), *probe* before striking, or
 *collude* — several strategies splitting the round budget between them.
 :class:`CampaignAdversary` composes existing adversaries into those shapes
-behind the ordinary :class:`~repro.adversary.base.Adversary` interface, so
+behind the ordinary :class:`~repro.adversary.base.Adversary` protocol, so
 every game runner and knowledge model applies unchanged.  The scenario
 layer's attack budget is itself a two-phase campaign (the attack, then
 benign filler), so a budgeted campaign scenario nests one campaign in
@@ -37,11 +37,16 @@ member's local stream, it never alters its beginning.
 
 Segmentation
 ------------
-:meth:`CampaignAdversary.next_elements` never lets a served segment straddle
-an ownership boundary (a phase start, or a slot edge in interleaved mode):
-the requested count is capped at the current member's run end, so the
-chunked game runners keep their vectorised fast paths and every member's
-cadence machinery sees exactly the substream it owns.
+A campaign has no decision points of its own (``decision_period = None``):
+:meth:`CampaignAdversary.plan_block` serves each segment from the member
+that owns its first round, and never lets it straddle an ownership boundary
+(a phase start, or a slot edge in interleaved mode), so the chunked game
+runners keep their vectorised fast paths.  Each member's blocks are played
+by its own :class:`~repro.adversary.base.BlockBuffer`, so a member's block
+may span several of its runs: a period-7 member of an interleaved campaign
+with 5-round slots plans once per 7 of its own rounds.  The campaign's
+``decision_needs`` are those of the member about to play, without the
+sample while that member is mid-block.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..samplers.base import SampleUpdate, UpdateBatch
-from .base import Adversary, apply_decision_period
+from .base import Adversary, BlockBuffer, DecisionNeeds, apply_decision_period
 
 __all__ = ["CampaignAdversary", "phase_start_rounds"]
 
@@ -117,6 +122,8 @@ class CampaignAdversary(Adversary):
         Display name; defaults to ``campaign(<member names>)``.
     """
 
+    decision_period = None
+
     def __init__(
         self,
         members: Sequence[Adversary],
@@ -156,6 +163,7 @@ class CampaignAdversary(Adversary):
             self._phase_starts = []
             self.stride = int(stride)
         self.name = name or f"campaign({'+'.join(m.name for m in self.members)})"
+        self._players = [BlockBuffer(member) for member in self.members]
         self._next_round = 1
         # The cached run of :meth:`_run`; empty until the first lookup.
         self._run_first, self._run_info = 1, (0, 0, 0)
@@ -204,59 +212,48 @@ class CampaignAdversary(Adversary):
         return (slots // len(self.members)) * self.stride + within + 1
 
     # ------------------------------------------------------------------
-    # Adversary interface
+    # Adversary protocol
     # ------------------------------------------------------------------
     @property
-    def uses_observed_sample(self) -> bool:  # type: ignore[override]
-        return any(member.uses_observed_sample for member in self.members)
+    def decision_needs(self) -> DecisionNeeds:  # type: ignore[override]
+        """What the next segment reads: the needs of the member about to
+        play, without the sample while that member is mid-block."""
+        return self._players[self._run(self._next_round)[0]].needs()
 
-    def will_observe_sample(self) -> bool:
-        # Per-request refinement: only the member about to play can read the
-        # view, so its appetite (including mid-block declines under the
-        # cadence protocol) is the campaign's.
-        return self.members[self._run(self._next_round)[0]].will_observe_sample()
-
-    def next_element(
-        self, round_index: int, observed_sample: Sequence[Any] | None
-    ) -> Any:
-        return self.next_elements(round_index, 1, observed_sample)[0]
-
-    def next_elements(
+    def plan_block(
         self, round_index: int, count: int, observed_sample: Sequence[Any] | None
     ) -> list[Any]:
         """Serve a segment from the member owning ``round_index``.
 
         The count is capped at the owner's run end so a served segment never
         straddles an ownership boundary; within the run the member's own
-        decision granularity applies (per-round for fully adaptive members,
-        whole cadence blocks otherwise).
+        decision period applies.
         """
         member_index, last, offset = self._run(round_index)
-        member = self.members[member_index]
         take = min(count, last - round_index + 1)
-        elements = member.next_elements(round_index - offset, take, observed_sample)
+        elements = self._players[member_index].serve(round_index - offset, take, observed_sample)
         if len(elements) > take:
             raise ConfigurationError(
-                f"campaign member {member.name!r} returned {len(elements)} elements "
-                f"for a segment of at most {take}"
+                f"campaign member {self.members[member_index].name!r} returned "
+                f"{len(elements)} elements for a segment of at most {take}"
             )
         self._next_round = round_index + len(elements)
         return elements
 
-    def observe_update(self, update: SampleUpdate) -> None:
-        member_index, _, offset = self._run(update.round_index)
-        if offset:
-            update = SampleUpdate(
-                update.round_index - offset, update.element, update.accepted, update.evicted
-            )
-        self.members[member_index].observe_update(update)
-
-    def observe_update_batch(self, updates: Sequence[SampleUpdate]) -> None:
-        if len(updates) == 0:
-            return
+    def observe_block(self, updates: Sequence[SampleUpdate]) -> None:
+        """Forward each record to the member owning its round, renumbered
+        to the member's own rounds."""
+        players = self._players
         if not isinstance(updates, UpdateBatch):
             for update in updates:
-                self.observe_update(update)
+                member_index, _, offset = self._run(update.round_index)
+                if offset:
+                    update = SampleUpdate(
+                        update.round_index - offset, update.element, update.accepted, update.evicted
+                    )
+                players[member_index].observe([update])
+            return
+        if len(updates) == 0:
             return
         # Split the columnar record into runs of constant ownership and
         # forward each run with member-local round indices; acceptance flags
@@ -266,7 +263,7 @@ class CampaignAdversary(Adversary):
         for low, high in zip(cuts, cuts[1:]):
             member_index = int(owners[low])
             piece = updates if high - low == len(updates) else updates[low:high]
-            self.members[member_index].observe_update_batch(
+            players[member_index].observe(
                 UpdateBatch(
                     self._locals_of(piece.round_indices, member_index),
                     piece.elements,
@@ -274,22 +271,6 @@ class CampaignAdversary(Adversary):
                     piece.evictions,
                 )
             )
-
-    def observes_updates(self, first_round: int, last_round: int) -> bool:
-        # Conservative OR over the members owning rounds in the segment,
-        # walked run by run: k consecutive runs already cover every member.
-        # The global bounds are forwarded as-is: no member implementation
-        # conditions on the bounds (they are budget-free attacks), so this
-        # only ever errs towards materialising updates a member ignores.
-        round_index = first_round
-        for _ in self.members:
-            member_index, last, _offset = self._run(round_index)
-            if self.members[member_index].observes_updates(first_round, last_round):
-                return True
-            if last >= last_round:
-                return False
-            round_index = last + 1
-        return False
 
     def set_decision_period(self, decision_period: int) -> bool:
         """Forward a cadence re-declaration to every member.
@@ -306,6 +287,7 @@ class CampaignAdversary(Adversary):
     def reset(self) -> None:
         for member in self.members:
             member.reset()
+        self._players = [BlockBuffer(member) for member in self.members]
         self._next_round = 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -21,20 +21,19 @@ Segmented execution
 -------------------
 The game is sequential only at the adversary's *decision points*; between
 them the stream is fixed and the sampler can consume it in bulk.  Both
-runners therefore play one loop over segments: each iteration asks the
-adversary (via :meth:`~repro.adversary.base.Adversary.next_elements`) for
-up to ``chunk_size`` elements it commits to without further feedback, feeds
-the segment through the sampler's vectorised ``extend`` kernel, and records
-the outcome as a columnar :class:`~repro.samplers.base.UpdateBatch`.
-Adaptive adversaries with a declared decision cadence
-(:class:`~repro.adversary.base.CadencedAdversary`) emit one block per
-decision point, so segments align with the points where the adversary
-genuinely observes the sampler; the runner also skips materialising the
-sample view for adversaries whose ``decision_needs`` exclude it.  A plain
-per-round adversary (one that never overrides ``next_elements``) and a
-period-1 attack commit to one element per round, and ``chunk_size=1`` caps
-every segment at one element: such segments go through ``process`` and
-``observe_update``, a round at a time.  In the continuous game segments
+runners therefore play one loop over segments of at most ``chunk_size``
+rounds, and reach the adversary only through the two hooks of its protocol
+(:mod:`repro.adversary.base`): a
+:class:`~repro.adversary.base.BlockBuffer` plans blocks with
+``plan_block`` and serves them over the segments, the sampler consumes each
+segment through its vectorised ``extend`` kernel, and ``observe_block``
+receives each complete block's records.  The sample view is built only at a
+decision point whose planner reads it (``decision_needs``) under the
+full-knowledge model, and a segment's columnar
+:class:`~repro.samplers.base.UpdateBatch` only when it is kept or its
+planner reads updates.  A period-1 adversary plans one element per round,
+and ``chunk_size=1`` caps every segment at one element: such segments go
+through ``process``, a round at a time.  In the continuous game segments
 additionally break at checkpoint boundaries, so the sample is judged at
 exactly the checkpoint rounds whatever the chunking.
 """
@@ -49,7 +48,7 @@ from ..core.approximation import geometric_checkpoints
 from ..exceptions import ConfigurationError, TrackerUnsupportedError
 from ..samplers.base import SampleUpdate, StreamSampler, UpdateBatch
 from ..setsystems.base import SetSystem
-from .base import Adversary
+from .base import SAMPLE_NEEDS, UPDATE_NEEDS, Adversary, BlockBuffer
 
 KnowledgeModel = Literal["full", "updates", "oblivious"]
 #: The knowledge models a game accepts (the values of :data:`KnowledgeModel`).
@@ -296,29 +295,25 @@ def _play(
     Each iteration offers the adversary a segment of at most ``chunk``
     rounds, cut at the stream end and at the next checkpoint, so every
     checkpoint is judged on the sampler state right after its round.  A
-    one-element segment (every round of a per-round adversary or a
-    period-1 attack, and every segment at ``chunk=1``) goes through
-    ``process`` and ``observe_update``; a longer one through the sampler's
-    vectorised ``extend`` and one columnar ``observe_update_batch``, with
-    the update record built only when it is kept or the adversary listens.
-    Methods are looked up once, and the adversary's static sample appetite
-    read once, since a per-round game runs this loop once per round.
-    ``judge`` (required with ``checkpoints``) judges the checkpoints; returns
-    the update record and the checkpoint errors.
+    :class:`~repro.adversary.base.BlockBuffer` plays the adversary's blocks
+    over the segments; the sample view is built only at a decision point
+    whose planner reads it, under the full-knowledge model.  A one-element
+    segment (every round of a period-1 adversary, and every segment at
+    ``chunk=1``) goes through ``process``; a longer one through the
+    sampler's vectorised ``extend``, with the update record built only when
+    it is kept or the planner reads it.  Methods are looked up once, since a
+    per-round game runs this loop once per round.  ``judge`` (required with
+    ``checkpoints``) judges the checkpoints; returns the update record and
+    the checkpoint errors.
     """
     log = _UpdateLog()
     errors: list[float] = []
-    next_elements = adversary.next_elements
-    will_observe = adversary.will_observe_sample
-    observes_updates = adversary.observes_updates
-    observe_update = adversary.observe_update
-    observe_update_batch = adversary.observe_update_batch
+    blocks = BlockBuffer(adversary)
+    needs_now, serve, observe = blocks.needs, blocks.serve, blocks.observe
     process, extend = sampler.process, sampler.extend
     append_element, extend_stream = stream.append, stream.extend
     append_update, append_batch = log.append_update, log.append_batch
-    # will_observe_sample only refines uses_observed_sample, so an adversary
-    # that never reads the view is never asked.
-    full = knowledge == "full" and adversary.uses_observed_sample
+    full = knowledge == "full"
     listens = knowledge != "oblivious"
     next_checkpoint = 0
     stop = checkpoints[0] if checkpoints else stream_length
@@ -326,10 +321,8 @@ def _play(
     while round_index < stream_length:
         budget = min(chunk, stop - round_index)
         first = round_index + 1
-        # will_observe_sample refines the static declaration per request, so
-        # a cadenced adversary mid-way through a block declines the view (a
-        # fresh merge on sharded deployments) it is guaranteed to ignore.
-        segment = next_elements(first, budget, sampler.sample if full and will_observe() else None)
+        needs = needs_now()
+        segment = serve(first, budget, sampler.sample if full and needs in SAMPLE_NEEDS else None)
         size = len(segment)
         if not size:
             raise ConfigurationError(f"{adversary.name!r} returned an empty segment at round {first}")
@@ -338,7 +331,7 @@ def _play(
                 f"{adversary.name!r} returned {size} elements for a segment "
                 f"budget of {budget} at round {first}"
             )
-        feed = listens and observes_updates(first, round_index + size)
+        feed = listens and needs in UPDATE_NEEDS
         if size == 1:
             element = segment[0]
             update = process(element)
@@ -346,14 +339,14 @@ def _play(
             if keep_updates:
                 append_update(update)
             if feed:
-                observe_update(update)
+                observe([update])
         else:
             batch = extend(segment, updates=keep_updates or feed)
             extend_stream(segment)
             if keep_updates:
                 append_batch(batch)
             if feed:
-                observe_update_batch(batch)
+                observe(batch)
         round_index += size
         if round_index == stop and next_checkpoint < len(checkpoints):
             errors.append(judge.error(sampler.snapshot())[0])

@@ -4,7 +4,10 @@ These realise the classical setting the paper contrasts against: the stream is
 fixed before the game starts (or generated independently of the sampler's
 behaviour), so the classical VC-dimension bounds apply.  They serve as the
 baseline opponents in the static-vs-adaptive gap experiment (E6) and as
-workload generators for the application benchmarks.
+workload generators for the application benchmarks.  Each is an
+:class:`~repro.adversary.base.ObliviousAdversary`: ``plan_block`` fills the
+count it is offered, in round order, so the stream does not depend on how a
+runner cuts it into segments.
 """
 
 from __future__ import annotations
@@ -14,30 +17,7 @@ from typing import Any
 
 from ..exceptions import ConfigurationError, StreamExhaustedError
 from ..rng import RandomState, ensure_generator
-from .base import Adversary, ObliviousAdversary
-
-
-def _per_round_fallback(
-    adversary: Adversary,
-    owner: type,
-    round_index: int,
-    count: int,
-    observed_sample: Sequence[Any] | None,
-) -> list[Any] | None:
-    """Per-round segment when a subclass overrode ``next_element``.
-
-    The vectorised ``next_elements`` kernels below generate whole segments
-    without calling ``next_element`` — which would silently bypass a
-    subclass's override of that documented per-round hook.  Each kernel
-    therefore checks whether ``next_element`` still belongs to ``owner``
-    (the class whose kernel is running); if not, the adversary reverts to
-    per-round decision points, which honour the override (an override that
-    reads the state view must also declare ``uses_observed_sample = True``).
-    Returns ``None`` when the vectorised path is safe.
-    """
-    if type(adversary).next_element is not owner.next_element:
-        return Adversary.next_elements(adversary, round_index, count, observed_sample)
-    return None
+from .base import ObliviousAdversary
 
 
 class StaticAdversary(ObliviousAdversary):
@@ -51,25 +31,9 @@ class StaticAdversary(ObliviousAdversary):
             raise ConfigurationError("a static adversary needs a non-empty stream")
         self._cursor = 0
 
-    def next_element(
-        self, round_index: int, observed_sample: Sequence[Any] | None
-    ) -> Any:
-        if self._cursor >= len(self._stream):
-            raise StreamExhaustedError(
-                f"static stream of length {len(self._stream)} exhausted at round {round_index}"
-            )
-        element = self._stream[self._cursor]
-        self._cursor += 1
-        return element
-
-    def next_elements(
+    def plan_block(
         self, round_index: int, count: int, observed_sample: Sequence[Any] | None
     ) -> list[Any]:
-        fallback = _per_round_fallback(
-            self, StaticAdversary, round_index, count, observed_sample
-        )
-        if fallback is not None:
-            return fallback
         if self._cursor >= len(self._stream):
             raise StreamExhaustedError(
                 f"static stream of length {len(self._stream)} exhausted at round {round_index}"
@@ -93,6 +57,7 @@ class GeneratorAdversary(ObliviousAdversary):
     The callable must not depend on the sampler's behaviour — this class
     deliberately never passes it any feedback — which makes it a convenient
     adapter for the workload generators in :mod:`repro.streams.generators`.
+    It is called once per round, in round order.
     """
 
     name = "static-generator"
@@ -106,10 +71,11 @@ class GeneratorAdversary(ObliviousAdversary):
         self._seed = seed
         self._rng = ensure_generator(seed)
 
-    def next_element(
-        self, round_index: int, observed_sample: Sequence[Any] | None
-    ) -> Any:
-        return self._generate(round_index, self._rng)
+    def plan_block(
+        self, round_index: int, count: int, observed_sample: Sequence[Any] | None
+    ) -> list[Any]:
+        generate, rng = self._generate, self._rng
+        return [generate(round_index + offset, rng) for offset in range(count)]
 
     def reset(self) -> None:
         self._rng = ensure_generator(self._seed)
@@ -128,16 +94,11 @@ class UniformAdversary(GeneratorAdversary):
             lambda _round, rng: int(rng.integers(1, self.universe_size + 1)), seed
         )
 
-    def next_elements(
+    def plan_block(
         self, round_index: int, count: int, observed_sample: Sequence[Any] | None
     ) -> list[Any]:
-        fallback = _per_round_fallback(
-            self, GeneratorAdversary, round_index, count, observed_sample
-        )
-        if fallback is not None:
-            return fallback
         # One batched draw; numpy's bounded-integer sampling consumes the bit
-        # stream exactly like `count` scalar draws, so segments reproduce the
+        # stream exactly like `count` scalar draws, so blocks reproduce the
         # per-round game bit for bit.
         return [int(value) for value in self._rng.integers(1, self.universe_size + 1, size=count)]
 
@@ -154,23 +115,9 @@ class SortedAdversary(ObliviousAdversary):
     def __init__(self, universe_size: int | None = None) -> None:
         self.universe_size = universe_size
 
-    def next_element(
-        self, round_index: int, observed_sample: Sequence[Any] | None
-    ) -> Any:
-        if self.universe_size is not None and round_index > self.universe_size:
-            raise StreamExhaustedError(
-                f"sorted stream exceeded the universe size {self.universe_size}"
-            )
-        return round_index
-
-    def next_elements(
+    def plan_block(
         self, round_index: int, count: int, observed_sample: Sequence[Any] | None
     ) -> list[Any]:
-        fallback = _per_round_fallback(
-            self, SortedAdversary, round_index, count, observed_sample
-        )
-        if fallback is not None:
-            return fallback
         if self.universe_size is not None:
             if round_index > self.universe_size:
                 raise StreamExhaustedError(

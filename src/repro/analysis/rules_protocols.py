@@ -1,9 +1,8 @@
 """Protocol-contract rules.
 
 The repo's cross-layer contracts — every concrete sampler ships a
-vectorised ``extend`` kernel, every concrete adversary declares its segment
-granularity, every cadence-declaring adversary implements the block
-protocol, every registered scenario is exercised by a test —
+vectorised ``extend`` kernel, every cadence-declaring adversary implements
+the block protocol, every registered scenario is exercised by a test —
 were docstring conventions until PR 7's chunking bug showed what happens
 when one implementation forgets half a protocol.  These rules resolve the
 contracts across the whole class table (syntactic MRO over the project's
@@ -16,12 +15,11 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable, Iterator
 
-from .engine import ClassInfo, Module, ProjectIndex, Rule, dotted_name
+from .engine import Module, ProjectIndex, Rule, dotted_name
 from .findings import Finding
 
 __all__ = [
     "SamplerExtendRule",
-    "AdversarySegmentsRule",
     "CadenceContractRule",
     "ScenarioCoverageRule",
     "PROTOCOL_RULES",
@@ -75,29 +73,6 @@ class SamplerExtendRule(Rule):
                         f"`{self.REQUIRED}` (and inherits none below the root); "
                         f"{self.CONSEQUENCE}",
                     )
-
-
-class AdversarySegmentsRule(SamplerExtendRule):
-    """PRO004 — every concrete ``Adversary`` subclass provides ``next_elements``.
-
-    The root's ``next_elements`` commits to a single element, so a concrete
-    adversary inheriting it plays every round as its own segment whatever
-    the chunk size.  Subclasses declare their granularity instead: whole
-    segments (``ObliviousAdversary``), cadence blocks (``CadencedAdversary``)
-    or an override of their own.
-    """
-
-    rule_id = "PRO004"
-    name = "adversary-segments"
-    description = (
-        "a concrete Adversary subclass must define (or inherit from a project "
-        "base below the root) `next_elements`; the root's one-element default "
-        "plays every round as its own segment"
-    )
-
-    ROOT = "Adversary"
-    REQUIRED = "next_elements"
-    CONSEQUENCE = "every round of its games is a one-element segment"
 
 
 class CadenceContractRule(Rule):
@@ -213,5 +188,4 @@ PROTOCOL_RULES: tuple[Rule, ...] = (
     SamplerExtendRule(),
     CadenceContractRule(),
     ScenarioCoverageRule(),
-    AdversarySegmentsRule(),
 )

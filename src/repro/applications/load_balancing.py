@@ -113,7 +113,7 @@ def simulate_load_balancing(
         observed_server = 0
         for round_index in range(1, stream_length + 1):
             observed = router.servers[observed_server].received
-            query = adversary.next_element(round_index, observed)
+            query = adversary.plan_block(round_index, 1, observed)[0]
             observed_server = router.route(query)
     errors = []
     for server in router.servers:

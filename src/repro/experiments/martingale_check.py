@@ -62,9 +62,9 @@ def run_martingale_check(config: ExperimentConfig | None = None) -> ExperimentRe
         )
         tracker = BernoulliMartingaleTracker(n, probability)
         for round_index in range(1, n + 1):
-            element = adversary.next_element(round_index, sampler.sample)
+            element = adversary.plan_block(round_index, 1, sampler.sample)[0]
             update = sampler.process(element)
-            adversary.observe_update(update)
+            adversary.observe_block([update])
             tracker.record_step(in_range=element in target, sampled=update.accepted)
         trace = tracker.trace
         deviation = abs(trace.final_value)
@@ -102,9 +102,9 @@ def run_martingale_check(config: ExperimentConfig | None = None) -> ExperimentRe
         )
         tracker = ReservoirMartingaleTracker(reservoir_size)
         for round_index in range(1, n + 1):
-            element = adversary.next_element(round_index, sampler.sample)
+            element = adversary.plan_block(round_index, 1, sampler.sample)[0]
             update = sampler.process(element)
-            adversary.observe_update(update)
+            adversary.observe_block([update])
             sample_hits = sum(1 for value in sampler.sample if value in target)
             tracker.record_step(in_range=element in target, sample_hits=sample_hits)
         trace = tracker.trace

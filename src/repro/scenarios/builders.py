@@ -682,10 +682,11 @@ class _BenignFiller(ObliviousAdversary):
     def __init__(self, benign: Callable[[], Any]) -> None:
         self._benign = benign
 
-    def next_element(
-        self, round_index: int, observed_sample: Sequence[Any] | None
-    ) -> Any:
-        return self._benign()
+    def plan_block(
+        self, round_index: int, count: int, observed_sample: Sequence[Any] | None
+    ) -> list[Any]:
+        benign = self._benign
+        return [benign() for _ in range(count)]
 
 
 class BudgetedAdversary(CampaignAdversary):
@@ -696,7 +697,7 @@ class BudgetedAdversary(CampaignAdversary):
     alone).  The attack never learns the budget and sees feedback only for
     its own rounds, so its decisions over the shared prefix are identical
     across budgets — the property the scenario monotonicity checks rely on.
-    The filler reads nothing, so the benign tail declines the sample view.
+    The filler reads nothing, so the benign tail builds no sample view.
     :class:`AdversaryFromSpec` builds one only below full budget.
     """
 

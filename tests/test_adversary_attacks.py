@@ -57,16 +57,16 @@ class TestBisectionAdversary:
         adversary = BisectionAdversary()
         widths = []
         for round_index in range(1, 40):
-            element = adversary.next_element(round_index, sampler.sample)
+            element = adversary.plan_block(round_index, 1, sampler.sample)[0]
             update = sampler.process(element)
-            adversary.observe_update(update)
+            adversary.observe_block([update])
             low, high = adversary.working_range
             widths.append(high - low)
         assert all(b <= a for a, b in zip(widths, widths[1:]))
 
     def test_reset(self):
         adversary = BisectionAdversary()
-        adversary.next_element(1, None)
+        adversary.plan_block(1, 1, None)
         adversary.reset()
         assert adversary.working_range == (0.0, 1.0)
         assert adversary.precision_exhausted_at is None
@@ -145,7 +145,7 @@ class TestThresholdAttack:
 
     def test_reset_restores_range(self):
         adversary = ThresholdAttackAdversary(10**6, 100, 0.1)
-        adversary.next_element(1, None)
+        adversary.plan_block(1, 1, None)
         adversary.reset()
         assert adversary.working_range == (1, 10**6)
         assert not adversary.attack_failed
@@ -185,14 +185,14 @@ class TestGreedyDensityAdversary:
         adversary = GreedyDensityAdversary(Prefix(10), in_range_element=1, out_range_element=100)
         # The sample over-represents the range relative to the (still empty)
         # stream, so the widening strategy pushes out-of-range mass.
-        assert adversary.next_element(1, [1, 1, 1]) == 100
+        assert adversary.plan_block(1, 1, [1, 1, 1])[0] == 100
         # Now the stream under-represents the range relative to an all-out
         # sample view, so it pushes in-range mass.
-        assert adversary.next_element(2, [100, 100]) == 1
+        assert adversary.plan_block(2, 1, [100, 100])[0] == 1
 
     def test_oblivious_view_degrades_to_in_range(self):
         adversary = GreedyDensityAdversary(Prefix(10), in_range_element=2, out_range_element=99)
-        assert adversary.next_element(1, None) == 2
+        assert adversary.plan_block(1, 1, None)[0] == 2
 
     def test_cannot_defeat_theorem_sized_reservoir(self, rng):
         from repro.core.bounds import reservoir_adaptive_size
@@ -209,7 +209,7 @@ class TestGreedyDensityAdversary:
 
     def test_reset(self):
         adversary = GreedyDensityAdversary(Prefix(10), in_range_element=1, out_range_element=99)
-        adversary.next_element(1, [])
+        adversary.plan_block(1, 1, [])
         adversary.reset()
         assert adversary._stream_length == 0
 
@@ -222,9 +222,9 @@ class TestSwitchingSingletonAdversary:
     def test_switches_target_after_acceptance(self, rng):
         adversary = SwitchingSingletonAdversary(100)
         sampler = BernoulliSampler(1.0, seed=rng)
-        first = adversary.next_element(1, sampler.sample)
-        adversary.observe_update(sampler.process(first))
-        second = adversary.next_element(2, sampler.sample)
+        first = adversary.plan_block(1, 1, sampler.sample)[0]
+        adversary.observe_block([sampler.process(first)])
+        second = adversary.plan_block(2, 1, sampler.sample)[0]
         assert first == 1 and second == 2
         assert adversary.burnt_targets == [1]
 
@@ -233,23 +233,23 @@ class TestSwitchingSingletonAdversary:
         sampler = BernoulliSampler(1e-9, seed=rng)
         elements = []
         for i in range(1, 21):
-            element = adversary.next_element(i, sampler.sample)
-            adversary.observe_update(sampler.process(element))
+            element = adversary.plan_block(i, 1, sampler.sample)[0]
+            adversary.observe_block([sampler.process(element)])
             elements.append(element)
         assert set(elements) == {1}
 
     def test_revisit_evicted_returns_to_flushed_targets(self, rng):
         adversary = SwitchingSingletonAdversary(100, revisit_evicted=True)
         # Simulate: target 1 accepted, then later the sample no longer holds 1.
-        adversary.observe_update(
-            type("U", (), {"element": 1, "accepted": True, "evicted": None})()
+        adversary.observe_block(
+            [type("U", (), {"element": 1, "accepted": True, "evicted": None})()]
         )
-        assert adversary.next_element(5, observed_sample=[2, 3]) == 1
+        assert adversary.plan_block(5, 1, [2, 3])[0] == 1
 
     def test_reset(self):
         adversary = SwitchingSingletonAdversary(10)
-        adversary.observe_update(
-            type("U", (), {"element": 1, "accepted": True, "evicted": None})()
+        adversary.observe_block(
+            [type("U", (), {"element": 1, "accepted": True, "evicted": None})()]
         )
         adversary.reset()
         assert adversary.current_target == 1
@@ -265,20 +265,20 @@ class TestEvictionChaser:
 
     def test_early_rounds_send_out_of_range(self):
         adversary = EvictionChaserAdversary(Prefix(10), 1, 99, reservoir_size=50)
-        assert adversary.next_element(1, None) == 99
+        assert adversary.plan_block(1, 1, None)[0] == 99
 
     def test_late_rounds_send_in_range(self):
         adversary = EvictionChaserAdversary(Prefix(10), 1, 99, reservoir_size=5)
-        assert adversary.next_element(1000, None) == 1
+        assert adversary.plan_block(1000, 1, None)[0] == 1
 
     def test_backs_off_after_in_range_acceptance(self, rng):
         adversary = EvictionChaserAdversary(Prefix(10), 1, 99, reservoir_size=5)
-        adversary.observe_update(
-            type("U", (), {"element": 1, "accepted": True, "evicted": None})()
+        adversary.observe_block(
+            [type("U", (), {"element": 1, "accepted": True, "evicted": None})()]
         )
-        assert adversary.next_element(1000, None) == 99
+        assert adversary.plan_block(1000, 1, None)[0] == 99
         # The back-off lasts one round.
-        assert adversary.next_element(1001, None) == 1
+        assert adversary.plan_block(1001, 1, None)[0] == 1
 
     @pytest.mark.parametrize("period", [1, 7, 32])
     @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ import pytest
 from repro.adversary import (
     BisectionAdversary,
     CadencedAdversary,
+    CampaignAdversary,
     EvictionChaserAdversary,
     GreedyDensityAdversary,
     MedianAttackAdversary,
@@ -32,6 +33,7 @@ from repro.adversary import (
     run_adaptive_game,
     run_continuous_game,
 )
+from repro.adversary.base import SAMPLE_NEEDS, UPDATE_NEEDS, BlockBuffer
 from repro.exceptions import ConfigurationError
 from repro.samplers import BernoulliSampler
 from repro.samplers.base import SampleUpdate, UpdateBatch
@@ -119,10 +121,10 @@ class TestPeriodOneIsHistorical:
         adversary = BisectionAdversary()
         low, high = 0.0, 1.0
         for round_index, accepted in enumerate([True, False, True, False], start=1):
-            element = adversary.next_element(round_index, None)
+            element = adversary.plan_block(round_index, 1, None)[0]
             assert element == (low + high) / 2.0
-            adversary.observe_update(
-                SampleUpdate(round_index=round_index, element=element, accepted=accepted)
+            adversary.observe_block(
+                [SampleUpdate(round_index=round_index, element=element, accepted=accepted)]
             )
             if accepted:
                 low = element
@@ -132,17 +134,17 @@ class TestPeriodOneIsHistorical:
 
     def test_eviction_chaser_backoff_lasts_one_round(self):
         adversary = EvictionChaserAdversary(Prefix(10), 1, 99, reservoir_size=5)
-        adversary.observe_update(
-            SampleUpdate(round_index=999, element=1, accepted=True)
+        adversary.observe_block(
+            [SampleUpdate(round_index=999, element=1, accepted=True)]
         )
-        assert adversary.next_element(1000, None) == 99
-        assert adversary.next_element(1001, None) == 1
+        assert adversary.plan_block(1000, 1, None) == [99]
+        assert adversary.plan_block(1001, 1, None) == [1]
 
     def test_switching_singleton_burns_on_acceptance(self):
         adversary = SwitchingSingletonAdversary(100)
-        assert adversary.next_element(1, None) == 1
-        adversary.observe_update(SampleUpdate(round_index=1, element=1, accepted=True))
-        assert adversary.next_element(2, None) == 2
+        assert adversary.plan_block(1, 1, None) == [1]
+        adversary.observe_block([SampleUpdate(round_index=1, element=1, accepted=True)])
+        assert adversary.plan_block(2, 1, None) == [2]
         assert adversary.burnt_targets == [1]
 
 
@@ -155,30 +157,31 @@ class TestCadenceSemantics:
 
     def test_bisection_block_repeats_midpoint_and_moves_on_any_acceptance(self):
         adversary = BisectionAdversary(decision_period=4)
-        block = adversary.next_elements(1, 4, None)
+        block = adversary.plan_block(1, 4, None)
         assert block == [0.5] * 4
         batch = UpdateBatch.from_updates(
             SampleUpdate(round_index=i, element=0.5, accepted=(i == 3))
             for i in range(1, 5)
         )
-        adversary.observe_update_batch(batch)
+        adversary.observe_block(batch)
         assert adversary.working_range == (0.5, 1.0)
 
     def test_bisection_block_moves_down_without_acceptance(self):
         adversary = BisectionAdversary(decision_period=4)
-        adversary.next_elements(1, 4, None)
+        adversary.plan_block(1, 4, None)
         batch = UpdateBatch.from_updates(
             SampleUpdate(round_index=i, element=0.5, accepted=False)
             for i in range(1, 5)
         )
-        adversary.observe_update_batch(batch)
+        adversary.observe_block(batch)
         assert adversary.working_range == (0.0, 0.5)
 
     def test_block_spanning_segments_flushes_once_complete(self):
         adversary = SwitchingSingletonAdversary(100, decision_period=6)
-        first = adversary.next_elements(1, 4, None)
+        blocks = BlockBuffer(adversary)
+        first = blocks.serve(1, 4, None)
         assert first == [1] * 4
-        adversary.observe_update_batch(
+        blocks.observe(
             UpdateBatch.from_updates(
                 SampleUpdate(round_index=i, element=1, accepted=(i == 2))
                 for i in range(1, 5)
@@ -186,9 +189,9 @@ class TestCadenceSemantics:
         )
         # The block is not complete: the acceptance must not be digested yet.
         assert adversary.current_target == 1
-        rest = adversary.next_elements(5, 10, None)
+        rest = blocks.serve(5, 10, None)
         assert rest == [1] * 2
-        adversary.observe_update_batch(
+        blocks.observe(
             UpdateBatch.from_updates(
                 SampleUpdate(round_index=i, element=1, accepted=False)
                 for i in range(5, 7)
@@ -200,8 +203,8 @@ class TestCadenceSemantics:
     def test_greedy_density_needs_sample_not_updates(self):
         adversary = GreedyDensityAdversary(Prefix(10), 1, 99)
         assert adversary.decision_needs == "sample"
-        assert adversary.uses_observed_sample
-        assert not adversary.observes_updates(1, 100)
+        assert adversary.decision_needs in SAMPLE_NEEDS
+        assert adversary.decision_needs not in UPDATE_NEEDS
 
     def test_mid_block_segments_skip_the_sample_view(self):
         """With chunk_size < decision_period the runner must materialise the
@@ -248,17 +251,14 @@ class TestCadenceSemantics:
         with pytest.raises(ConfigurationError):
             BisectionAdversary().set_decision_period(-3)
 
-    def test_set_decision_period_mid_block_rejected(self):
-        adversary = BisectionAdversary(decision_period=8)
-        adversary.next_elements(1, 3, None)
-        with pytest.raises(ConfigurationError, match="mid-block"):
-            adversary.set_decision_period(4)
-
     def test_reset_clears_cadence_state(self):
+        """Block state lives with whoever plays the adversary: a campaign
+        serving a member's block over several segments forgets it on reset."""
         adversary = SwitchingSingletonAdversary(100, decision_period=4)
-        adversary.next_elements(1, 2, None)
-        adversary.reset()
-        assert adversary.next_elements(1, 4, None) == [1] * 4
+        campaign = CampaignAdversary([adversary], phase_starts=[1])
+        campaign.plan_block(1, 2, None)
+        campaign.reset()
+        assert campaign.plan_block(1, 4, None) == [1] * 4
 
 
 class TestApplyDecisionPeriod:
@@ -340,16 +340,16 @@ class TestBudgetedCadence:
 
         inner = SwitchingSingletonAdversary(100, decision_period=8)
         wrapper = BudgetedAdversary(inner, lambda: 0, attack_rounds=10)
-        first = wrapper.next_elements(9, 100, None)
+        first = wrapper.plan_block(9, 100, None)
         assert first == [1, 1]  # capped at the boundary
         batch = UpdateBatch.from_updates(
             SampleUpdate(round_index=i, element=1, accepted=True) for i in range(9, 13)
         )
-        wrapper.observe_update_batch(batch)
+        wrapper.observe_block(batch)
         # Rounds 11-12 are benign-tail records and must not reach the inner
         # attack; the block (8 long) is still incomplete, so nothing burns.
         assert inner.current_target == 1
-        assert wrapper.next_elements(11, 3, None) == [0, 0, 0]
+        assert wrapper.plan_block(11, 3, None) == [0, 0, 0]
 
     def test_budgeted_wrapper_forwards_sample_appetite(self):
         from repro.scenarios.builders import BudgetedAdversary
@@ -357,11 +357,11 @@ class TestBudgetedCadence:
         updates_driven = BudgetedAdversary(
             ThresholdAttackAdversary(10**6, 100, 0.2), lambda: 0, attack_rounds=50
         )
-        assert not updates_driven.uses_observed_sample
+        assert updates_driven.decision_needs not in SAMPLE_NEEDS
         sample_driven = BudgetedAdversary(
             GreedyDensityAdversary(Prefix(10), 1, 99), lambda: 0, attack_rounds=50
         )
-        assert sample_driven.uses_observed_sample
+        assert sample_driven.decision_needs in SAMPLE_NEEDS
 
     def test_budgeted_wrapper_forwards_set_decision_period(self):
         from repro.scenarios.builders import BudgetedAdversary
@@ -373,17 +373,3 @@ class TestBudgetedCadence:
         oblivious = BudgetedAdversary(UniformAdversary(8, seed=0), lambda: 0, attack_rounds=5)
         assert not apply_decision_period(oblivious, 9)
 
-
-class TestCadencedSubclassOverridingNextElement:
-    def test_per_round_override_is_honoured(self):
-        """Mirrors the static adversaries' regression guard: a subclass that
-        overrides next_element must not be bypassed by block serving."""
-
-        class Constant(BisectionAdversary):
-            def next_element(self, round_index, observed_sample):
-                return 0.25
-
-        result = run_adaptive_game(
-            BernoulliSampler(0.5, seed=1), Constant(decision_period=32), 40
-        )
-        assert result.stream == [0.25] * 40

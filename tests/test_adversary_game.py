@@ -23,21 +23,26 @@ from repro.samplers import BernoulliSampler, ReservoirSampler
 from repro.setsystems import PrefixSystem
 
 
+def _one(adversary, round_index):
+    """The element a one-element block plans for ``round_index``."""
+    return adversary.plan_block(round_index, 1, None)[0]
+
+
 class TestStaticAdversaries:
     def test_static_adversary_replays_stream(self):
         adversary = StaticAdversary([5, 4, 3])
-        elements = [adversary.next_element(i, None) for i in range(1, 4)]
+        elements = [_one(adversary, i) for i in range(1, 4)]
         assert elements == [5, 4, 3]
 
     def test_static_adversary_exhaustion(self):
         adversary = StaticAdversary([1])
-        adversary.next_element(1, None)
+        _one(adversary, 1)
         with pytest.raises(StreamExhaustedError):
-            adversary.next_element(2, None)
+            _one(adversary, 2)
 
     def test_static_adversary_reset(self):
         adversary = StaticAdversary([1, 2])
-        adversary.next_element(1, None)
+        _one(adversary, 1)
         adversary.reset()
         assert adversary.remaining == 2
 
@@ -47,23 +52,23 @@ class TestStaticAdversaries:
 
     def test_uniform_adversary_stays_in_universe(self, rng):
         adversary = UniformAdversary(100, seed=rng)
-        values = [adversary.next_element(i, None) for i in range(1, 201)]
+        values = [_one(adversary, i) for i in range(1, 201)]
         assert all(1 <= value <= 100 for value in values)
 
     def test_sorted_adversary_is_identity(self):
         adversary = SortedAdversary()
-        assert [adversary.next_element(i, None) for i in (1, 2, 3)] == [1, 2, 3]
+        assert [_one(adversary, i) for i in (1, 2, 3)] == [1, 2, 3]
 
     def test_sorted_adversary_respects_universe_limit(self):
         adversary = SortedAdversary(universe_size=2)
-        adversary.next_element(1, None)
-        adversary.next_element(2, None)
+        _one(adversary, 1)
+        _one(adversary, 2)
         with pytest.raises(StreamExhaustedError):
-            adversary.next_element(3, None)
+            _one(adversary, 3)
 
     def test_zipf_adversary_heavy_tail(self, rng):
         adversary = ZipfAdversary(1000, exponent=1.5, seed=rng)
-        values = [adversary.next_element(i, None) for i in range(1, 501)]
+        values = [_one(adversary, i) for i in range(1, 501)]
         assert all(1 <= value <= 1000 for value in values)
         # Zipf streams concentrate on small values.
         assert sum(1 for value in values if value <= 5) > len(values) * 0.4
@@ -74,9 +79,9 @@ class TestStaticAdversaries:
 
     def test_generator_adversary_reset_reproduces(self):
         adversary = GeneratorAdversary(lambda i, rng: int(rng.integers(0, 100)), seed=3)
-        first = [adversary.next_element(i, None) for i in range(1, 11)]
+        first = [_one(adversary, i) for i in range(1, 11)]
         adversary.reset()
-        second = [adversary.next_element(i, None) for i in range(1, 11)]
+        second = [_one(adversary, i) for i in range(1, 11)]
         assert first == second
 
 
@@ -151,17 +156,19 @@ class TestAdaptiveGame:
 
     def test_knowledge_oblivious_hides_state(self, rng):
         class Spy(UniformAdversary):
+            # A decision every round that would read the sample, so the
+            # spy sees what the knowledge model hands out each round.
+            decision_period = 1
+            decision_needs = "both"
+
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 self.seen = []
 
-            def next_element(self, round_index, observed_sample):
+            def plan_block(self, round_index, count, observed_sample):
                 self.seen.append(observed_sample)
-                return super().next_element(round_index, observed_sample)
+                return super().plan_block(round_index, count, observed_sample)
 
-        # Overriding next_element reverts the adversary to per-round
-        # decision points even under default chunking, so the spy sees
-        # every round.
         spy = Spy(10, seed=rng)
         run_adaptive_game(BernoulliSampler(0.5, seed=rng), spy, 10, knowledge="oblivious")
         assert len(spy.seen) == 10 and all(view is None for view in spy.seen)
@@ -171,12 +178,12 @@ class TestAdaptiveGame:
             def __init__(self):
                 self.seen_sizes = []
 
-            def next_element(self, round_index, observed_sample):
+            def plan_block(self, round_index, count, observed_sample):
                 # The view is live state; record its size at observation time.
                 self.seen_sizes.append(
                     None if observed_sample is None else len(observed_sample)
                 )
-                return round_index
+                return [round_index]
 
         spy = Spy()
         run_adaptive_game(BernoulliSampler(1.0, seed=rng), spy, 5, knowledge="full")
@@ -198,33 +205,6 @@ class TestAdaptiveGame:
         )
         run_adaptive_game(switching, ZipfAdversary(256, seed=4), 4096, chunk_size=chunk_size)
         assert switching.switches_used == 0
-
-    def test_overridden_next_element_is_honoured_under_default_chunking(self, rng):
-        """Subclasses of the vectorised static adversaries that override the
-        per-round hook must not be silently bypassed by the batched
-        next_elements (regression)."""
-
-        class ConstantAttack(UniformAdversary):
-            def next_element(self, round_index, observed_sample):
-                return 7
-
-        result = run_adaptive_game(
-            BernoulliSampler(0.5, seed=rng), ConstantAttack(10, seed=rng), 50
-        )
-        assert result.stream == [7] * 50
-
-        class EveryOther(StaticAdversary):
-            def next_element(self, round_index, observed_sample):
-                element = super().next_element(round_index, observed_sample)
-                return -element if round_index % 2 else element
-
-        chunked = run_adaptive_game(
-            BernoulliSampler(0.5, seed=1), EveryOther(list(range(1, 41))), 40
-        )
-        per_element = run_adaptive_game(
-            BernoulliSampler(0.5, seed=1), EveryOther(list(range(1, 41))), 40, chunk_size=1
-        )
-        assert chunked.stream == per_element.stream
 
 
 class TestContinuousGame:
@@ -296,19 +276,17 @@ def _play(runner, adversary, chunk_size=None, checkpoints=(10,)):
 
 
 class TestSegmentContract:
-    """The chunked loop rejects segments that break the next_elements
+    """The chunked loop rejects segments that break the plan_block
     contract, and a cadenced adversary rejects an empty planned block."""
 
     class Segments(Adversary):
         name = "segments"
+        decision_period = None
 
         def __init__(self, size):
             self.size = size
 
-        def next_element(self, round_index, observed_sample):
-            return 1
-
-        def next_elements(self, round_index, count, observed_sample):
+        def plan_block(self, round_index, count, observed_sample):
             return [1] * self.size(count)
 
     class Idle(CadencedAdversary):
@@ -357,7 +335,7 @@ class TestGameOptionsValidated:
     class Untouchable(Adversary):
         name = "untouchable"
 
-        def next_element(self, round_index, observed_sample):
+        def plan_block(self, round_index, count, observed_sample):
             raise AssertionError("the game started")
 
     BAD_OPTIONS = (

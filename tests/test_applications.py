@@ -287,6 +287,21 @@ class TestLoadBalancing:
         assert report.stream_length == 800
         assert 0.0 <= report.worst_error <= 1.0
 
+    def test_adaptive_simulation_is_pinned(self):
+        """The adaptive client is a hand-written per-round loop (plan one
+        query on the observed server's substream, route it); pin its seeded
+        output."""
+        report = simulate_load_balancing(
+            None,
+            4,
+            PrefixSystem(64),
+            adversary=GreedyDensityAdversary(Prefix(32), 1, 64),
+            stream_length=800,
+            seed=7,
+        )
+        assert report.per_server_errors == (0.0, 0.0, 0.0, 0.0)
+        assert report.per_server_loads == (198, 185, 190, 227)
+
     def test_exactly_one_input_mode_required(self, rng):
         system = PrefixSystem(64)
         with pytest.raises(ConfigurationError):

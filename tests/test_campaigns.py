@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.adversary import CampaignAdversary, phase_start_rounds
-from repro.adversary.base import Adversary, CadencedAdversary
+from repro.adversary.base import UPDATE_NEEDS, Adversary, CadencedAdversary
 from repro.adversary.game import run_adaptive_game
 from repro.exceptions import ConfigurationError
 from repro.samplers.base import SampleUpdate, UpdateBatch
@@ -35,36 +35,29 @@ from repro.scenarios.builders import CADENCED_ADVERSARY_FAMILIES
 class RecordingMember(Adversary):
     """Scripted member: echoes its tag, records every request and update."""
 
-    uses_observed_sample = False
+    decision_period = None
+    decision_needs = "updates"
 
     def __init__(self, tag: str) -> None:
         self.name = tag
         self.tag = tag
-        #: (local_round, count) per next_elements call.
+        #: (local_round, count) per plan_block call.
         self.requests: list[tuple[int, int]] = []
         #: Local round indices of every forwarded update record.
         self.update_rounds: list[int] = []
         #: Lengths of forwarded columnar batches.
         self.batch_sizes: list[int] = []
 
-    def next_element(self, round_index, observed_sample):
-        self.requests.append((round_index, 1))
-        return self.tag
-
-    def next_elements(self, round_index, count, observed_sample):
+    def plan_block(self, round_index, count, observed_sample):
         self.requests.append((round_index, count))
         return [self.tag] * count
 
-    def observe_update(self, update: SampleUpdate) -> None:
-        self.update_rounds.append(update.round_index)
-
-    def observe_update_batch(self, updates) -> None:
+    def observe_block(self, updates) -> None:
         if isinstance(updates, UpdateBatch):
             self.batch_sizes.append(len(updates))
             self.update_rounds.extend(int(r) for r in updates.round_indices)
         else:
-            for update in updates:
-                self.observe_update(update)
+            self.update_rounds.extend(update.round_index for update in updates)
 
     def reset(self) -> None:
         self.requests.clear()
@@ -78,7 +71,7 @@ def _drain(campaign: CampaignAdversary, stream_length: int, ask: int) -> list:
     round_index = 1
     while round_index <= stream_length:
         want = min(ask, stream_length - round_index + 1)
-        segment = campaign.next_elements(round_index, want, None)
+        segment = campaign.plan_block(round_index, want, None)
         assert segment, "a segment must contain at least one element"
         elements.extend(segment)
         round_index += len(segment)
@@ -122,7 +115,7 @@ class TestPhasedSchedule:
         first, second = RecordingMember("a"), RecordingMember("b")
         campaign = CampaignAdversary([first, second], phase_starts=[1, 11])
         # One columnar batch spanning the boundary: global rounds 8..14.
-        campaign.observe_update_batch(_batch(8, list("xxxxxxx")))
+        campaign.observe_block(_batch(8, list("xxxxxxx")))
         assert first.update_rounds == [8, 9, 10]
         assert second.update_rounds == [1, 2, 3, 4]
         assert first.batch_sizes == [3] and second.batch_sizes == [4]
@@ -130,8 +123,8 @@ class TestPhasedSchedule:
     def test_scalar_updates_are_translated(self):
         first, second = RecordingMember("a"), RecordingMember("b")
         campaign = CampaignAdversary([first, second], phase_starts=[1, 11])
-        campaign.observe_update(
-            SampleUpdate(round_index=12, element="x", accepted=True)
+        campaign.observe_block(
+            [SampleUpdate(round_index=12, element="x", accepted=True)]
         )
         assert second.update_rounds == [2]
         assert first.update_rounds == []
@@ -141,16 +134,18 @@ class TestPhasedSchedule:
         sampler's own record with the round shifted to the member's clock."""
 
         class PerRoundRecorder(RecordingMember):
+            decision_period = 1
+
             def __init__(self, tag: str) -> None:
                 super().__init__(tag)
                 self.updates: list[SampleUpdate] = []
 
-            def next_elements(self, round_index, count, observed_sample):
+            def plan_block(self, round_index, count, observed_sample):
                 self.requests.append((round_index, 1))
                 return [f"{self.tag}{round_index}"]
 
-            def observe_update(self, update: SampleUpdate) -> None:
-                self.updates.append(update)
+            def observe_block(self, updates) -> None:
+                self.updates.extend(updates)
 
         first, second = PerRoundRecorder("a"), PerRoundRecorder("b")
         campaign = CampaignAdversary([first, second], phase_starts=[1, 11])
@@ -163,16 +158,19 @@ class TestPhasedSchedule:
         ]
         assert any(update.evicted is not None for update in second.updates)
 
-    def test_observes_updates_ors_the_owning_members(self):
+    def test_decision_needs_are_those_of_the_member_about_to_play(self):
         class Deaf(RecordingMember):
-            def observes_updates(self, first_round, last_round):
-                return False
+            decision_needs = "none"
 
         deaf, listening = Deaf("deaf"), RecordingMember("ears")
         campaign = CampaignAdversary([deaf, listening], phase_starts=[1, 11])
-        assert campaign.observes_updates(1, 5) is False
-        assert campaign.observes_updates(1, 20) is True
-        assert campaign.observes_updates(12, 20) is True
+        assert campaign.decision_needs == "none"
+        assert campaign.plan_block(1, 5, None) == ["deaf"] * 5
+        assert campaign.decision_needs == "none"
+        assert campaign.plan_block(6, 20, None) == ["deaf"] * 5
+        assert campaign.decision_needs == "updates"
+        campaign.plan_block(11, 2, None)
+        assert campaign.decision_needs == "updates"
 
 
 class TestInterleavedSchedule:
@@ -193,7 +191,7 @@ class TestInterleavedSchedule:
         # Each member owns 3-round slots and sees local rounds 1..9.
         assert first.requests == [(1, 3), (4, 3), (7, 3)]
         assert second.requests == [(1, 3), (4, 3), (7, 3)]
-        campaign.observe_update_batch(_batch(1, list("uvwxyz")))
+        campaign.observe_block(_batch(1, list("uvwxyz")))
         assert first.update_rounds == [1, 2, 3]
         assert second.update_rounds == [1, 2, 3]
 
@@ -211,14 +209,11 @@ class TestInterleavedSchedule:
 
 
 class Listener(RecordingMember):
-    """Recording member with a fixed answer to ``observes_updates``."""
+    """Recording member that reads update records or nothing."""
 
     def __init__(self, tag: str, listens: bool) -> None:
         super().__init__(tag)
-        self.listens = listens
-
-    def observes_updates(self, first_round, last_round):
-        return self.listens
+        self.decision_needs = "updates" if listens else "none"
 
 
 #: Three-member schedules with runs of unequal length.
@@ -264,30 +259,34 @@ class TestRoutingDependsOnlyOnTheRound:
             while cap < count and owner[r + cap] == m:
                 cap += 1
             before = [len(member.requests) for member in members]
-            assert campaign.next_elements(r, count, None) == ["abc"[m]] * cap
+            assert campaign.plan_block(r, count, None) == ["abc"[m]] * cap
             assert [len(member.requests) for member in members] == [
                 n + (i == m) for i, n in enumerate(before)
             ]
             assert members[m].requests[-1] == (local[r], cap)
             u = int(rng.integers(1, self.N + 1))
-            campaign.observe_update(SampleUpdate(round_index=u, element="x", accepted=True))
+            campaign.observe_block([SampleUpdate(round_index=u, element="x", accepted=True)])
             assert members[owner[u]].update_rounds[-1] == local[u]
 
     @pytest.mark.parametrize("listening", [0, 1, 2])
     def test_observes_updates_across_runs(self, schedule, listening):
+        """The campaign reads updates for the next decision iff the member
+        owning the next round does, wherever the last segment ended."""
         members = [Listener(tag, i == listening) for i, tag in enumerate("abc")]
         campaign = CampaignAdversary(members, **SCHEDULES[schedule])
-        owner, _ = _owner_map(SCHEDULES[schedule], self.N + 40)
+        owner, _ = _owner_map(SCHEDULES[schedule], self.N + self.MAX_ASK + 1)
         rng = np.random.default_rng(listening)
+        next_round = 1
         for step in range(300):
             if step % 61 == 60:
                 campaign.reset()
-            first = int(rng.integers(1, self.N + 1))
-            last = first + int(rng.integers(0, 40))
-            expected = any(owner[r] == listening for r in range(first, last + 1))
-            assert campaign.observes_updates(first, last) is expected
+                next_round = 1
+            expected = owner[next_round] == listening
+            assert (campaign.decision_needs in UPDATE_NEEDS) is expected
             # Move the cached run somewhere else before the next query.
-            campaign.next_elements(int(rng.integers(1, self.N + 1)), 1, None)
+            first = int(rng.integers(1, self.N + 1))
+            segment = campaign.plan_block(first, int(rng.integers(1, self.MAX_ASK + 1)), None)
+            next_round = first + len(segment)
 
 
 class TestConstruction:
@@ -307,12 +306,12 @@ class TestConstruction:
 
     def test_member_overshoot_is_rejected(self):
         class Greedy(RecordingMember):
-            def next_elements(self, round_index, count, observed_sample):
+            def plan_block(self, round_index, count, observed_sample):
                 return [self.tag] * (count + 1)
 
         campaign = CampaignAdversary([Greedy("g")], phase_starts=[1])
         with pytest.raises(ConfigurationError, match="returned 4 elements"):
-            campaign.next_elements(1, 3, None)
+            campaign.plan_block(1, 3, None)
 
     def test_reset_replays_identically(self):
         first, second = RecordingMember("a"), RecordingMember("b")

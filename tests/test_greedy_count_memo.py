@@ -253,11 +253,11 @@ class TestCountMemo:
     def test_fixed_elements_are_never_counted_but_callables_are(self):
         target = _CountingPrefix(10)
         fixed = GreedyDensityAdversary(target, 1, 99, decision_period=5)
-        fixed.next_elements(1, 5, ())
+        fixed.plan_block(1, 5, ())
         assert target.counted == []
         assert (fixed._stream_hits, fixed._stream_length) == (5, 5)
         supplied = GreedyDensityAdversary(target, lambda: 50, 99, decision_period=5)
-        assert supplied.next_elements(1, 5, ()) == [50] * 5
+        assert supplied.plan_block(1, 5, ()) == [50] * 5
         assert target.counted == [5]
         assert (supplied._stream_hits, supplied._stream_length) == (0, 5)
 

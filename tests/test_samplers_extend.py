@@ -789,28 +789,6 @@ class TestChunkedGameEquivalence:
         assert per_element.stream == chunked.stream == stream
         assert per_element.sample == chunked.sample
 
-    def test_fully_adaptive_adversaries_take_the_per_element_path(self):
-        # Adversary subclasses that don't declare segmentation still work:
-        # the base Adversary.next_elements contract is per-round, so the
-        # runner plays one-element segments, calling next_element once per
-        # round even at default chunking, and warns about nothing.
-        from repro.adversary.base import Adversary
-
-        class PerRound(Adversary):
-            name = "per-round"
-
-            def __init__(self):
-                self.calls = 0
-
-            def next_element(self, round_index, observed_sample):
-                self.calls += 1
-                return round_index
-
-        adversary = PerRound()
-        result = run_adaptive_game(BernoulliSampler(0.5, seed=1), adversary, 100)
-        assert adversary.calls == 100
-        assert result.stream == list(range(1, 101))
-
     def test_chunked_updates_log_matches_per_element_log(self):
         per_element = run_adaptive_game(
             BernoulliSampler(0.2, seed=13),

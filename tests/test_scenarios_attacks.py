@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.adversary import MixingGreedyDensityAdversary, run_adaptive_game
+from repro.adversary.base import SAMPLE_NEEDS
 from repro.exceptions import ConfigurationError
 from repro.samplers import BernoulliSampler
 from repro.scenarios import (
@@ -265,4 +266,4 @@ class TestBudgetWrapper:
         # One view per attack round, then the final snapshot.
         assert reads == [*range(1024), 4096]
         adversary.reset()
-        assert adversary.will_observe_sample()
+        assert adversary.decision_needs in SAMPLE_NEEDS
