@@ -81,7 +81,7 @@ __all__ = [
 
 #: Canonical report file name for this PR's benchmark artefact.  CI derives
 #: its output/artifact name from this constant instead of hardcoding it.
-BENCH_FILENAME = "BENCH_PR25.json"
+BENCH_FILENAME = "BENCH_PR27.json"
 
 #: Fields every benchmark record must carry (the report schema).
 RECORD_FIELDS = ("op", "n", "seconds", "throughput", "speedup")
@@ -312,6 +312,17 @@ def _window_reads(n: int) -> Sides:
         return window
 
     return partial(play, False), partial(play, True)
+
+
+def _window_vs_reservoir(n: int) -> Sides:
+    """A per-element ``process`` loop on a 32-slot reservoir and on a
+    (32, 256) window: what one window arrival costs in reservoir arrivals,
+    where fixed overhead per arrival, such as a numpy call, shows."""
+    data = _stream(n)
+    return (
+        _loop(partial(ReservoirSampler, 32, seed=1), data),
+        _loop(partial(SlidingWindowSampler, 32, 256, seed=1), data),
+    )
 
 
 def _same_windows(bare: SlidingWindowSampler, read: SlidingWindowSampler) -> None:
@@ -588,6 +599,7 @@ OPS: tuple[Op, ...] = (
     _extend_op("sliding-window", 20_000, partial(SlidingWindowSampler, 64, 8192, seed=1), _stream),
     Op("window/per-element", 20_000, _window_geometries, _full_windows, bound=1.5),
     Op("window/read-per-round", 20_000, _window_reads, _same_windows, bound=1.5),
+    Op("window/per-element-vs-reservoir", 20_000, _window_vs_reservoir, _same_ingest, bound=4.5),
     _extend_op("misra-gries", 100_000, partial(MisraGriesSummary, 200), _heavy),
     _extend_op("kll", 100_000, partial(KLLSketch, 128, seed=1), _floats),
     _extend_op("greenwald-khanna", 100_000, partial(GreenwaldKhannaSketch, 0.02), _floats),

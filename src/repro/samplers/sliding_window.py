@@ -10,13 +10,16 @@ keeps, per rank, only the candidates that could still become one of the ``k``
 minima before they expire — the classical "chain/priority sampling over
 sliding windows" idea.  Memory is ``O(k log window)`` in expectation.
 
-Two kernels keep that candidate set.  Batches and merges go through
-:meth:`SlidingWindowSampler._fixed_point`, one newest-to-oldest scan.  One
-element at a time, ``process`` keeps each candidate's *domination count* —
-how many later live arrivals have a strictly smaller priority — and updates
-it in place with a few array operations: a candidate leaves only by expiry
-or when its count reaches ``k``.  The scan returns its survivors' counts, so
-either kernel can continue from the other's state.
+The candidates are kept in arrival order and ranked: a stable priority
+sort, with each one's priority and *domination count* — how many later live
+arrivals have a strictly smaller priority — in parallel lists.  Batches and
+merges go through :meth:`SlidingWindowSampler._fixed_point`, one
+newest-to-oldest scan that builds both orders.  One element at a time,
+``process`` finds the arrival's rank by one bisection, adds one to the
+counts of the ranked suffix it dominates and prunes those reaching ``k``,
+so a candidate leaves only by expiry or pruning, and the sample is the
+ranked list's first ``k`` entries.  Either kernel continues from the
+other's state.
 
 The adversarial experiments exercise it as an extension subject: the paper's
 guarantees are stated for whole-stream sampling, and the sliding-window
@@ -26,17 +29,17 @@ variant inherits them per window via the same union-bound argument.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from itertools import chain
 from typing import Any
 
-import numpy as np
-from numpy.typing import NDArray
-
 from ..exceptions import ConfigurationError
 from ..rng import RandomState, ensure_generator, spawn_generators
 from .base import CachedView, SampleUpdate, StreamSampler, UpdateBatch
+
+#: A candidate: ``(arrival_index, priority, element)``.
+Entry = tuple[int, float, Any]
 
 
 class SlidingWindowSampler(CachedView, StreamSampler):
@@ -72,65 +75,63 @@ class SlidingWindowSampler(CachedView, StreamSampler):
         self.capacity = int(capacity)
         self.window = int(window)
         self._rng = ensure_generator(seed)
-        # Candidates: (arrival_index, priority, element) in arrival order.
-        # Candidate i's priority and domination count sit at index i of the
-        # two buffers, which are longer than the candidate list.
-        self._install([], [])
+        self._fixed_point((), 0)
 
     # ------------------------------------------------------------------
     # StreamSampler interface
     # ------------------------------------------------------------------
     def _process(self, element: Any) -> SampleUpdate:
-        """One arrival: expire, count, prune, append.
+        """One arrival: expire, rank, count, prune, insert.
 
         The new arrival dominates every live candidate of strictly larger
-        priority, so those counts grow by one and the ones reaching
-        ``capacity`` are pruned.  No other count changes: a kept candidate's
-        smaller-priority later arrivals are all kept (one pruned would take
-        it down too), so counting over the candidates equals counting over
-        the stream.  The result is the :meth:`_fixed_point` of the old
-        candidates plus the arrival.  The arrival is accepted when fewer
-        than ``capacity`` live priorities are at most its own: the sample is
-        the stable priority sort's first ``capacity`` entries, and the
-        newest arrival sorts after every equal priority.  Only an accepted
-        arrival or an expiry changes the sample: a pruned candidate has
-        ``capacity`` live later arrivals of strictly smaller priority, so it
-        is no member, and a rejected arrival sorts after the members.
+        priority, the ranked suffix from its ``bisect_right`` position, so
+        those counts grow by one and the ones reaching ``capacity`` are
+        pruned.  No other count changes: a kept candidate's smaller-priority
+        later arrivals are all kept (one pruned would take it down too), so
+        counting over the candidates equals counting over the stream.  The
+        result is the :meth:`_fixed_point` of the old candidates plus the
+        arrival.  The arrival ranks after every equal priority, and it is
+        accepted when its rank is below ``capacity``: the sample is the
+        ranked list's first ``capacity`` entries.  Only an accepted arrival
+        or an expiry changes the sample: a pruned candidate has ``capacity``
+        live later arrivals of strictly smaller priority, so it is no
+        member, and a rejected arrival ranks after the members.
         """
         arrival = self._round
-        priority = float(self._rng.random())
-        candidates = self._candidates
+        priority = self._rng.random()
+        candidates, ranked = self._candidates, self._ranked
         priorities, counts = self._priorities, self._counts
-        n = len(candidates)
-        # Arrival order is expiry order, so the expired candidates are a prefix.
+        # Arrival order is expiry order, so the expired candidates are a
+        # prefix, and the oldest candidate ranks first among its equals.
         cutoff = arrival - self.window
-        expired = 0
-        while expired < n and candidates[expired][0] <= cutoff:
-            expired += 1
-        if expired:
-            del candidates[:expired]
-            n -= expired
-            priorities[:n] = priorities[expired : expired + n]
-            counts[:n] = counts[expired : expired + n]
-        dominated = priorities[:n] > priority
-        n_dominated = int(np.count_nonzero(dominated))
-        accepted = n - n_dominated < self.capacity
+        expired = False
+        while candidates and candidates[0][0] <= cutoff:
+            index = bisect_left(priorities, candidates.pop(0)[1])
+            del ranked[index], priorities[index], counts[index]
+            expired = True
+        rank = bisect_right(priorities, priority)
+        accepted = rank < self.capacity
         if accepted or expired:
             self._view = None
-        if n_dominated:
-            live_counts = counts[:n]
-            live_counts += dominated
-            for index in reversed((live_counts >= self.capacity).nonzero()[0].tolist()):
-                del candidates[index]
-                n -= 1
-                priorities[index:n] = priorities[index + 1 : n + 1]
-                counts[index:n] = counts[index + 1 : n + 1]
-        if n == len(priorities):
-            priorities = self._priorities = np.resize(priorities, 2 * n)
-            counts = self._counts = np.resize(counts, 2 * n)
-        priorities[n] = priority
-        counts[n] = 0
-        candidates.append((arrival, priority, element))
+        last = self.capacity - 1
+        # The dominated suffix, from its end: a prune moves no index still to visit.
+        for index in range(len(counts) - 1, rank - 1, -1):
+            count = counts[index]
+            if count < last:
+                counts[index] = count + 1
+                continue
+            entry = ranked[index]
+            del ranked[index], priorities[index], counts[index]
+            # A merge of interleaved parts can repeat an arrival index.
+            position = bisect_left(candidates, (entry[0],))
+            while candidates[position] is not entry:
+                position += 1
+            del candidates[position]
+        entry = (arrival, priority, element)
+        ranked.insert(rank, entry)
+        priorities.insert(rank, priority)
+        counts.insert(rank, 0)
+        candidates.append(entry)
         return SampleUpdate(arrival, element, accepted)
 
     def extend(
@@ -146,8 +147,8 @@ class SlidingWindowSampler(CachedView, StreamSampler):
         candidates plus the batch's live tail at the batch's final round —
         the same set per-round processing reaches incrementally, because
         dominators expire no earlier than the candidates they dominate, so
-        pruning early never changes the final set.  The scan also returns
-        the survivors' domination counts, so a later :meth:`process`
+        pruning early never changes the final set.  The scan also keeps the
+        survivors' ranks and domination counts, so a later :meth:`process`
         continues from exact state.
 
         The per-element ``accepted`` flag is defined against each
@@ -172,9 +173,7 @@ class SlidingWindowSampler(CachedView, StreamSampler):
             reversed(priorities[first_live:].tolist()),
             reversed(elements[first_live:]),
         )
-        self._install(
-            *self._fixed_point(chain(live, reversed(self._candidates)), self._round - self.window)
-        )
+        self._fixed_point(chain(live, reversed(self._candidates)), self._round - self.window)
         return None
 
     def merge(
@@ -231,7 +230,7 @@ class SlidingWindowSampler(CachedView, StreamSampler):
             self.window,
             seed=rng if rng is not None else spawn_generators(self._rng, 1)[0],
         )
-        merged._install(*self._fixed_point(reversed(combined), total_round - self.window))
+        merged._fixed_point(reversed(combined), total_round - self.window)
         merged._round = total_round
         return merged
 
@@ -255,7 +254,7 @@ class SlidingWindowSampler(CachedView, StreamSampler):
         return tuple([element for _arrival, _priority, element in self._current_sample_entries()])
 
     def reset(self) -> None:
-        self._install([], [])
+        self._fixed_point((), 0)
         self._round = 0
 
     def memory_footprint(self) -> int:
@@ -264,25 +263,28 @@ class SlidingWindowSampler(CachedView, StreamSampler):
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _fixed_point(
-        self, newest_first: Iterable[tuple[int, float, Any]], cutoff: int
-    ) -> tuple[list[tuple[int, float, Any]], list[int]]:
-        """Expire and prune candidates given newest arrival first.
+    def _fixed_point(self, newest_first: Iterable[Entry], cutoff: int) -> None:
+        """Keep the candidates that survive expiry and pruning, given newest
+        arrival first.
 
-        Returns the kept candidates in arrival order and their domination
-        counts.  A candidate is kept iff it arrived after ``cutoff`` and
-        fewer than ``capacity`` kept later arrivals have strictly smaller
-        priorities; that number is its count.  A dominated candidate can
-        never re-enter the sample: its dominators expire later.  The first
-        expired candidate ends the scan, and a priority above the
-        ``capacity``-th smallest kept one is rejected by a single
-        comparison, so a lazy ``newest_first`` only ever materialises the
-        survivors.
+        A candidate is kept iff it arrived after ``cutoff`` and fewer than
+        ``capacity`` kept later arrivals have strictly smaller priorities;
+        that number is its count, its ``bisect_left`` rank among them, and
+        older arrivals never change it.  A dominated candidate can never
+        re-enter the sample: its dominators expire later.  The first expired
+        candidate ends the scan, and a priority above the ``capacity``-th
+        smallest kept one is rejected by a single comparison, so a lazy
+        ``newest_first`` only ever materialises the survivors.  They are
+        stored twice: in arrival order, and ranked in three parallel lists
+        (entry, priority, count).  The scan ranks each older candidate
+        before its equal priorities, so the ranking is a stable priority
+        sort of the arrival order and nothing sorts.
         """
         capacity = self.capacity
-        kept: list[tuple[int, float, Any]] = []
+        kept: list[Entry] = []
+        ranked: list[Entry] = []
+        priorities: list[float] = []
         counts: list[int] = []
-        priorities: list[float] = []  # the kept ones so far, ascending
         threshold = math.inf
         for candidate in newest_first:
             if candidate[0] <= cutoff:
@@ -291,28 +293,17 @@ class SlidingWindowSampler(CachedView, StreamSampler):
             if priority > threshold:
                 continue
             count = bisect_left(priorities, priority)
+            ranked.insert(count, candidate)
             priorities.insert(count, priority)
+            counts.insert(count, count)
             kept.append(candidate)
-            counts.append(count)
             if len(priorities) >= capacity:
                 threshold = priorities[capacity - 1]
         kept.reverse()
-        counts.reverse()
-        return kept, counts
-
-    def _install(self, candidates: list[tuple[int, float, Any]], counts: list[int]) -> None:
-        """Adopt ``candidates`` (arrival order) with their domination counts."""
         self._view: tuple[Any, ...] | None = None
-        n = len(candidates)
-        size = max(2 * n, 16)
-        self._candidates: list[tuple[int, float, Any]] = candidates
-        self._priorities: NDArray[np.float64] = np.empty(size)
-        self._priorities[:n] = [candidate[1] for candidate in candidates]
-        self._counts: NDArray[np.int64] = np.empty(size, dtype=np.int64)
-        self._counts[:n] = counts
+        self._candidates, self._ranked = kept, ranked
+        self._priorities, self._counts = priorities, counts
 
-    def _current_sample_entries(self) -> list[tuple[int, float, Any]]:
+    def _current_sample_entries(self) -> list[Entry]:
         """The ``capacity`` smallest priorities, in a stable priority sort."""
-        candidates = self._candidates
-        order = self._priorities[: len(candidates)].argsort(kind="stable")[: self.capacity]
-        return [candidates[index] for index in order.tolist()]
+        return self._ranked[: self.capacity]

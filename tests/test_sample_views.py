@@ -41,6 +41,10 @@ _KINDS = {
 
 _elements = st.integers(0, 40)
 
+#: Examples per property test: five times the loaded profile's budget (60
+#: per push, 375 under the nightly profile).
+EXAMPLES = 5 * settings.default.max_examples
+
 
 def _make(kind: str, capacity: int, seed: Any) -> Any:
     if kind == "bernoulli":
@@ -130,7 +134,7 @@ def _play(kind: str, capacity: int, seed: int, operations: list[tuple[Any, ...]]
 
 class TestStoredSampleViews:
     @pytest.mark.parametrize("kind", sorted(_KINDS))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     @given(data=st.data(), capacity=st.integers(1, 6), seed=st.integers(0, 2**16))
     def test_random_operation_sequences_keep_the_view_contract(self, kind, data, capacity, seed):
         _play(kind, capacity, seed, data.draw(_operations(kind)))
@@ -284,7 +288,7 @@ def _play_derived(
 class TestDerivedViews:
     @pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
     @pytest.mark.parametrize("capacity,window", _GEOMETRIES)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     @given(operations=_derived_operations(merges=True), seed=st.integers(0, 2**16))
     def test_window_operation_sequences_keep_the_view_contract(
         self, capacity, window, tied, operations, seed
@@ -297,7 +301,7 @@ class TestDerivedViews:
 
     @pytest.mark.parametrize("capacity", [1, 5])
     @pytest.mark.parametrize("kind", sorted(_HEAPS))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     @given(operations=_derived_operations(merges=False), seed=st.integers(0, 2**16))
     def test_heap_operation_sequences_keep_the_view_contract(self, kind, capacity, operations, seed):
         _play_derived(_HEAPS[kind](capacity, seed=seed), _heap_oracle, operations)

@@ -15,6 +15,7 @@ Two equivalence strengths appear below, matching each kernel's contract:
 from __future__ import annotations
 
 import bisect
+import copy
 
 import numpy as np
 import pytest
@@ -349,14 +350,18 @@ def _window_candidates(priorities, data, capacity, window, t):
 
 
 def _assert_counts(sampler):
-    """Each candidate's stored domination count is the number of later
-    candidates with a strictly smaller priority."""
+    """The ranked lists hold the candidates themselves in a stable priority
+    sort, with their priorities, and each one's stored domination count is
+    the number of later candidates with a strictly smaller priority."""
     candidates = sampler._candidates
     expected = [
         sum(later[1] < entry[1] for later in candidates[i + 1 :])
         for i, entry in enumerate(candidates)
     ]
-    assert sampler._counts[: len(candidates)].tolist() == expected
+    order = sorted(range(len(candidates)), key=lambda i: candidates[i][1])
+    assert [id(entry) for entry in sampler._ranked] == [id(candidates[i]) for i in order]
+    assert sampler._priorities == [candidates[i][1] for i in order]
+    assert sampler._counts == [expected[i] for i in order]
 
 
 class _TiedPriorities:
@@ -504,6 +509,40 @@ class TestSlidingWindowOracle:
             assert list(site.sample) == [entry[2] for entry in in_sample]
             _assert_counts(site)
         assert len(sharded.sites) == 2
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
+    @pytest.mark.parametrize("capacity,window", [(1, 1), (4, 16), (8, 64)])
+    def test_streaming_after_an_interleaved_merge(self, capacity, window, tied):
+        """A coordinator's merge of random-routed sites treats each site's
+        window as the trailing stretch of its own substream, so the merged
+        window can hold one arrival index several times.  It keeps ingesting
+        like any window: ``process`` and ``extend(updates=False)`` reach the
+        same candidates, counts and sample, round after round."""
+        data = _stream(40, n=200 + 2 * window)
+
+        def site(rng):
+            window_site = SlidingWindowSampler(capacity, window, seed=rng)
+            if tied:
+                window_site._rng = _TiedPriorities(int(rng.integers(2**16)), 200)
+            return window_site
+
+        sharded = ShardedSampler(4, site, strategy="random", seed=3)
+        for element in data[:200]:
+            sharded.process(element)
+        merged = sharded.merged_sampler()
+        if tied:
+            merged._rng = _TiedPriorities(self.SEED, len(data))
+        arrivals = [entry[0] for entry in merged._candidates]
+        assert len(set(arrivals)) < len(arrivals)
+        _assert_counts(merged)
+        by_process, by_extend = copy.deepcopy(merged), copy.deepcopy(merged)
+        for element in data[200:]:
+            by_process.process(element)
+            by_extend.extend([element], updates=False)
+            assert by_process._candidates == by_extend._candidates
+            assert by_process._counts == by_extend._counts
+            assert by_process.sample == by_extend.sample
+            _assert_counts(by_process)
 
     @pytest.mark.parametrize("capacity,window", GEOMETRIES)
     def test_tied_priorities_process_matches_reference(self, capacity, window):
