@@ -6,8 +6,9 @@ state is fully visible to the adversary, as in the paper's model):
 * :class:`BernoulliSampler` — the paper's ``BernoulliSample``,
 * :class:`ReservoirSampler` — the paper's ``ReservoirSample`` (Vitter's
   Algorithm R), with optional non-standard eviction policies for ablations,
-* :class:`WeightedReservoirSampler` — Efraimidis–Spirakis A-Res,
-* :class:`PrioritySampler` — priority sampling,
+* :class:`WeightedReservoirSampler` — Efraimidis–Spirakis A-Res, and
+  :class:`PrioritySampler` — priority sampling: one key-heap kernel that
+  keeps the ``k`` largest keys, ``u^(1/w)`` and ``w/u`` respectively,
 * :class:`SlidingWindowSampler` — uniform sampling over a sliding window.
 
 Deterministic / sketching baselines (Section 1.1's comparison targets):
@@ -24,11 +25,10 @@ from .bernoulli import BernoulliSampler
 from .deterministic import MergeReduceSummary, WeightedPoint
 from .kll import KLLSketch
 from .misra_gries import MisraGriesSummary
-from .priority import PrioritySampler
 from .quantile_sketch import GreenwaldKhannaSketch
 from .reservoir import ReservoirSampler
 from .sliding_window import SlidingWindowSampler
-from .weighted_reservoir import WeightedReservoirSampler
+from .weighted_reservoir import PrioritySampler, WeightedReservoirSampler
 
 __all__ = [
     "BernoulliSampler",

@@ -26,6 +26,38 @@ def test_non_positive_capacity_is_a_configuration_error(make, capacity):
         make(capacity)
 
 
+@pytest.mark.parametrize("make", [PrioritySampler, WeightedReservoirSampler])
+@pytest.mark.parametrize(
+    "feed", [lambda s: s.process(0), lambda s: s.extend([5, 0, 6])], ids=["process", "extend"]
+)
+def test_rejected_element_changes_nothing(make, feed):
+    """An element with an invalid weight is no round, and a batch holding
+    one ingests none of it: the round counter, heap, tiebreak counter and
+    generator stay as an untouched twin's."""
+    sampler = make(3, weight=lambda e: 0.0 if e == 0 else 1.0, seed=0)
+    twin = make(3, seed=0)
+    with pytest.raises(ConfigurationError):
+        feed(sampler)
+    assert sampler.rounds_processed == 0 and sampler.sample == ()
+    assert sampler.process(9) == twin.process(9) == (1, 9, True, None)
+    assert sampler._heap == twin._heap
+
+
+@pytest.mark.parametrize("make", [PrioritySampler, WeightedReservoirSampler])
+def test_nan_weight_rejected(make):
+    """A NaN key at the heap root would fail every later comparison and
+    freeze the sample."""
+    sampler = make(3, weight=lambda e: float("nan") if e == 0 else 1.0, seed=0)
+    with pytest.raises(ConfigurationError):
+        sampler.process(0)
+    with pytest.raises(ConfigurationError):
+        sampler.extend(range(100))
+    assert sampler.rounds_processed == 0
+    sampler.extend(range(1, 100))
+    assert sampler.rounds_processed == 99
+    assert sampler.smallest_key > 0.5  # the three largest keys of 99, none NaN
+
+
 class TestBernoulliSampler:
     def test_invalid_probability_rejected(self):
         with pytest.raises(ConfigurationError):
