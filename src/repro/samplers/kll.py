@@ -21,6 +21,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, EmptySampleError
 from ..rng import RandomState, ensure_generator, spawn_generators
+from .quantile_sketch import _float, _floats
 
 
 class KLLSketch:
@@ -52,8 +53,8 @@ class KLLSketch:
     # Streaming interface
     # ------------------------------------------------------------------
     def update(self, value: float) -> None:
-        """Insert one stream element."""
-        self._compactors[0].append(float(value))
+        """Insert one stream element; NaN is rejected with no state change."""
+        self._compactors[0].append(_float(value, self.name))
         self._count += 1
         if self._size() > self._capacity_total():
             self._compress()
@@ -67,9 +68,10 @@ class KLLSketch:
         points (and hence the same random compaction offsets) as the
         sequential loop.  What the bulk path saves is the per-element
         ``_size()`` / ``_capacity_total()`` recomputation, which dominates
-        sequential ingestion.
+        sequential ingestion.  A batch holding a NaN is rejected whole,
+        before any state changes.
         """
-        values = [float(value) for value in values]
+        values = _floats(values, self.name)
         cursor = 0
         while cursor < len(values):
             # Fill to exactly one element over capacity — the same state at

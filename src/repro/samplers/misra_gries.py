@@ -10,7 +10,7 @@ examine every element, which is exactly the trade-off the paper highlights.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterable, Sequence
 from typing import Any
 
@@ -38,9 +38,12 @@ class MisraGriesSummary:
     # Streaming interface
     # ------------------------------------------------------------------
     def update(self, element: Any) -> None:
-        """Process one stream element."""
+        """Process one stream element; an unhashable one raises ``TypeError``
+        with no state change."""
+        # An unhashable element raises here, before anything changes.
+        tracked = element in self._counters
         self._count += 1
-        if element in self._counters:
+        if tracked:
             self._counters[element] += 1
             return
         if len(self._counters) < self.capacity:
@@ -68,8 +71,12 @@ class MisraGriesSummary:
         between runs.  The per-element rule is already a bare dict update,
         so the payoff is modest: parity at typical skew (runs are short),
         ~2x when a few keys dominate outright and runs grow long.
+
+        Every element is hashed before any state changes, so a batch holding
+        an unhashable element raises ``TypeError`` and ingests none of it.
         """
         elements = list(elements)
+        deque(map(hash, elements), maxlen=0)
         counters = self._counters
         update = self.update
 
@@ -86,24 +93,15 @@ class MisraGriesSummary:
             self._count += length
 
         run_start = None
-        position = 0
-        try:
-            for position, element in enumerate(elements):
-                if element in counters:
-                    if run_start is None:
-                        run_start = position
-                    continue
-                if run_start is not None:
-                    flush(run_start, position)
-                    run_start = None
-                update(element)
-        except TypeError:
-            # Unhashable element: flush the tracked run before it, then let
-            # the per-element rule raise with exactly the sequential state.
+        for position, element in enumerate(elements):
+            if element in counters:
+                if run_start is None:
+                    run_start = position
+                continue
             if run_start is not None:
                 flush(run_start, position)
-            update(elements[position])
-            raise  # pragma: no cover - update() always raises first
+                run_start = None
+            update(element)
         if run_start is not None:
             flush(run_start, len(elements))
 

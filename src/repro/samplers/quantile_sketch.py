@@ -18,8 +18,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Iterable
+from typing import Any
 
 from ..exceptions import ConfigurationError, EmptySampleError
+
+
+def _float(value: Any, family: str) -> float:
+    """``value`` as a float, or a :class:`ConfigurationError` for NaN: it
+    compares false with every value, so no rank can place it."""
+    value = float(value)
+    if math.isnan(value):
+        raise ConfigurationError(f"a {family} sketch cannot summarise NaN")
+    return value
+
+
+def _floats(values: Iterable[Any], family: str) -> list[float]:
+    """A batch as floats, refused whole if it holds a NaN (see :func:`_float`)."""
+    floats = [float(value) for value in values]
+    if any(map(math.isnan, floats)):
+        raise ConfigurationError(f"a {family} sketch cannot summarise NaN")
+    return floats
 
 
 @dataclass
@@ -52,8 +70,8 @@ class GreenwaldKhannaSketch:
     # Streaming interface
     # ------------------------------------------------------------------
     def update(self, value: float) -> None:
-        """Insert one stream element."""
-        value = float(value)
+        """Insert one stream element; NaN is rejected with no state change."""
+        value = _float(value, self.name)
         self._count += 1
         threshold = self._compress_threshold()
 
@@ -91,8 +109,10 @@ class GreenwaldKhannaSketch:
         the previous extremes have exactly known ranks (``delta = 0``).
         Property tests in ``tests/test_samplers_extend.py`` pin the bound on
         both paths, including duplicate-heavy streams.
+
+        A batch holding a NaN is rejected whole, before any state changes.
         """
-        values = [float(value) for value in values]
+        values = _floats(values, self.name)
         if len(values) < self._BULK_THRESHOLD:
             for value in values:
                 self.update(value)

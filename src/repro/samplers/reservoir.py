@@ -99,10 +99,13 @@ class ReservoirSampler(StoredSample, FixedSizeSampler):
         (element ``i`` is accepted with Vitter's probability ``k / i``), and
         victim slots are drawn in one call for the accepted rounds only, so
         the Python-level loop touches just the ``O(k log n)`` expected
-        acceptances instead of every element.  The realised reservoir is a
-        different (equally distributed) draw from the sequential path, since
-        the batch consumes the bit stream in a different order; seeded runs
-        are reproducible as long as the chunking is reproducible.
+        acceptances instead of every element.  A batch that accepts nothing
+        makes no victim draw (a size-0 draw would consume no bits anyway),
+        and the batch is copied once, into the list the record shares.
+        The realised reservoir is a different (equally distributed) draw
+        from the sequential path, since the batch consumes the bit stream in
+        a different order; seeded runs are reproducible as long as the
+        chunking is reproducible.
 
         The ablation eviction policies ("fifo", "min-value") depend on the
         evolving reservoir state per round and fall back to the sequential
@@ -131,7 +134,7 @@ class ReservoirSampler(StoredSample, FixedSizeSampler):
                     fill,
                     np.ones(len(fill), dtype=bool),
                 )
-        rest = elements[position:]
+        rest = elements[position:] if position else elements
         if not rest:
             return (fill_batch or UpdateBatch.empty()) if updates else None
         start_round = self._round
@@ -139,18 +142,19 @@ class ReservoirSampler(StoredSample, FixedSizeSampler):
         coins = self._rng.random(len(rest))
         accepted = coins < (self.capacity / round_indices)
         accepted_positions = np.flatnonzero(accepted)
-        slots = self._rng.integers(0, self.capacity, size=len(accepted_positions))
         self._round = start_round + len(rest)
-        self._total_accepted += len(accepted_positions)
-        if len(accepted_positions):
-            self._view = None
         evictions: dict[int, Any] | None = {} if updates else None
-        for offset, slot in zip(accepted_positions, slots):
-            slot = int(slot)
-            if evictions is not None:
-                evictions[int(offset)] = self._sample[slot]
-            self._sample[slot] = rest[offset]
-            self._insertion_order[slot] = start_round + int(offset) + 1
+        # A size-0 bounded draw consumes no bits, so skipping it when
+        # nothing was accepted leaves every later draw as it was.
+        if len(accepted_positions):
+            slots = self._rng.integers(0, self.capacity, size=len(accepted_positions))
+            self._total_accepted += len(accepted_positions)
+            self._view = None
+            for offset, slot in zip(accepted_positions.tolist(), slots.tolist()):
+                if evictions is not None:
+                    evictions[offset] = self._sample[slot]
+                self._sample[slot] = rest[offset]
+                self._insertion_order[slot] = start_round + offset + 1
         if not updates:
             return None
         batch = UpdateBatch(round_indices, rest, accepted, evictions)

@@ -224,3 +224,78 @@ class TestKLL:
         sketch.update(1.0)
         with pytest.raises(ConfigurationError):
             sketch.quantile_query(-0.1)
+
+
+NAN = float("nan")
+
+
+def _gk_state(sketch):
+    return sketch.count, list(sketch._tuples)
+
+
+def _kll_state(sketch):
+    return sketch.count, [list(level) for level in sketch._compactors], sketch._rng.bit_generator.state
+
+
+def _mg_state(summary):
+    return summary.count, dict(summary._counters), summary.max_underestimate
+
+
+class TestRejectedInputChangesNothing:
+    """A rejected element or batch leaves a summary as an untouched twin,
+    and both go on to ingest the same later stream alike."""
+
+    @pytest.mark.parametrize(
+        "make, state",
+        [
+            pytest.param(lambda: GreenwaldKhannaSketch(0.01), _gk_state, id="gk"),
+            pytest.param(lambda: KLLSketch(64, seed=3), _kll_state, id="kll"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "feed",
+        [
+            pytest.param(lambda sketch: sketch.update(NAN), id="update"),
+            pytest.param(lambda sketch: sketch.extend([5.0, NAN, 6.0]), id="short-batch"),
+            # GK's bulk path merges 512-value blocks; the NaN is in the second.
+            pytest.param(
+                lambda sketch: sketch.extend([*range(1, 1001), NAN, *range(1001, 2001)]),
+                id="blocked-batch",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("history", [0, 3000])
+    def test_nan_is_rejected(self, make, state, feed, history):
+        sketch, twin = make(), make()
+        for part in (sketch, twin):
+            part.extend(range(history))
+        with pytest.raises(ConfigurationError):
+            feed(sketch)
+        assert state(sketch) == state(twin)
+        for part in (sketch, twin):
+            part.extend(range(700))
+            part.update(3.5)
+        assert state(sketch) == state(twin)
+
+    @pytest.mark.parametrize(
+        "feed",
+        [
+            pytest.param(lambda summary: summary.update([1]), id="update"),
+            pytest.param(lambda summary: summary.extend([4, [1], 5]), id="batch"),
+            pytest.param(lambda summary: summary.extend([[*range(3)]]), id="batch-of-one"),
+            pytest.param(lambda summary: summary.extend([2, (1, [2])]), id="unhashable-tuple"),
+            # A long tracked run ahead of the bad element takes the Counter pass.
+            pytest.param(lambda summary: summary.extend([*[1] * 40, 9, {}]), id="after-a-run"),
+        ],
+    )
+    def test_unhashable_element_is_rejected(self, feed):
+        summary, twin = MisraGriesSummary(2), MisraGriesSummary(2)
+        for part in (summary, twin):
+            part.extend([1, 2, 3, 1])
+        with pytest.raises(TypeError):
+            feed(summary)
+        assert _mg_state(summary) == _mg_state(twin)
+        for part in (summary, twin):
+            part.extend([1, 7, 1, 8])
+            part.update(1)
+        assert _mg_state(summary) == _mg_state(twin)
