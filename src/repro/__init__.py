@@ -74,7 +74,7 @@ from .core import (
     reservoir_attack_threshold,
     reservoir_continuous_size,
 )
-from .distributed import RandomRouter, ShardedSampler
+from .distributed import ShardedSampler
 from .exceptions import (
     ConfigurationError,
     EmptySampleError,
@@ -149,7 +149,6 @@ __all__ = [
     "Prefix",
     "PrefixSystem",
     "PrioritySampler",
-    "RandomRouter",
     "RectangleSystem",
     "ReproError",
     "ReservoirSampler",

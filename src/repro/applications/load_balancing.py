@@ -11,6 +11,9 @@ extra ``ln K`` comes from union-bounding over the servers).
 :func:`simulate_load_balancing` runs the scenario end to end and reports, per
 server, the worst-range discrepancy between its substream and the global
 stream; experiment E12 sweeps the number of servers and the workload type.
+Each query is routed by :class:`~repro.distributed.sharded.RandomSharding`,
+the rule a ``ShardedSampler(strategy="random")`` deployment routes by, one
+scalar draw per query.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from collections.abc import Iterable
 from typing import Any
 
 from ..adversary.base import Adversary
-from ..distributed.partitioned import RandomRouter
+from ..distributed.sharded import RandomSharding
 from ..exceptions import ConfigurationError
-from ..rng import RandomState
+from ..rng import RandomState, ensure_generator
 from ..setsystems.base import SetSystem
 
 
@@ -103,28 +106,44 @@ def simulate_load_balancing(
     """
     if (queries is None) == (adversary is None):
         raise ConfigurationError("provide exactly one of `queries` or `adversary`")
-    router = RandomRouter(num_servers, seed=seed)
+    if num_servers < 2:
+        raise ConfigurationError(f"need at least 2 servers, got {num_servers}")
+    # The routing coins are private to the system: the client sees which
+    # server answered, never the coins.
+    rng = ensure_generator(seed)
+    router = RandomSharding()
+    stream: list[Any] = []
+    servers: list[list[Any]] = [[] for _ in range(num_servers)]
+
+    def route(query: Any) -> int:
+        server = router.assign_one(query, len(stream) + 1, num_servers, rng)
+        servers[server].append(query)
+        stream.append(query)
+        return server
+
     if queries is not None:
-        router.route_all(queries)
+        for query in queries:
+            route(query)
     else:
         assert adversary is not None
         if stream_length is None or stream_length < 1:
             raise ConfigurationError("an adversarial client needs a positive stream_length")
         observed_server = 0
         for round_index in range(1, stream_length + 1):
-            observed = router.servers[observed_server].received
-            query = adversary.plan_block(round_index, 1, observed)[0]
-            observed_server = router.route(query)
-    errors = []
-    for server in router.servers:
-        if not server.received:
-            errors.append(1.0)
-        else:
-            errors.append(set_system.max_discrepancy(router.stream, server.received).error)
+            query = adversary.plan_block(round_index, 1, servers[observed_server])[0]
+            observed_server = route(query)
+    errors = [
+        set_system.max_discrepancy(stream, received).error if received else 1.0
+        for received in servers
+    ]
+    imbalance = 0.0
+    if stream:
+        target = 1.0 / num_servers
+        imbalance = max(abs(len(received) / len(stream) - target) for received in servers)
     return LoadBalancingReport(
         num_servers=num_servers,
-        stream_length=len(router.stream),
+        stream_length=len(stream),
         per_server_errors=tuple(errors),
-        per_server_loads=tuple(router.loads()),
-        load_imbalance=router.load_imbalance(),
+        per_server_loads=tuple(len(received) for received in servers),
+        load_imbalance=imbalance,
     )

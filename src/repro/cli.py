@@ -171,26 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_fuzz.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
-    scenario_fuzz.add_argument(
-        "--faults",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "include fault-plan knobs (crashes, stale coordinator windows, "
-            "mid-stream reshards) in the sharded draws; --no-faults sweeps "
-            "fault-free deployments only"
-        ),
-    )
-    scenario_fuzz.add_argument(
-        "--service",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "include query-service knobs (staleness bound, client count, "
-            "query cadence) in the draws; --no-service sweeps serverless "
-            "configs only"
-        ),
-    )
 
     bench_parser = subparsers.add_parser(
         "bench", help="run the perf benchmark suite and write a JSON report"
@@ -523,12 +503,7 @@ def _run_scenario_fuzz(args: argparse.Namespace) -> int:
 
     if args.count < 1:
         raise ConfigurationError(f"--count must be >= 1, got {args.count}")
-    report = fuzz(
-        args.count,
-        seed=args.seed,
-        include_faults=args.faults,
-        include_service=args.service,
-    )
+    report = fuzz(args.count, seed=args.seed)
     if args.json:
         print(report.to_json())
     else:

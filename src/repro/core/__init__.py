@@ -2,7 +2,7 @@
 
 This package implements the paper's analytical toolkit as executable code:
 
-* :mod:`repro.core.approximation` — Definition 1.1 and continuous traces,
+* :mod:`repro.core.approximation` — Definition 1.1 and the checkpoint schedule,
 * :mod:`repro.core.bounds` — Theorems 1.2, 1.3 and 1.4 as calculators,
 * :mod:`repro.core.concentration` — Section 3's inequalities (Chernoff,
   Azuma, Freedman/McDiarmid),
@@ -11,10 +11,8 @@ This package implements the paper's analytical toolkit as executable code:
 """
 
 from .approximation import (
-    ContinuousApproximationTrace,
     approximation_error,
     approximation_report,
-    continuous_approximation_trace,
     density,
     geometric_checkpoints,
     is_epsilon_approximation,
@@ -56,7 +54,6 @@ from .robustness import RobustnessCertificate, certify_bernoulli, certify_reserv
 
 __all__ = [
     "BernoulliMartingaleTracker",
-    "ContinuousApproximationTrace",
     "MartingaleTrace",
     "ReservoirMartingaleTracker",
     "RobustnessCertificate",
@@ -74,7 +71,6 @@ __all__ = [
     "chernoff_lower_tail",
     "chernoff_two_sided",
     "chernoff_upper_tail",
-    "continuous_approximation_trace",
     "density",
     "empirical_drift",
     "epsilon_for_bernoulli",

@@ -2,15 +2,16 @@
 
 This module provides the functional API most callers use: given a stream, a
 sample and a set system, compute the worst-range discrepancy, decide whether
-the sample is an epsilon-approximation (Definition 1.1), and track the
-discrepancy continuously over a stream prefix-by-prefix (needed by the
-continuous-robustness experiments of Theorem 1.4).
+the sample is an epsilon-approximation (Definition 1.1), and lay out the
+geometric checkpoint schedule of Theorem 1.4's proof.  The continuous
+experiments judge the sample at those checkpoints with
+:func:`~repro.adversary.game.run_continuous_game`, which tracks the stream's
+range counts incrementally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 from ..exceptions import EmptySampleError
@@ -50,74 +51,6 @@ def is_epsilon_approximation(
 ) -> bool:
     """Definition 1.1: is ``sample`` an ``epsilon``-approximation of ``stream``?"""
     return approximation_error(set_system, stream, sample) <= epsilon
-
-
-@dataclass
-class ContinuousApproximationTrace:
-    """Prefix-by-prefix record of the approximation error along a stream.
-
-    Produced by :func:`continuous_approximation_trace`.  ``checkpoints`` holds
-    the prefix lengths at which the error was evaluated and ``errors`` the
-    corresponding worst-range discrepancies; ``max_error`` is the maximum over
-    all evaluated checkpoints, which is the quantity Theorem 1.4 bounds.
-    """
-
-    checkpoints: list[int] = field(default_factory=list)
-    errors: list[float] = field(default_factory=list)
-
-    @property
-    def max_error(self) -> float:
-        return max(self.errors) if self.errors else 0.0
-
-    def error_at(self, checkpoint: int) -> float:
-        """Return the recorded error at a specific checkpoint."""
-        index = self.checkpoints.index(checkpoint)
-        return self.errors[index]
-
-    def violations(self, epsilon: float) -> list[int]:
-        """Return the checkpoints at which the sample was *not* an epsilon-approximation."""
-        return [
-            checkpoint
-            for checkpoint, error in zip(self.checkpoints, self.errors)
-            if error > epsilon
-        ]
-
-
-def continuous_approximation_trace(
-    set_system: SetSystem,
-    stream: Sequence[Any],
-    sample_at: Callable[[int], Sequence[Any]],
-    checkpoints: Iterable[int] | None = None,
-) -> ContinuousApproximationTrace:
-    """Evaluate the approximation error at a set of prefix lengths.
-
-    Parameters
-    ----------
-    set_system:
-        The set system with respect to which approximation is measured.
-    stream:
-        The full stream; prefix ``i`` is ``stream[:i]``.
-    sample_at:
-        Callback returning the sample held by the algorithm after processing
-        ``i`` elements.  Game runners record these snapshots.
-    checkpoints:
-        Prefix lengths to evaluate; defaults to every prefix length from 1 to
-        ``len(stream)`` (exact but expensive — the continuous experiments pass
-        the paper's sparser geometric checkpoints instead).
-    """
-    trace = ContinuousApproximationTrace()
-    if checkpoints is None:
-        checkpoints = range(1, len(stream) + 1)
-    for checkpoint in checkpoints:
-        prefix = stream[:checkpoint]
-        sample = sample_at(checkpoint)
-        if len(sample) == 0:
-            trace.checkpoints.append(checkpoint)
-            trace.errors.append(1.0)
-            continue
-        trace.checkpoints.append(checkpoint)
-        trace.errors.append(set_system.max_discrepancy(prefix, sample).error)
-    return trace
 
 
 def geometric_checkpoints(start: int, end: int, ratio: float) -> list[int]:

@@ -1,4 +1,4 @@
-"""Distributed substrates: query routing, sharded samplers, faults."""
+"""Distributed substrates: sharded samplers, their routing strategies, faults."""
 
 from .faults import (
     FaultPlan,
@@ -7,7 +7,6 @@ from .faults import (
     SiteCrash,
     StaleWindow,
 )
-from .partitioned import RandomRouter, ServerState
 from .sharded import (
     HashSharding,
     RandomSharding,
@@ -22,11 +21,9 @@ __all__ = [
     "FaultPlan",
     "HashSharding",
     "MessageCostLedger",
-    "RandomRouter",
     "RandomSharding",
     "Reshard",
     "RoundRobinSharding",
-    "ServerState",
     "ShardedSampler",
     "ShardingStrategy",
     "SiteCrash",

@@ -4,9 +4,10 @@ The paper's adversarial model assumes the sampler *infrastructure* is
 reliable; production deployments are not.  This module makes infrastructure
 failure a first-class, reproducible experiment axis:
 
-* :class:`FaultPlan` is a seed-independent, JSON-serialisable schedule of
-  infrastructure events — site crashes with optional recovery, coordinator
-  cache-staleness windows, and mid-stream resharding (site split / merge).
+* :class:`FaultPlan` is a seed-independent schedule of infrastructure
+  events — site crashes with optional recovery, coordinator cache-staleness
+  windows, and mid-stream resharding (site split / merge).  A scenario's
+  JSON ``faults`` spec compiles into one with :func:`compile_fault_spec`.
   Every event fires at a declared **global round**, never in response to
   load or timing, so a faulted game is bit-reproducible under a fixed seed
   and independent of how the stream is chunked.
@@ -36,10 +37,9 @@ up again with no special casing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from collections.abc import Mapping
-from typing import Any
+from collections.abc import Callable, Mapping
+from typing import Any, TypeVar
 
 from ..exceptions import ConfigurationError
 
@@ -185,7 +185,7 @@ class FaultPlan:
 
     All rounds are 1-based global stream rounds; an event at round ``r``
     fires before the ``r``-th element is processed.  The plan is pure data
-    (JSON round-trippable via :meth:`to_json` / :meth:`from_json`) and
+    (:func:`compile_fault_spec` builds one from a JSON ``faults`` spec) and
     carries no randomness of its own — all stochasticity in a faulted run
     still comes from the deployment's seeded substreams.
     """
@@ -278,71 +278,22 @@ class FaultPlan:
     def __bool__(self) -> bool:
         return bool(self.crashes or self.stale_windows or self.reshards)
 
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {}
-        if self.crashes:
-            payload["crashes"] = [
-                {
-                    "site": crash.site,
-                    "round": crash.round,
-                    "recovery_rounds": crash.recovery_rounds,
-                    "loss": crash.loss,
-                }
-                for crash in self.crashes
-            ]
-        if self.stale_windows:
-            payload["stale_windows"] = [
-                {"round": window.round, "duration": window.duration}
-                for window in self.stale_windows
-            ]
-        if self.reshards:
-            payload["reshards"] = [
-                {
-                    "round": reshard.round,
-                    "op": reshard.op,
-                    "site": reshard.site,
-                    **({"other": reshard.other} if reshard.other is not None else {}),
-                    **(
-                        {"strategy": reshard.strategy}
-                        if reshard.strategy is not None
-                        else {}
-                    ),
-                }
-                for reshard in self.reshards
-            ]
-        return payload
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+_Number = TypeVar("_Number", int, float)
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FaultPlan":
-        unknown = set(payload) - {"crashes", "stale_windows", "reshards"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fault plan fields: {', '.join(sorted(unknown))}"
-            )
-        return cls(
-            crashes=tuple(
-                _build_event(SiteCrash, entry, "crash")
-                for entry in payload.get("crashes", ())
-            ),
-            stale_windows=tuple(
-                _build_event(StaleWindow, entry, "stale window")
-                for entry in payload.get("stale_windows", ())
-            ),
-            reshards=tuple(
-                _build_event(Reshard, entry, "reshard")
-                for entry in payload.get("reshards", ())
-            ),
-        )
 
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
+def _spec_number(
+    entry: Mapping[str, Any], key: str, label: str, kind: Callable[[Any], _Number]
+) -> _Number:
+    """``entry[key]`` converted by ``kind`` (``int`` or ``float``); a null or
+    non-numeric value is a :class:`ConfigurationError` naming the field."""
+    value = entry[key]
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(
+            f"{label} {key!r} must be a number, got {value!r}"
+        ) from None
 
 
 def _resolve_rounds(
@@ -375,8 +326,8 @@ def _resolve_rounds(
             )
         return None
     if has_absolute:
-        return int(entry[key])
-    fraction = float(entry[fraction_key])
+        return _spec_number(entry, key, label, int)
+    fraction = _spec_number(entry, fraction_key, label, float)
     if not 0.0 < fraction <= 1.0:
         raise ConfigurationError(
             f"{label} {fraction_key} must lie in (0, 1], got {fraction}"
@@ -441,7 +392,7 @@ def compile_fault_spec(
             raise ConfigurationError(f"{label} needs a 'site'")
         crashes.append(
             SiteCrash(
-                site=int(entry["site"]),
+                site=_spec_number(entry, "site", label, int),
                 round=_resolve_rounds(entry, "round", stream_length, label),
                 recovery_rounds=_resolve_rounds(
                     entry,
@@ -472,8 +423,8 @@ def compile_fault_spec(
             Reshard(
                 round=_resolve_rounds(entry, "round", stream_length, label),
                 op=str(entry["op"]),
-                site=int(entry["site"]),
-                other=int(entry["other"]) if "other" in entry else None,
+                site=_spec_number(entry, "site", label, int),
+                other=_spec_number(entry, "other", label, int) if "other" in entry else None,
                 strategy=entry.get("strategy"),
             )
         )
@@ -482,17 +433,6 @@ def compile_fault_spec(
         stale_windows=tuple(windows),
         reshards=tuple(reshards),
     )
-
-
-def _build_event(kind: type, entry: Mapping[str, Any], label: str) -> Any:
-    if not isinstance(entry, Mapping):
-        raise ConfigurationError(
-            f"each {label} must be a mapping, got {type(entry).__name__}"
-        )
-    try:
-        return kind(**dict(entry))
-    except TypeError as exc:
-        raise ConfigurationError(f"invalid {label} spec {dict(entry)!r}: {exc}") from exc
 
 
 @dataclass

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 from ..exceptions import ConfigurationError, EmptySampleError
+from .quantile_sketch import _float, _floats
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,8 @@ class MergeReduceSummary:
     # Streaming interface
     # ------------------------------------------------------------------
     def update(self, value: float) -> None:
-        """Insert one stream element."""
-        self._pending.append(float(value))
+        """Insert one stream element; NaN is rejected with no state change."""
+        self._pending.append(_float(value, self.name))
         self._count += 1
         if len(self._pending) == self.buffer_size:
             self._push_buffer(sorted(self._pending), level=0)
@@ -85,9 +86,10 @@ class MergeReduceSummary:
 
         Bit-identical to per-element :meth:`update` — the pending buffer is
         filled in slices and pushed at exactly the same block boundaries —
-        while skipping the per-element method dispatch and length check.
+        while skipping the per-element method dispatch and length check.  A
+        batch holding a NaN is rejected whole, before any state changes.
         """
-        values = [float(value) for value in values]
+        values = _floats(values, self.name)
         cursor = 0
         while cursor < len(values):
             room = self.buffer_size - len(self._pending)

@@ -333,19 +333,11 @@ def _defense_options(sampler: str) -> list[str]:
     ]
 
 
-def random_choices(
-    rng: Any,
-    seed: int = 0,
-    include_faults: bool = True,
-    include_service: bool = True,
-) -> FuzzChoices:
+def random_choices(rng: Any, seed: int = 0) -> FuzzChoices:
     """Draw one valid :class:`FuzzChoices` from a numpy generator.
 
     ``seed`` becomes the config seed verbatim — callers iterate it to make
     every drawn config distinct even when the categorical draws collide.
-    ``include_faults=False`` suppresses the fault-plan knob and
-    ``include_service=False`` the query-service knob (the draws are still
-    consumed, so the other knobs are unchanged by the flags).
     """
     rng = ensure_generator(rng)
     sampler = _pick(rng, sorted(SAMPLER_POOL))
@@ -359,11 +351,7 @@ def random_choices(
     faults = (
         _pick(rng, sorted(FAULT_POOL)) if sites is not None and rng.random() < 0.3 else None
     )
-    if not include_faults:
-        faults = None
     service = _pick(rng, sorted(SERVICE_POOL)) if rng.random() < 0.3 else None
-    if not include_service:
-        service = None
     return FuzzChoices(
         stream_length=int(_pick(rng, _STREAM_CHOICES)),
         universe_size=int(_pick(rng, _UNIVERSE_CHOICES)),
@@ -688,20 +676,13 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def fuzz(
-    count: int,
-    seed: int = 0,
-    include_faults: bool = True,
-    include_service: bool = True,
-) -> FuzzReport:
+def fuzz(count: int, seed: int = 0) -> FuzzReport:
     """Draw ``count`` random configs and check every invariant on each.
 
     The categorical knobs are drawn from one generator seeded with ``seed``;
     the ``index``-th config gets seed ``seed + index``, so all ``count``
     configs are pairwise distinct by construction (distinctness is still
     measured, over the serialised configs, and reported).
-    ``include_faults=False`` restricts the sweep to fault-free deployments;
-    ``include_service=False`` to directly observed (serviceless) ones.
     """
     rng = np.random.default_rng(seed)
     report = FuzzReport(examples=0, distinct_configs=0)
@@ -710,12 +691,7 @@ def fuzz(
     }
     seen: set[str] = set()
     for index in range(count):
-        choices = random_choices(
-            rng,
-            seed=seed + index,
-            include_faults=include_faults,
-            include_service=include_service,
-        )
+        choices = random_choices(rng, seed=seed + index)
         config = build_fuzz_config(choices)
         seen.add(config.to_json(indent=None))
         for outcome in check_invariants(config):

@@ -21,6 +21,7 @@ from repro.distributed import ShardedSampler
 from repro.exceptions import ConfigurationError, StreamExhaustedError
 from repro.samplers import BernoulliSampler, ReservoirSampler
 from repro.setsystems import PrefixSystem
+from repro.streams import uniform_stream
 
 
 def _one(adversary, round_index):
@@ -232,6 +233,20 @@ class TestContinuousGame:
         )
         assert result.checkpoints == [10, 50, 100]
 
+    def test_requested_checkpoints_each_record_an_error(self):
+        """One error per requested checkpoint; the last one is the final
+        sample scored against the whole stream."""
+        system = PrefixSystem(40)
+        stream = uniform_stream(120, 40, seed=3)
+        sampler = ReservoirSampler(8, seed=4)
+        result = run_continuous_game(
+            sampler, StaticAdversary(stream), 120, set_system=system, checkpoints=[10, 50, 120]
+        )
+        assert result.checkpoints == [10, 50, 120]
+        assert len(result.checkpoint_errors) == 3
+        assert result.checkpoint_errors[-1] == system.max_discrepancy(stream, sampler.sample).error
+        assert result.max_checkpoint_error == max(result.checkpoint_errors)
+
     def test_out_of_range_checkpoint_rejected(self, rng):
         with pytest.raises(ConfigurationError):
             run_continuous_game(
@@ -253,6 +268,30 @@ class TestContinuousGame:
         )
         assert result.continuously_succeeded is True
         assert result.first_violation is None
+
+    def test_violations_are_flagged_at_every_prefix(self):
+        """Checked at every prefix, a reservoir scores 0 while it still holds
+        the whole prefix; a 4-slot sample of a longer stream then misses the
+        bound, and ``first_violation`` is the first checkpoint past it."""
+        result = run_continuous_game(
+            ReservoirSampler(4, seed=0),
+            UniformAdversary(50, seed=1),
+            200,
+            set_system=PrefixSystem(50),
+            epsilon=0.2,
+            checkpoints=range(1, 201),
+        )
+        assert list(result.checkpoints) == list(range(1, 201))
+        assert result.checkpoint_errors[:4] == [0.0] * 4
+        violated = [
+            checkpoint
+            for checkpoint, error in zip(result.checkpoints, result.checkpoint_errors)
+            if error > 0.2
+        ]
+        assert violated
+        assert result.first_violation == violated[0]
+        assert result.continuously_succeeded is False
+        assert result.max_checkpoint_error == max(result.checkpoint_errors)
 
     def test_max_checkpoint_error_at_least_final_error(self, rng):
         system = PrefixSystem(50)

@@ -3,6 +3,8 @@ center points, clustering and load balancing."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from repro.applications import (
 )
 from repro.adversary import GreedyDensityAdversary, MedianAttackAdversary, run_adaptive_game
 from repro.exceptions import ConfigurationError, EmptySampleError
+from repro.rng import ensure_generator
 from repro.setsystems import Prefix, PrefixSystem
 from repro.setsystems.rectangles import Box
 from repro.streams import clustered_points, uniform_stream
@@ -276,6 +279,7 @@ class TestLoadBalancing:
         assert report.num_servers == 4
         assert len(report.per_server_errors) == 4
         assert report.stream_length == 4000
+        assert sum(report.per_server_loads) == 4000
         assert report.worst_error < 0.2
 
     def test_adaptive_simulation_runs(self, rng):
@@ -301,6 +305,40 @@ class TestLoadBalancing:
         )
         assert report.per_server_errors == (0.0, 0.0, 0.0, 0.0)
         assert report.per_server_loads == (198, 185, 190, 227)
+
+    def test_static_simulation_is_pinned(self):
+        report = simulate_load_balancing(
+            uniform_stream(400, 32, seed=11), 3, PrefixSystem(32), seed=5
+        )
+        assert report.per_server_loads == (139, 133, 128)
+        assert report.per_server_errors == (
+            0.03654676258992806,
+            0.031879699248120286,
+            0.0415625,
+        )
+
+    def test_each_query_is_one_scalar_routing_draw(self):
+        """Each query costs one scalar ``integers(0, K)`` draw from the
+        routing generator, in order, and nothing else is drawn from it."""
+        queries = uniform_stream(300, 16, seed=2)
+        report = simulate_load_balancing(queries, 5, PrefixSystem(16), seed=9)
+        draws = ensure_generator(9)
+        expected = Counter(int(draws.integers(0, 5)) for _ in queries)
+        assert report.per_server_loads == tuple(expected[server] for server in range(5))
+        shared = ensure_generator(9)
+        simulate_load_balancing(queries, 5, PrefixSystem(16), seed=shared)
+        assert shared.integers(0, 2**32) == draws.integers(0, 2**32)
+
+    def test_fewer_than_two_servers_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least 2 servers"):
+            simulate_load_balancing([1, 2, 3], 1, PrefixSystem(8))
+
+    def test_empty_query_list_scores_every_server_one(self):
+        report = simulate_load_balancing([], 3, PrefixSystem(8), seed=0)
+        assert report.stream_length == 0
+        assert report.per_server_loads == (0, 0, 0)
+        assert report.per_server_errors == (1.0, 1.0, 1.0)
+        assert report.load_imbalance == 0.0
 
     def test_exactly_one_input_mode_required(self, rng):
         system = PrefixSystem(64)

@@ -256,6 +256,16 @@ class TestScenarioConfigFile:
         assert "error: capacity must be >= 1, got 0" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_non_numeric_fault_field_exits_2(self, tmp_path, capsys):
+        payload = {"name": "bad_faults", "stream_length": 64, "universe_size": 32,
+                   "trials": 1, "samplers": {"s": {"family": "reservoir", "capacity": 8}},
+                   "sharding": {"sites": 2, "strategy": "round_robin"},
+                   "faults": {"crashes": [{"site": 0, "round": None}]}}
+        assert main(["scenario", "run", "--config", self._write(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert "error: faults crash #0 'round' must be a number, got None" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_non_object_json_exits_2(self, tmp_path, capsys):
         path = self._write(tmp_path, "[1, 2, 3]")
         assert main(["scenario", "run", "--config", path]) == 2

@@ -1,4 +1,4 @@
-"""Tests for the epsilon-approximation helpers and continuous traces."""
+"""Tests for the epsilon-approximation helpers and the checkpoint schedule."""
 
 from __future__ import annotations
 
@@ -7,13 +7,12 @@ import pytest
 from repro.core.approximation import (
     approximation_error,
     approximation_report,
-    continuous_approximation_trace,
     density,
     geometric_checkpoints,
     is_epsilon_approximation,
 )
 from repro.exceptions import EmptySampleError
-from repro.setsystems import Prefix, PrefixSystem
+from repro.setsystems import Prefix
 
 
 class TestDensity:
@@ -83,42 +82,3 @@ class TestGeometricCheckpoints:
             geometric_checkpoints(10, 5, 0.1)
         with pytest.raises(ValueError):
             geometric_checkpoints(1, 10, 0.0)
-
-
-class TestContinuousTrace:
-    def test_trace_records_requested_checkpoints(self):
-        system = PrefixSystem(100)
-        stream = list(range(1, 101))
-        snapshots = {i: stream[:i:2] or [1] for i in range(1, 101)}
-        trace = continuous_approximation_trace(
-            system, stream, lambda i: snapshots[i], checkpoints=[10, 50, 100]
-        )
-        assert trace.checkpoints == [10, 50, 100]
-        assert len(trace.errors) == 3
-
-    def test_empty_snapshot_counts_as_full_error(self):
-        system = PrefixSystem(10)
-        stream = [1, 2, 3, 4]
-        trace = continuous_approximation_trace(
-            system, stream, lambda i: [], checkpoints=[2, 4]
-        )
-        assert trace.errors == [1.0, 1.0]
-        assert trace.max_error == 1.0
-
-    def test_violations_listed(self):
-        system = PrefixSystem(10)
-        stream = [1, 2, 3, 4, 5, 6, 7, 8]
-        def snapshot(i):
-            return [1] if i <= 4 else stream[:i]
-        trace = continuous_approximation_trace(
-            system, stream, snapshot, checkpoints=[4, 8]
-        )
-        assert trace.violations(0.2) == [4]
-        assert trace.error_at(8) == pytest.approx(0.0)
-
-    def test_default_checkpoints_cover_every_prefix(self):
-        system = PrefixSystem(10)
-        stream = [1, 2, 3]
-        trace = continuous_approximation_trace(system, stream, lambda i: stream[:i])
-        assert trace.checkpoints == [1, 2, 3]
-        assert trace.max_error == pytest.approx(0.0)

@@ -237,6 +237,12 @@ def _kll_state(sketch):
     return sketch.count, [list(level) for level in sketch._compactors], sketch._rng.bit_generator.state
 
 
+def _mr_state(summary):
+    return summary.count, list(summary._pending), {
+        level: list(buffer) for level, buffer in summary._levels.items()
+    }
+
+
 def _mg_state(summary):
     return summary.count, dict(summary._counters), summary.max_underestimate
 
@@ -250,6 +256,7 @@ class TestRejectedInputChangesNothing:
         [
             pytest.param(lambda: GreenwaldKhannaSketch(0.01), _gk_state, id="gk"),
             pytest.param(lambda: KLLSketch(64, seed=3), _kll_state, id="kll"),
+            pytest.param(lambda: MergeReduceSummary(0.05), _mr_state, id="merge-reduce"),
         ],
     )
     @pytest.mark.parametrize(
