@@ -37,6 +37,8 @@ up again with no special casing.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping
 from typing import Any, TypeVar
@@ -285,15 +287,26 @@ _Number = TypeVar("_Number", int, float)
 def _spec_number(
     entry: Mapping[str, Any], key: str, label: str, kind: Callable[[Any], _Number]
 ) -> _Number:
-    """``entry[key]`` converted by ``kind`` (``int`` or ``float``); a null or
-    non-numeric value is a :class:`ConfigurationError` naming the field."""
+    """``entry[key]`` as ``kind`` (``int`` or ``float``), neither parsed,
+    truncated nor coerced: a value that is not a real number (null, a bool,
+    a string), and an ``int`` field's value that is not a finite whole
+    number, is a :class:`ConfigurationError` naming the field."""
     value = entry[key]
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(
-            f"{label} {key!r} must be a number, got {value!r}"
-        ) from None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if (
+            kind is int
+            and not isinstance(value, numbers.Integral)
+            and math.isfinite(value)
+            and not float(value).is_integer()
+        ):
+            raise ConfigurationError(
+                f"{label} {key!r} must be an integer, got {value!r}"
+            )
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):  # int(nan), int(inf), float(10**400)
+            pass
+    raise ConfigurationError(f"{label} {key!r} must be a number, got {value!r}")
 
 
 def _resolve_rounds(

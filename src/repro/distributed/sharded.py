@@ -522,6 +522,9 @@ class ShardedSampler(StreamSampler):
         other slice (a bool, a numpy scalar, a float, a string or a larger
         integer among its elements), and every slice under another
         strategy, is gathered element by element from the caller's list.
+        :class:`~repro.service.QueryService` has already made that
+        conversion of a whole chunk to validate it, and hands the array in
+        through :meth:`_extend` instead of calling this method.
 
         When a :class:`~repro.distributed.faults.FaultPlan` schedules
         transitions inside the batch, the batch is segmented at each
@@ -530,7 +533,20 @@ class ShardedSampler(StreamSampler):
         ``r``, exactly as on the per-element path, so faulted runs stay
         independent of how the stream is chunked.
         """
-        elements = list(elements)
+        return self._extend(list(elements), None, updates)
+
+    def _extend(
+        self, elements: list[Any], keys: NDArray[np.int64] | None, updates: bool
+    ) -> UpdateBatch | None:
+        """:meth:`extend` without its copy: ``elements`` is a list this call
+        does not change, and a segment spanning all of it is not sliced.
+
+        ``keys`` is ``None`` or ``_exact_int64(elements)``, which the caller
+        has made already.  Given, it is sliced at each segment boundary
+        instead of converting each segment again, and a segment whose
+        strategy is not ``hash`` (a reshard can rebind it mid-batch) drops
+        its slice.  The returned records hold ``elements`` itself.
+        """
         if not elements:
             return UpdateBatch.empty() if updates else None
         start_round = self._round
@@ -545,9 +561,15 @@ class ShardedSampler(StreamSampler):
             segment_end = (
                 n if next_round is None else min(n, next_round - 1 - start_round)
             )
-            segment = elements[position:segment_end]
+            whole = position == 0 and segment_end == n
+            segment = elements if whole else elements[position:segment_end]
+            segment_keys = None
+            if isinstance(self.strategy, HashSharding):
+                segment_keys = (
+                    _exact_int64(segment) if keys is None else keys[position:segment_end]
+                )
             self._ingest_segment(
-                segment, segment_start, position, updates, accepted, evictions
+                segment, segment_keys, segment_start, position, updates, accepted, evictions
             )
             position = segment_end
         self._round = start_round + n
@@ -562,14 +584,16 @@ class ShardedSampler(StreamSampler):
     def _ingest_segment(
         self,
         segment: Sequence[Any],
+        keys: NDArray[np.int64] | None,
         segment_start: int,
         base_position: int,
         updates: bool,
         accepted: np.ndarray | None,
         evictions: dict[int, Any],
     ) -> None:
-        """Route and ingest one fault-state-constant slice of a batch."""
-        keys = _exact_int64(segment) if isinstance(self.strategy, HashSharding) else None
+        """Route and ingest one fault-state-constant slice of a batch,
+        gathering from ``keys``, its ``int64`` form under ``hash`` routing,
+        when there is one."""
         assignment = self.strategy.assign(
             segment if keys is None else keys,
             segment_start + 1,

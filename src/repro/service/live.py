@@ -35,6 +35,7 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
+from ..distributed.sharded import ShardedSampler, _exact_int64
 from ..exceptions import ConfigurationError, EmptySampleError
 from ..samplers.base import StreamSampler
 from .queries import (
@@ -171,10 +172,22 @@ class QueryService:
         than converting to ``int64``, refuses floats, strings, all-bool
         chunks and integers beyond ``int64`` instead of truncating, parsing
         or coercing them.
+
+        A list whose elements are all exactly ``int`` and fit ``int64`` is
+        converted once: that ``int64`` array is what ``np.asarray`` would
+        infer, so it is validated and counted in its place, and a
+        :class:`~repro.distributed.ShardedSampler` routes and gathers from
+        it without copying the list (``ShardedSampler._extend``).  Any other
+        chunk (a tuple, an array, a generator, or a list holding a bool, a
+        numpy scalar, a float, a string or a larger integer) is inferred
+        with ``np.asarray`` and ingested through the sampler's ``extend``.
         """
+        keys: NDArray[np.int64] | None = None
         values: NDArray[np.int64] | None = None
         if self._universe is not None:
-            inferred = np.asarray(chunk)
+            if type(chunk) is list:
+                keys = _exact_int64(chunk)
+            inferred = np.asarray(chunk) if keys is None else keys
             if inferred.ndim != 1 or (inferred.size and inferred.dtype.kind not in "iu"):
                 raise ConfigurationError(
                     f"chunk values must be integers in [1, {self._universe}], got "
@@ -187,7 +200,11 @@ class QueryService:
                 )
             values = inferred.astype(np.int64, copy=False)
         with self._lock:
-            self._store.sampler.extend(chunk, updates=False)
+            sampler = self._store.sampler
+            if keys is not None and isinstance(sampler, ShardedSampler):
+                sampler._extend(chunk, keys, updates=False)
+            else:
+                sampler.extend(chunk, updates=False)
             if values is not None:
                 self._counts += np.bincount(values, minlength=self._counts.shape[0])
             published = self._published

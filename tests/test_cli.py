@@ -266,6 +266,17 @@ class TestScenarioConfigFile:
         assert "error: faults crash #0 'round' must be a number, got None" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_fractional_fault_round_exits_2(self, tmp_path, capsys):
+        """A fractional absolute round is refused, not truncated."""
+        payload = {"name": "bad_faults", "stream_length": 64, "universe_size": 32,
+                   "trials": 1, "samplers": {"s": {"family": "reservoir", "capacity": 8}},
+                   "sharding": {"sites": 2, "strategy": "round_robin"},
+                   "faults": {"crashes": [{"site": 0, "round": 2.7}]}}
+        assert main(["scenario", "run", "--config", self._write(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert "error: faults crash #0 'round' must be an integer, got 2.7" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_non_object_json_exits_2(self, tmp_path, capsys):
         path = self._write(tmp_path, "[1, 2, 3]")
         assert main(["scenario", "run", "--config", path]) == 2

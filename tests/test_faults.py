@@ -248,6 +248,59 @@ class TestCompileFaultSpec:
             with pytest.raises(ConfigurationError, match=f"'{field}' must be a number"):
                 compile_fault_spec(spec, 100)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            # Integer fields refuse a bool, a fractional float and a string.
+            ({"crashes": [{"site": True, "round": 2.7, "recovery_rounds": "3"}]},
+             "faults crash #0 'site' must be a number, got True"),
+            ({"crashes": [{"site": 1, "round": 2.7}]},
+             "faults crash #0 'round' must be an integer, got 2.7"),
+            ({"crashes": [{"site": 1, "round": 2, "recovery_rounds": "3"}]},
+             "faults crash #0 'recovery_rounds' must be a number, got '3'"),
+            ({"crashes": [{"site": 0, "round": False}]},
+             "faults crash #0 'round' must be a number, got False"),
+            ({"stale_windows": [{"round": 1, "duration": 1.9}]},
+             "faults stale window #0 'duration' must be an integer, got 1.9"),
+            ({"stale_windows": [{"round": "1", "duration": 2}]},
+             "faults stale window #0 'round' must be a number, got '1'"),
+            ({"reshards": [{"round": 5, "op": "split", "site": 0.5}]},
+             "faults reshard #0 'site' must be an integer, got 0.5"),
+            ({"reshards": [{"round": 5, "op": "merge", "site": 0, "other": True}]},
+             "faults reshard #0 'other' must be a number, got True"),
+            ({"crashes": [{"site": 0, "round": float("nan")}]},
+             "faults crash #0 'round' must be a number, got nan"),
+            # Fraction fields refuse a bool and a string.
+            ({"crashes": [{"site": 0, "round_fraction": True}]},
+             "faults crash #0 'round_fraction' must be a number, got True"),
+            ({"crashes": [{"site": 0, "round": 5, "recovery_fraction": "0.5"}]},
+             "faults crash #0 'recovery_fraction' must be a number, got '0.5'"),
+            ({"stale_windows": [{"round_fraction": 0.1, "duration_fraction": False}]},
+             "faults stale window #0 'duration_fraction' must be a number, got False"),
+        ],
+    )
+    def test_numbers_are_not_coerced(self, spec, message):
+        """A field is never parsed, truncated or coerced: the error names it."""
+        with pytest.raises(ConfigurationError) as error:
+            compile_fault_spec(spec, 100)
+        assert str(error.value) == message
+
+    def test_whole_floats_and_numpy_numbers_compile(self):
+        """An integral float is an integer; numpy integers and floats are
+        numbers."""
+        spec = {
+            "crashes": [{"site": 1.0, "round": np.int64(7), "recovery_rounds": 3.0}],
+            "stale_windows": [{"round": 2, "duration_fraction": np.float64(0.05)}],
+            "reshards": [{"round": 40.0, "op": "merge", "site": np.int32(0), "other": 1}],
+        }
+        plan = compile_fault_spec(spec, 100)
+        assert plan == FaultPlan(
+            crashes=(SiteCrash(site=1, round=7, recovery_rounds=3),),
+            stale_windows=(StaleWindow(round=2, duration=5),),
+            reshards=(Reshard(round=40, op="merge", site=0, other=1),),
+        )
+        assert type(plan.crashes[0].site) is int and type(plan.reshards[0].round) is int
+
 
 # ----------------------------------------------------------------------
 # Crash and recovery semantics

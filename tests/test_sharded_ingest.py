@@ -7,13 +7,21 @@ elements is converted to ``int64`` once, and the sub-batches are gathered
 from that array.  Random chunkings of streams mixing exact ints (negatives,
 0 and the ``int64`` extremes among them), bools, ``np.int64``, floats,
 strings and ints beyond ``int64`` go through ``extend`` with and without
-update records, under hash, round-robin and random routing, with and
-without a site crash (replay or drop loss, recovering or not).  After every
-chunk each site must have received exactly the sub-batches of a reference
-that routes element by element and gathers by list comprehension, equal in
-value, type and order, so no numpy scalar reaches a site unless the caller
-sent it; the replay buffers must match, and the flags and evictions
-scattered back must equal the reference's scatter over twin sites.
+update records, under hash, round-robin, random and skewed routing, with
+and without a site crash (replay or drop loss, recovering or not).  After
+every chunk each site must have received exactly the sub-batches of a
+reference that routes element by element and gathers by list
+comprehension, equal in value, type and order, so no numpy scalar reaches a
+site unless the caller sent it; the replay buffers must match, and the
+flags and evictions scattered back must equal the reference's scatter over
+twin sites.
+
+``QueryService`` hands a chunk's ``int64`` keys in through the private
+``ShardedSampler._extend``, which slices them at each segment boundary and
+drops them wherever a reshard has rebound routing away from ``hash``.  A
+deployment fed that way must stay equal to a deep-copied twin fed through
+``extend``, across two crashes and across a split-then-merge reshard that
+rebinds hash routing to random and back inside a chunk.
 """
 
 from __future__ import annotations
@@ -27,13 +35,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_sample_views import EXAMPLES
 
-from repro.distributed import FaultPlan, ShardedSampler, SiteCrash
+from repro.distributed import FaultPlan, Reshard, ShardedSampler, SiteCrash
+from repro.distributed.sharded import _exact_int64
 from repro.rng import _stable_string_key
 from repro.samplers import ReservoirSampler
 
 _SITES = 3
 _CAPACITY = 4
 _INT64 = (-(2**63), 2**63 - 1)
+#: Skewed routing's knobs; a middle hot site exercises both sides of the
+#: draw's shift past it.
+_HOT_FRACTION = 0.6
+_HOT_SITE = 1
+_STRATEGIES = {
+    "hash": "hash",
+    "round_robin": "round_robin",
+    "random": "random",
+    "skewed": {"kind": "skewed", "hot_fraction": _HOT_FRACTION, "hot_site": _HOT_SITE},
+}
 
 
 class _RecordingReservoir(ReservoirSampler):
@@ -107,6 +126,13 @@ class _Reference:
             segment = range(position, end)
             if self.strategy == "random":
                 sites = self.route.integers(0, _SITES, size=len(segment)).tolist()
+            elif self.strategy == "skewed":
+                coins = self.route.random(len(segment)).tolist()
+                draws = self.route.integers(0, _SITES - 1, size=len(segment)).tolist()
+                sites = [
+                    _HOT_SITE if coin < _HOT_FRACTION else draw if draw < _HOT_SITE else draw + 1
+                    for coin, draw in zip(coins, draws)
+                ]
             else:
                 sites = [_reference_site(chunk[p], self.round + p + 1, self.strategy) for p in segment]
             for site_index in range(_SITES):
@@ -148,7 +174,9 @@ def _check(deployment: ShardedSampler, reference: _Reference) -> None:
 
 
 def _play(strategy: str, plan: FaultPlan | None, chunks: list[tuple[list[Any], bool]], seed: int) -> None:
-    deployment = ShardedSampler(_SITES, _RecordingReservoir, strategy=strategy, seed=seed, fault_plan=plan)
+    deployment = ShardedSampler(
+        _SITES, _RecordingReservoir, strategy=_STRATEGIES[strategy], seed=seed, fault_plan=plan
+    )
     reference = _Reference(deployment, strategy, plan)
     for chunk, updates in chunks:
         batch = deployment.extend(chunk, updates=updates)
@@ -199,7 +227,7 @@ _CRASHES = st.one_of(
 )
 
 
-@pytest.mark.parametrize("strategy", ["hash", "round_robin", "random"])
+@pytest.mark.parametrize("strategy", list(_STRATEGIES))
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(chunks=_CHUNKS, crash=_CRASHES, seed=st.integers(0, 2**16))
 def test_batch_ingest_matches_the_reference(strategy, chunks, crash, seed):
@@ -207,7 +235,7 @@ def test_batch_ingest_matches_the_reference(strategy, chunks, crash, seed):
     _play(strategy, plan, chunks, seed)
 
 
-@pytest.mark.parametrize("strategy", ["hash", "round_robin", "random"])
+@pytest.mark.parametrize("strategy", list(_STRATEGIES))
 @pytest.mark.parametrize("loss", ["replay", "drop"])
 def test_every_path_is_reached(strategy, loss):
     """All-int chunks (the ``int64`` gather) and mixed ones, with and without
@@ -218,3 +246,110 @@ def test_every_path_is_reached(strategy, loss):
     chunks = [(ints, True), (mixed, False), (ints, False), (mixed, True)] * 2
     plan = FaultPlan(crashes=(SiteCrash(site=1, round=30, recovery_rounds=100, loss=loss),))
     _play(strategy, plan, chunks, seed=5)
+
+
+def _twin_state(deployment: ShardedSampler) -> dict[str, Any]:
+    """Everything of a deployment that a keyed ingest could make differ."""
+    return {
+        "sites": [
+            (
+                _typed(site._sample),
+                site._insertion_order,
+                site.rounds_processed,
+                site._rng.bit_generator.state,
+                # A reshard's merged or split-off site is a plain reservoir.
+                [_typed(batch) for batch in getattr(site, "received", ())],
+            )
+            for site in deployment._sites
+        ],
+        "buffers": [_typed(buffer) for buffer in deployment._replay_buffers],
+        "dropped": list(deployment._dropped),
+        "strategy": type(deployment.strategy),
+        "num_sites": deployment.num_sites,
+        "ledger": deployment.ledger.to_dict(),
+        "route": deployment._route_rng.bit_generator.state,
+        "merge": deployment._merge_rng.bit_generator.state,
+        "round": deployment.rounds_processed,
+    }
+
+
+def _play_keyed(plan: FaultPlan, chunks: list[tuple[list[int], bool]], seed: int) -> None:
+    """One deployment takes every chunk with its ``int64`` keys through
+    ``_extend``; a deep copy takes it through ``extend``."""
+    keyed = ShardedSampler(_SITES, _RecordingReservoir, strategy="hash", seed=seed, fault_plan=plan)
+    public = copy.deepcopy(keyed)
+    for chunk, updates in chunks:
+        keys = _exact_int64(chunk)
+        assert keys is not None
+        batch = keyed._extend(chunk, keys, updates)
+        twin = public.extend(chunk, updates=updates)
+        if updates:
+            assert batch.round_indices.tolist() == twin.round_indices.tolist()
+            assert _typed(list(batch.elements)) == _typed(list(twin.elements))
+            assert batch.accepted.tolist() == twin.accepted.tolist()
+            assert sorted(batch.evictions) == sorted(twin.evictions)
+            assert _typed(list(batch.evictions.values())) == _typed(list(twin.evictions.values()))
+        else:
+            assert batch is None and twin is None
+        assert _twin_state(keyed) == _twin_state(public)
+
+
+#: Two crashes of distinct sites, each recovering or not.
+_TWO_CRASHES = st.lists(
+    st.builds(
+        SiteCrash,
+        site=st.integers(0, _SITES - 1),
+        round=st.integers(1, 200),
+        recovery_rounds=st.one_of(st.none(), st.integers(1, 120)),
+        loss=st.sampled_from(["replay", "drop"]),
+    ),
+    min_size=2,
+    max_size=2,
+    unique_by=lambda crash: crash.site,
+).map(lambda crashes: FaultPlan(crashes=tuple(crashes)))
+
+
+def _split_then_merge(site: int, split_round: int, gap: int) -> FaultPlan:
+    """Split ``site`` rebinding routing to random, then merge it back with
+    its sibling rebinding routing to hash."""
+    return FaultPlan(
+        reshards=(
+            Reshard(round=split_round, op="split", site=site, strategy="random"),
+            Reshard(round=split_round + gap, op="merge", site=site, other=_SITES, strategy="hash"),
+        )
+    )
+
+
+_RESHARDS = st.builds(
+    _split_then_merge,
+    site=st.integers(0, _SITES - 1),
+    split_round=st.integers(1, 150),
+    gap=st.integers(1, 100),
+)
+_INT_CHUNKS = st.lists(st.tuples(st.lists(_EXACT_INTS, max_size=40), st.booleans()), max_size=8)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(chunks=_INT_CHUNKS, plan=st.one_of(_TWO_CRASHES, _RESHARDS), seed=st.integers(0, 2**16))
+def test_keyed_ingest_matches_public_extend(chunks, plan, seed):
+    _play_keyed(plan, chunks, seed)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        FaultPlan(
+            crashes=(
+                SiteCrash(site=0, round=20, recovery_rounds=50, loss="replay"),
+                SiteCrash(site=2, round=45, loss="drop"),
+            )
+        ),
+        _split_then_merge(site=1, split_round=30, gap=30),
+    ],
+    ids=["two-crashes", "split-then-merge"],
+)
+def test_keyed_ingest_splits_a_chunk_at_every_transition(plan):
+    """Every transition falls inside the first chunk, and the reshard's
+    random stretch lies wholly inside it."""
+    ints = [*_INT64, 0, -1, *range(-48, 48)]
+    _play_keyed(plan, [(ints, True), (ints[::-1], False), (ints, True)], seed=11)
