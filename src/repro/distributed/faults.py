@@ -37,15 +37,27 @@ up again with no special casing.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping
-from typing import Any, TypeVar
+from typing import Any
 
 from ..exceptions import ConfigurationError
+from ..schema import (
+    OPTIONAL,
+    REQUIRED,
+    Block,
+    Field,
+    ListOf,
+    either,
+    one_of,
+    read,
+    read_float,
+    read_int,
+    read_name_or_mapping,
+)
 
 __all__ = [
+    "FAULTS",
     "FaultPlan",
     "FaultTransition",
     "MessageCostLedger",
@@ -281,82 +293,41 @@ class FaultPlan:
         return bool(self.crashes or self.stale_windows or self.reshards)
 
 
-_Number = TypeVar("_Number", int, float)
-
-
-def _spec_number(
-    entry: Mapping[str, Any], key: str, label: str, kind: Callable[[Any], _Number]
-) -> _Number:
-    """``entry[key]`` as ``kind`` (``int`` or ``float``), neither parsed,
-    truncated nor coerced: a value that is not a real number (null, a bool,
-    a string), and an ``int`` field's value that is not a finite whole
-    number, is a :class:`ConfigurationError` naming the field."""
-    value = entry[key]
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if (
-            kind is int
-            and not isinstance(value, numbers.Integral)
-            and math.isfinite(value)
-            and not float(value).is_integer()
-        ):
-            raise ConfigurationError(
-                f"{label} {key!r} must be an integer, got {value!r}"
-            )
-        try:
-            return kind(value)
-        except (ValueError, OverflowError):  # int(nan), int(inf), float(10**400)
-            pass
-    raise ConfigurationError(f"{label} {key!r} must be a number, got {value!r}")
-
-
-def _resolve_rounds(
-    entry: Mapping[str, Any],
-    key: str,
-    stream_length: int,
-    label: str,
-    *,
-    required: bool = True,
-    fraction_key: str | None = None,
-) -> int | None:
-    """Resolve a ``key`` / ``key_fraction`` pair into an absolute round count.
-
-    Fractions are resolved against ``stream_length`` (so a plan spec scales
-    with the scenario and survives ``replace(stream_length=...)``) and
-    clamped to at least one round.  Exactly one of the two forms may be
-    given; with ``required=False``, neither may be (returns ``None``).
-    """
-    fraction_key = fraction_key or f"{key}_fraction"
-    has_absolute = key in entry
-    has_fraction = fraction_key in entry
-    if has_absolute and has_fraction:
-        raise ConfigurationError(
-            f"{label} sets both {key!r} and {fraction_key!r}; pick one"
-        )
-    if not has_absolute and not has_fraction:
-        if required:
-            raise ConfigurationError(
-                f"{label} needs either {key!r} or {fraction_key!r}"
-            )
-        return None
-    if has_absolute:
-        return _spec_number(entry, key, label, int)
-    fraction = _spec_number(entry, fraction_key, label, float)
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigurationError(
-            f"{label} {fraction_key} must lie in (0, 1], got {fraction}"
-        )
-    return max(1, int(round(fraction * stream_length)))
-
-
-#: Allowed fields per event list of a faults spec (see compile_fault_spec).
-_SPEC_FIELDS = {
-    "crashes": {
-        "site", "round", "round_fraction", "recovery_rounds",
-        "recovery_fraction", "loss",
-    },
-    "stale_windows": {"round", "round_fraction", "duration", "duration_fraction"},
-    "reshards": {"round", "round_fraction", "op", "site", "other", "strategy"},
+#: Each round knob of an event spec and its stream-length fraction form.
+_FRACTIONS = {
+    "round": "round_fraction",
+    "recovery_rounds": "recovery_fraction",
+    "duration": "duration_fraction",
 }
+
+
+def _rounds(key: str, default: Any = REQUIRED) -> tuple[Field, Field]:
+    """A round knob: an absolute count or a fraction of the stream length."""
+    return either(
+        Field(key, read_int, default), Field(_FRACTIONS[key], read_float, OPTIONAL, "(0, 1]")
+    )
+
+
+#: The ``faults`` spec: one event list per :class:`FaultPlan` field, each
+#: event spelled like its dataclass.
+FAULTS = Block(
+    Field("crashes", ListOf(Block(
+        Field("site", read_int),
+        *_rounds("round"),
+        *_rounds("recovery_rounds", OPTIONAL),
+        Field("loss", one_of(*LOSS_MODELS), "drop"),
+    ), "faults crash #{}"), ()),
+    Field("stale_windows", ListOf(Block(
+        *_rounds("round"), *_rounds("duration"),
+    ), "faults stale window #{}"), ()),
+    Field("reshards", ListOf(Block(
+        *_rounds("round"),
+        Field("op", one_of(*RESHARD_OPS)),
+        Field("site", read_int),
+        Field("other", read_int, OPTIONAL),
+        Field("strategy", read_name_or_mapping, None),
+    ), "faults reshard #{}"), ()),
+)
 
 
 def compile_fault_spec(
@@ -364,87 +335,30 @@ def compile_fault_spec(
 ) -> FaultPlan:
     """Compile a scenario ``faults`` spec into an absolute-round :class:`FaultPlan`.
 
-    The spec mirrors the plan's structure but may give any round knob as a
-    stream-length fraction instead of an absolute round (``round_fraction``,
-    ``recovery_fraction``, ``duration_fraction``), exactly like the other
-    fraction-or-absolute scenario knobs.  The fault schedule therefore
-    depends only on the stream length — never on the attack budget or the
-    realised stream — which is what keeps faulted scenarios budget-monotone.
+    The spec (:data:`FAULTS`) mirrors the plan's structure but may give any
+    round knob as a stream-length fraction instead of an absolute round
+    (``round_fraction``, ``recovery_fraction``, ``duration_fraction``),
+    exactly like the other fraction-or-absolute scenario knobs.  A fraction
+    resolves to ``max(1, round(fraction * stream_length))``, so the fault
+    schedule depends only on the stream length — never on the attack budget
+    or the realised stream — which is what keeps faulted scenarios
+    budget-monotone.
     """
-    if not isinstance(spec, Mapping):
-        raise ConfigurationError(
-            f"faults spec must be a mapping, got {type(spec).__name__}"
-        )
-    unknown = set(spec) - set(_SPEC_FIELDS)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown faults spec fields: {', '.join(sorted(unknown))}"
-        )
-    for key in _SPEC_FIELDS:
-        entries = spec.get(key, ())
-        if not isinstance(entries, (list, tuple)):
-            raise ConfigurationError(
-                f"faults spec {key!r} must be a list, got {type(entries).__name__}"
-            )
-        for index, entry in enumerate(entries):
-            if not isinstance(entry, Mapping):
-                raise ConfigurationError(
-                    f"faults spec {key}[{index}] must be a mapping, "
-                    f"got {type(entry).__name__}"
-                )
-            bad = set(entry) - _SPEC_FIELDS[key]
-            if bad:
-                raise ConfigurationError(
-                    f"unknown fields in faults spec {key}[{index}]: "
-                    f"{', '.join(sorted(bad))}"
-                )
-    crashes = []
-    for index, entry in enumerate(spec.get("crashes", ())):
-        label = f"faults crash #{index}"
-        if "site" not in entry:
-            raise ConfigurationError(f"{label} needs a 'site'")
-        crashes.append(
-            SiteCrash(
-                site=_spec_number(entry, "site", label, int),
-                round=_resolve_rounds(entry, "round", stream_length, label),
-                recovery_rounds=_resolve_rounds(
-                    entry,
-                    "recovery_rounds",
-                    stream_length,
-                    label,
-                    required=False,
-                    fraction_key="recovery_fraction",
-                ),
-                loss=entry.get("loss", "drop"),
-            )
-        )
-    windows = []
-    for index, entry in enumerate(spec.get("stale_windows", ())):
-        label = f"faults stale window #{index}"
-        windows.append(
-            StaleWindow(
-                round=_resolve_rounds(entry, "round", stream_length, label),
-                duration=_resolve_rounds(entry, "duration", stream_length, label),
-            )
-        )
-    reshards = []
-    for index, entry in enumerate(spec.get("reshards", ())):
-        label = f"faults reshard #{index}"
-        if "op" not in entry or "site" not in entry:
-            raise ConfigurationError(f"{label} needs an 'op' and a 'site'")
-        reshards.append(
-            Reshard(
-                round=_resolve_rounds(entry, "round", stream_length, label),
-                op=str(entry["op"]),
-                site=_spec_number(entry, "site", label, int),
-                other=_spec_number(entry, "other", label, int) if "other" in entry else None,
-                strategy=entry.get("strategy"),
-            )
-        )
+    fields = read(FAULTS, spec, "faults spec")
+
+    def events(event: Callable[..., Any], entries: list[dict[str, Any]]) -> list[Any]:
+        compiled = []
+        for entry in entries:
+            for key, fraction_key in _FRACTIONS.items():
+                if fraction_key in entry:
+                    entry[key] = max(1, round(entry.pop(fraction_key) * stream_length))
+            compiled.append(event(**entry))
+        return compiled
+
     return FaultPlan(
-        crashes=tuple(crashes),
-        stale_windows=tuple(windows),
-        reshards=tuple(reshards),
+        crashes=events(SiteCrash, fields["crashes"]),
+        stale_windows=events(StaleWindow, fields["stale_windows"]),
+        reshards=events(Reshard, fields["reshards"]),
     )
 
 

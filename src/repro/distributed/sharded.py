@@ -60,6 +60,7 @@ from numpy.typing import NDArray
 from ..exceptions import ConfigurationError
 from ..rng import RandomState, _stable_string_key, ensure_generator, spawn_generators, with_lazy_spawns
 from ..samplers.base import Mergeable, SampleUpdate, StreamSampler, UpdateBatch
+from ..schema import read_float, read_int
 from .faults import FaultPlan, FaultTransition, MessageCostLedger
 
 __all__ = [
@@ -243,20 +244,26 @@ class SkewedSharding(ShardingStrategy):
     With probability ``hot_fraction`` an element goes to ``hot_site``;
     otherwise to a uniformly random other site.  Models both a popular
     partition key and an adversarial load imbalance — the regime where a
-    single site's local summary dominates the merged view.
+    single site's local summary dominates the merged view.  A ``hot_site``
+    past the last site routes to the last one, because a reshard can shrink
+    the deployment under a fixed strategy.
     """
 
     name = "skewed"
 
     def __init__(self, hot_fraction: float = 0.8, hot_site: int = 0) -> None:
+        # Parameters reach here from scenario specs, so they follow the
+        # spec number rule: no bool, string or fractional site is coerced.
+        hot_fraction = read_float(hot_fraction, "skewed sharding", "hot_fraction")
+        hot_site = read_int(hot_site, "skewed sharding", "hot_site")
         if not 0.0 <= hot_fraction <= 1.0:
             raise ConfigurationError(
                 f"hot fraction must lie in [0, 1], got {hot_fraction}"
             )
         if hot_site < 0:
             raise ConfigurationError(f"hot site must be >= 0, got {hot_site}")
-        self.hot_fraction = float(hot_fraction)
-        self.hot_site = int(hot_site)
+        self.hot_fraction = hot_fraction
+        self.hot_site = hot_site
 
     def assign_one(
         self, element: Any, round_index: int, num_sites: int, rng: np.random.Generator
@@ -333,7 +340,7 @@ def build_sharding_strategy(
                 f"sharding strategy spec {spec!r} names no strategy; pass "
                 f"'kind' (or 'name') as one of: {', '.join(sorted(STRATEGIES))}"
             )
-        if kind not in STRATEGIES:
+        if not isinstance(kind, str) or kind not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown sharding strategy {kind!r}; available: {', '.join(sorted(STRATEGIES))}"
             )

@@ -2,7 +2,10 @@
 
 Every builder here consumes the plain-data specs of
 :class:`~repro.scenarios.config.ScenarioConfig` and produces the objects the
-game layer expects.  Two design constraints shape the module:
+game layer expects.  Each spec block is declared once below (``SAMPLER``,
+``ADVERSARY`` and so on) and read through :func:`repro.schema.read`; the
+builders construct from the typed values it returns.  Two design
+constraints shape the module:
 
 * **Picklability** — the factories handed to
   :class:`~repro.adversary.batch.BatchGameRunner` must cross process
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import copy
 from collections.abc import Callable, Mapping, Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any, get_args
 
 import numpy as np
 
@@ -50,6 +53,24 @@ from ..samplers import (
     StreamSampler,
     WeightedReservoirSampler,
 )
+from ..samplers.reservoir import EvictionPolicy
+from ..schema import (
+    OPTIONAL,
+    REQUIRED,
+    Block,
+    Field,
+    ListOf,
+    Union,
+    either,
+    one_of,
+    read,
+    read_bool,
+    read_float,
+    read_int,
+    read_name_or_mapping,
+    read_number,
+    read_str,
+)
 from ..setsystems import (
     ContinuousPrefixSystem,
     HalfspaceSystem,
@@ -63,7 +84,9 @@ from ..setsystems import (
 )
 from ..setsystems.base import Range
 from ..setsystems.intervals import Prefix
-from .config import ScenarioConfig
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 __all__ = [
     "AdversaryFromSpec",
@@ -83,17 +106,198 @@ __all__ = [
 ]
 
 
-def _require(spec: Mapping[str, Any], field: str, context: str) -> Any:
-    if field not in spec:
-        raise ConfigurationError(f"{context} spec {dict(spec)!r} needs a {field!r} field")
-    return spec[field]
+# ----------------------------------------------------------------------
+# The spec blocks
+# ----------------------------------------------------------------------
+_CAPACITY = Field("capacity", read_int, bounds=">= 1")
 
 
-def _reject_unknown(spec: Mapping[str, Any], allowed: set[str], context: str) -> None:
-    unknown = set(spec) - allowed
-    if unknown:
+def _universe(minimum: int, default: Any = OPTIONAL, **options: Any) -> Field:
+    """An optional ``universe_size``; left out, it is the scenario's."""
+    return Field("universe_size", read_int, default, f">= {minimum}", **options)
+
+
+SAMPLER = Union("family", "sampler", {
+    "bernoulli": Block(Field("probability", read_float, bounds="(0, 1]")),
+    "reservoir": Block(
+        _CAPACITY, Field("eviction", one_of(*get_args(EvictionPolicy)), "uniform")
+    ),
+    "sliding_window": Block(_CAPACITY, Field("window", read_int, bounds=">= 1")),
+    "weighted_reservoir": Block(_CAPACITY),
+})
+
+
+def _point(name: str, default: Any = REQUIRED) -> tuple[Field, Field]:
+    """A target endpoint: absolute, or ``<name>_fraction`` of the universe."""
+    return either(
+        Field(name, read_int, default), Field(f"{name}_fraction", read_float, OPTIONAL, "(0, 1]")
+    )
+
+
+def _target_block(*points: tuple[Field, Field]) -> Block:
+    elements = (Field("in_element", read_number, None), Field("out_element", read_number, None))
+    return Block(*(field for pair in points for field in pair), *elements)
+
+
+TARGET = Union("kind", "target range", {
+    "prefix": _target_block(_point("bound")),
+    "interval": _target_block(_point("low", 1), _point("high")),
+    "singleton": _target_block(_point("value")),
+})
+
+#: Each target kind's range and endpoints; the first endpoint is where a
+#: range-directed attack's default in-range element sits.
+_RANGES = {
+    "prefix": (Prefix, "bound"),
+    "interval": (Interval, "low", "high"),
+    "singleton": (Singleton, "value"),
+}
+
+
+_PERIOD = Field("decision_period", read_int, None, ">= 1")
+#: A real interval ``[low, high]``, by default the unit interval.
+_UNIT = (Field("low", read_float, 0.0), Field("high", read_float, 1.0))
+
+
+def _adversary(*fields: Field) -> Block:
+    return Block(*fields, _PERIOD)
+
+
+ADVERSARY = Union("family", "adversary", {
+    "uniform": _adversary(_universe(1)),
+    # An explicit null universe opts into an unbounded stream.
+    "sorted": _adversary(_universe(1, nullable=True)),
+    "zipf": _adversary(_universe(1), Field("exponent", read_float, 1.2, "> 1")),
+    "greedy_density": _adversary(
+        Field("target", TARGET),
+        Field("mixing", read_bool, True),
+        Field("widen", read_bool, True),
+    ),
+    "eviction_chaser": _adversary(
+        Field("target", TARGET),
+        Field("reservoir_size", read_int, bounds=">= 1"),
+        Field("switch_threshold", read_float, 0.5, "(0, 1]"),
+    ),
+    "median_attack": _adversary(_universe(3)),
+    "bisection": Block(*_UNIT, _PERIOD, increasing=("low", "high")),
+    "switching_singleton": _adversary(
+        _universe(2), Field("revisit_evicted", read_bool, False)
+    ),
+    "figure3": Union("mode", "figure3", {
+        "reservoir": _adversary(_CAPACITY, _universe(3, None)),
+        "bernoulli": _adversary(
+            Field("probability", read_float, bounds="(0, 1]"), _universe(3, None)
+        ),
+    }, default="reservoir"),
+})
+
+BENIGN = Union("kind", "benign spec", {
+    # ``high`` left out is the scenario's universe size.
+    "uniform_int": Block(Field("low", read_int, 1), Field("high", read_int, OPTIONAL)),
+    "uniform_float": Block(*_UNIT, increasing=("low", "high")),
+    "constant": Block(Field("value", read_number)),
+})
+
+
+def _grid(*fields: Field) -> Block:
+    side, dimension = (Field(name, read_int, bounds=">= 1") for name in ("side", "dimension"))
+    return Block(side, dimension, *fields, Field("seed", read_int, 0))
+
+
+SET_SYSTEM = Union("kind", "set system", {
+    "prefix": Block(_universe(1)),
+    "interval": Block(_universe(1)),
+    "singleton": Block(_universe(1)),
+    "continuous_prefix": Block(*_UNIT, increasing=("low", "high")),
+    "rectangle": _grid(),
+    "halfspace": _grid(Field("directions", read_int, 32, ">= 1")),
+})
+
+
+def _members(*fields: Field) -> Field:
+    member = Block(Field("adversary", ADVERSARY), Field("label", read_str, OPTIONAL), *fields)
+    return Field("members", ListOf(member, "campaign member #{}", nonempty=True))
+
+
+CAMPAIGN = Union("mode", "campaign", {
+    # Phases start at per-member fractions of the stream (see phase_starts).
+    "phased": Block(_members(Field("start", read_float, OPTIONAL, "[0, 1)"))),
+    "interleaved": Block(_members(), Field("stride", read_int, 16, ">= 1")),
+}, default="phased")
+
+
+def _replicated(field: Field) -> Block:
+    return Block(
+        Field("copies", read_int, 4, ">= 2"), Field("matched_space", read_bool, False), field
+    )
+
+
+#: ``oversample`` is Theorem 1.2's k -> factor*k capacity scaling (a spec
+#: rewrite, no wrapper); the other kinds are the copy-replication wrappers of
+#: :mod:`repro.defenses`.
+DEFENSE = Union("kind", "defense", {
+    "oversample": Block(Field("factor", read_float, 4.0, ">= 1")),
+    "sketch_switching": _replicated(Field("growth", read_float, 2.0, "> 1")),
+    "dp_aggregate": _replicated(Field("dp_epsilon", read_float, 1.0, "> 0")),
+    "difference_estimator": _replicated(Field("rotation_fraction", read_float, 1.0, "(0, 4]")),
+})
+
+#: ``strategy`` is a :func:`~repro.distributed.sharded.build_sharding_strategy`
+#: name or spec mapping (null: random routing).
+SHARDING = Block(Field("sites", read_int, bounds=">= 1"), Field("strategy", read_name_or_mapping, None))
+
+#: Knobs of :class:`~repro.service.served.ServedSampler`.
+SERVICE = Block(
+    Field("staleness_rounds", read_int, 0, ">= 0"),
+    Field("clients", read_int, 0, ">= 0"),
+    Field("query_period", read_int, 32, ">= 1"),
+)
+
+
+# ----------------------------------------------------------------------
+# Cross-field rules (the ones a declaration cannot state)
+# ----------------------------------------------------------------------
+def _resolve_point(target: Mapping[str, Any], name: str, universe_size: int) -> int:
+    """An endpoint: ``{"bound": 64}`` is absolute, ``{"bound_fraction":
+    0.25}`` scales with the universe (so registered scenarios stay
+    meaningful when tests or sweeps shrink ``universe_size``)."""
+    fraction = target.get(f"{name}_fraction")
+    return target[name] if fraction is None else max(1, int(universe_size * fraction))
+
+
+def resolve_target(target: Mapping[str, Any], universe_size: int) -> tuple[Range, Any, Any]:
+    """A read ``target`` spec as (range, in-range element, out-of-range
+    element); the elements default to the range's first endpoint and to the
+    top of the universe."""
+    range_cls, *names = _RANGES[target["kind"]]
+    points = [_resolve_point(target, name, universe_size) for name in names]
+    resolved = range_cls(*points)
+    in_element = points[0] if target["in_element"] is None else target["in_element"]
+    out_element = universe_size if target["out_element"] is None else target["out_element"]
+    if in_element not in resolved:
+        raise ConfigurationError(f"in_element {in_element!r} lies outside the target range")
+    if out_element in resolved:
+        raise ConfigurationError(f"out_element {out_element!r} lies inside the target range")
+    return resolved, in_element, out_element
+
+
+def phase_starts(members: Sequence[Mapping[str, Any]]) -> list[float]:
+    """A phased campaign's start fractions, one per read member: the first
+    member defaults to 0.0, every later one names its own."""
+    for index, member in enumerate(members[1:], start=1):
+        if "start" not in member:
+            raise ConfigurationError(
+                f"campaign member #{index} needs a 'start' fraction in phased mode "
+                "(the first member defaults to 0.0)"
+            )
+    return [member.get("start", 0.0) for member in members]
+
+
+def _check_defense(kind: str, family: str) -> None:
+    if kind == "difference_estimator" and family != "sliding_window":
         raise ConfigurationError(
-            f"unknown fields in {context} spec: {', '.join(sorted(unknown))}"
+            "the difference-estimator defense only applies to the "
+            f"sliding_window family, got {family!r}"
         )
 
 
@@ -106,64 +310,20 @@ def build_set_system(spec: Mapping[str, Any], universe_size: int) -> SetSystem:
     ``universe_size`` is the scenario-level default for the discrete ordered
     systems; a spec may override it with its own ``universe_size`` field.
     """
-    kind = _require(spec, "kind", "set_system")
-    size = int(spec.get("universe_size", universe_size))
-    if kind == "prefix":
-        _reject_unknown(spec, {"kind", "universe_size"}, "set_system")
-        return PrefixSystem(size)
-    if kind == "interval":
-        _reject_unknown(spec, {"kind", "universe_size"}, "set_system")
-        return IntervalSystem(size)
-    if kind == "singleton":
-        _reject_unknown(spec, {"kind", "universe_size"}, "set_system")
-        return SingletonSystem(size)
+    fields = read(SET_SYSTEM, spec, "set_system")
+    kind = fields["kind"]
+    discrete = {"prefix": PrefixSystem, "interval": IntervalSystem, "singleton": SingletonSystem}
+    if kind in discrete:
+        return discrete[kind](fields.get("universe_size", universe_size))
     if kind == "continuous_prefix":
-        _reject_unknown(spec, {"kind", "low", "high"}, "set_system")
-        return ContinuousPrefixSystem(float(spec.get("low", 0.0)), float(spec.get("high", 1.0)))
+        return ContinuousPrefixSystem(fields["low"], fields["high"])
     if kind == "rectangle":
-        _reject_unknown(spec, {"kind", "side", "dimension", "seed"}, "set_system")
-        return RectangleSystem(
-            int(_require(spec, "side", "set_system")),
-            int(_require(spec, "dimension", "set_system")),
-            seed=int(spec.get("seed", 0)),
-        )
-    if kind == "halfspace":
-        _reject_unknown(spec, {"kind", "side", "dimension", "directions", "seed"}, "set_system")
-        return HalfspaceSystem(
-            int(_require(spec, "side", "set_system")),
-            int(_require(spec, "dimension", "set_system")),
-            directions=int(spec.get("directions", 32)),
-            seed=int(spec.get("seed", 0)),
-        )
-    raise ConfigurationError(f"unknown set system kind {kind!r}")
-
-
-# ----------------------------------------------------------------------
-# Target ranges (for the range-directed attacks)
-# ----------------------------------------------------------------------
-def _resolve_point(
-    spec: Mapping[str, Any], field: str, universe_size: int, default: Any = None
-) -> Any:
-    """Resolve an endpoint given either absolutely or as a universe fraction.
-
-    ``{"bound": 64}`` is absolute; ``{"bound_fraction": 0.25}`` scales with
-    the scenario universe, which keeps registered scenarios meaningful when
-    tests (or sweeps) shrink ``universe_size``.
-    """
-    if field in spec:
-        return spec[field]
-    fraction_field = f"{field}_fraction"
-    if fraction_field in spec:
-        fraction = float(spec[fraction_field])
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigurationError(
-                f"target {fraction_field} must lie in (0, 1], got {fraction}"
-            )
-        return max(1, int(universe_size * fraction))
-    if default is not None:
-        return default
-    raise ConfigurationError(
-        f"target spec {dict(spec)!r} needs {field!r} or {fraction_field!r}"
+        return RectangleSystem(fields["side"], fields["dimension"], seed=fields["seed"])
+    return HalfspaceSystem(
+        fields["side"],
+        fields["dimension"],
+        directions=fields["directions"],
+        seed=fields["seed"],
     )
 
 
@@ -171,42 +331,9 @@ def build_target_range(spec: Mapping[str, Any], universe_size: int) -> Range:
     """Instantiate the range named by a ``target`` spec.
 
     Endpoints may be absolute (``bound``, ``low``, ``high``, ``value``) or
-    universe-relative (``bound_fraction`` etc.; see :func:`_resolve_point`).
+    universe-relative (``bound_fraction`` etc.), one form per endpoint.
     """
-    kind = _require(spec, "kind", "target")
-    if kind == "prefix":
-        return Prefix(_resolve_point(spec, "bound", universe_size))
-    if kind == "interval":
-        return Interval(
-            _resolve_point(spec, "low", universe_size, default=1),
-            _resolve_point(spec, "high", universe_size),
-        )
-    if kind == "singleton":
-        return Singleton(_resolve_point(spec, "value", universe_size))
-    raise ConfigurationError(f"unknown target range kind {kind!r}")
-
-
-def _target_elements(
-    spec: Mapping[str, Any], target: Range, universe_size: int
-) -> tuple[Any, Any]:
-    """Derive (in-range, out-of-range) elements for a range-directed attack."""
-    in_element = spec.get("in_element")
-    out_element = spec.get("out_element")
-    kind = _require(spec, "kind", "target")
-    if in_element is None:
-        if kind == "prefix":
-            in_element = int(_resolve_point(spec, "bound", universe_size))
-        elif kind == "interval":
-            in_element = int(_resolve_point(spec, "low", universe_size, default=1))
-        else:
-            in_element = int(_resolve_point(spec, "value", universe_size))
-    if out_element is None:
-        out_element = int(universe_size)
-    if in_element not in target:
-        raise ConfigurationError(f"in_element {in_element!r} lies outside the target range")
-    if out_element in target:
-        raise ConfigurationError(f"out_element {out_element!r} lies inside the target range")
-    return in_element, out_element
+    return resolve_target(read(TARGET, spec, "target"), universe_size)[0]
 
 
 # ----------------------------------------------------------------------
@@ -216,28 +343,15 @@ def build_sampler(
     spec: Mapping[str, Any], rng: np.random.Generator
 ) -> StreamSampler:
     """Instantiate the sampler named by ``spec`` (``family`` + parameters)."""
-    family = _require(spec, "family", "sampler")
+    fields = read(SAMPLER, spec, "sampler")
+    family = fields["family"]
     if family == "bernoulli":
-        _reject_unknown(spec, {"family", "probability"}, "sampler")
-        return BernoulliSampler(float(_require(spec, "probability", "sampler")), seed=rng)
+        return BernoulliSampler(fields["probability"], seed=rng)
     if family == "reservoir":
-        _reject_unknown(spec, {"family", "capacity", "eviction"}, "sampler")
-        return ReservoirSampler(
-            int(_require(spec, "capacity", "sampler")),
-            seed=rng,
-            eviction=spec.get("eviction", "uniform"),
-        )
+        return ReservoirSampler(fields["capacity"], seed=rng, eviction=fields["eviction"])
     if family == "sliding_window":
-        _reject_unknown(spec, {"family", "capacity", "window"}, "sampler")
-        return SlidingWindowSampler(
-            int(_require(spec, "capacity", "sampler")),
-            int(_require(spec, "window", "sampler")),
-            seed=rng,
-        )
-    if family == "weighted_reservoir":
-        _reject_unknown(spec, {"family", "capacity"}, "sampler")
-        return WeightedReservoirSampler(int(_require(spec, "capacity", "sampler")), seed=rng)
-    raise ConfigurationError(f"unknown sampler family {family!r}")
+        return SlidingWindowSampler(fields["capacity"], fields["window"], seed=rng)
+    return WeightedReservoirSampler(fields["capacity"], seed=rng)
 
 
 #: Sampler families whose summaries implement
@@ -254,17 +368,6 @@ _SPACE_FIELDS = {
 }
 
 
-def _space_field(spec: Mapping[str, Any], context: str) -> str:
-    family = _require(spec, "family", "sampler")
-    try:
-        return _SPACE_FIELDS[family]
-    except KeyError:
-        raise ConfigurationError(
-            f"sampler family {family!r} declares no space knob; {context} "
-            f"applies to: {', '.join(sorted(_SPACE_FIELDS))}"
-        ) from None
-
-
 def oversampled_spec(spec: Mapping[str, Any], factor: float) -> dict[str, Any]:
     """Theorem 1.2's defense as a spec rewrite: scale the space knob up.
 
@@ -274,14 +377,10 @@ def oversampled_spec(spec: Mapping[str, Any], factor: float) -> dict[str, Any]:
     *names* the space trade so the matrix can compare it against the
     wrapper defenses at equal budget.
     """
-    spec = dict(spec)
-    field = _space_field(spec, "oversampling")
-    value = _require(spec, field, "sampler")
-    if field == "probability":
-        spec[field] = min(1.0, float(value) * factor)
-    else:
-        spec[field] = int(round(int(value) * factor))
-    return spec
+    fields = read(SAMPLER, spec, "sampler")
+    knob = _SPACE_FIELDS[fields["family"]]
+    value = fields[knob] * factor
+    return {**spec, knob: min(1.0, value) if knob == "probability" else round(value)}
 
 
 def matched_space_spec(spec: Mapping[str, Any], copies: int) -> dict[str, Any]:
@@ -291,58 +390,44 @@ def matched_space_spec(spec: Mapping[str, Any], copies: int) -> dict[str, Any]:
     replicas together match the undefended sampler's footprint — the honest
     baseline for "does the defense help at equal total space?".
     """
-    spec = dict(spec)
-    field = _space_field(spec, "matched_space")
-    value = _require(spec, field, "sampler")
-    if field == "probability":
-        spec[field] = float(value) / copies
-    else:
-        spec[field] = max(1, int(value) // copies)
-    return spec
+    fields = read(SAMPLER, spec, "sampler")
+    knob = _SPACE_FIELDS[fields["family"]]
+    value = fields[knob]
+    return {**spec, knob: value / copies if knob == "probability" else max(1, value // copies)}
 
 
 def build_defended_sampler(
     spec: Mapping[str, Any], defense: Mapping[str, Any], rng: np.random.Generator
 ) -> StreamSampler:
-    """Wrap the sampler family in the replicated defense named by ``defense``.
-
-    The block is assumed validated (``ScenarioConfig`` runs
-    ``_validate_defense``); ``oversample`` never reaches here — it is a spec
-    rewrite handled in :class:`SamplerFromSpec`.
-    """
+    """Build the sampler family under the defense named by ``defense``:
+    ``oversample`` as its spec rewrite, the replicated kinds as their
+    :mod:`repro.defenses` wrapper."""
     from ..defenses import (
         DifferenceEstimatorSampler,
         DPAggregateSampler,
         SketchSwitchingSampler,
     )
 
-    kind = _require(defense, "kind", "defense")
-    copies = int(defense.get("copies", 4))
-    inner = dict(spec)
-    if defense.get("matched_space"):
-        inner = matched_space_spec(inner, copies)
-    factory = SamplerFromSpec(inner)
+    fields = read(DEFENSE, defense, "defense")
+    kind = fields["kind"]
+    if kind == "oversample":
+        return build_sampler(oversampled_spec(spec, fields["factor"]), rng)
+    sampler = read(SAMPLER, spec, "sampler")
+    _check_defense(kind, sampler["family"])
+    copies = fields["copies"]
+    factory = SamplerFromSpec(matched_space_spec(spec, copies) if fields["matched_space"] else spec)
     if kind == "sketch_switching":
-        return SketchSwitchingSampler(
-            factory, copies=copies, growth=float(defense.get("growth", 2.0)), seed=rng
-        )
+        return SketchSwitchingSampler(factory, copies=copies, growth=fields["growth"], seed=rng)
     if kind == "dp_aggregate":
         return DPAggregateSampler(
-            factory,
-            copies=copies,
-            dp_epsilon=float(defense.get("dp_epsilon", 1.0)),
-            seed=rng,
+            factory, copies=copies, dp_epsilon=fields["dp_epsilon"], seed=rng
         )
-    if kind == "difference_estimator":
-        window = int(_require(spec, "window", "sampler"))
-        rotation_fraction = float(defense.get("rotation_fraction", 1.0))
-        return DifferenceEstimatorSampler(
-            factory,
-            copies=copies,
-            rotation_period=max(1, int(round(rotation_fraction * window))),
-            seed=rng,
-        )
-    raise ConfigurationError(f"unknown defense kind {kind!r}")
+    return DifferenceEstimatorSampler(
+        factory,
+        copies=copies,
+        rotation_period=max(1, round(fields["rotation_fraction"] * sampler["window"])),
+        seed=rng,
+    )
 
 
 class SamplerFromSpec:
@@ -356,10 +441,10 @@ class SamplerFromSpec:
     ablation evictions are rejected by the merge itself.
 
     With a ``defense`` spec (the scenario-level ``defense`` block) the
-    sampler is robustified: ``oversample`` is resolved immediately as a spec
-    rewrite (the built sampler is byte-identical to an explicitly oversized
-    spec), the replicated kinds wrap the built sampler via
-    :func:`build_defended_sampler`.  Defense composes *inside* sharding —
+    sampler is robustified through :func:`build_defended_sampler`:
+    ``oversample`` builds its spec rewrite (byte-identical to an explicitly
+    oversized spec), the replicated kinds wrap the built sampler.  Defense
+    composes *inside* sharding —
     each site is an independently defended sampler, so the coordinator's
     copy-wise merge sees ``sites`` defended views, exactly the deployment
     the [BJWY20]/[HKMMS20] wrappers are meant for.
@@ -379,6 +464,9 @@ class SamplerFromSpec:
     read on their round-indexed schedule.  Service wraps *outermost*, which
     is the deployment the ROADMAP describes: one service endpoint in front
     of the whole coordinator.
+
+    Every block is read when the factory is made, so a bad one fails at
+    configuration time, not inside a worker process.
     """
 
     def __init__(
@@ -390,26 +478,15 @@ class SamplerFromSpec:
         stream_length: int | None = None,
         service: Mapping[str, Any] | None = None,
     ) -> None:
+        family = read(SAMPLER, spec, "sampler")["family"]
         self.spec = dict(spec)
-        self.sharding = None if sharding is None else dict(sharding)
-        self.defense = None if defense is None else copy.deepcopy(dict(defense))
+        self.sharding = None if sharding is None else read(SHARDING, sharding, "sharding")
+        self.defense = None if defense is None else read(DEFENSE, defense, "defense")
         self.faults = None if faults is None else copy.deepcopy(dict(faults))
-        self.stream_length = None if stream_length is None else int(stream_length)
-        self.service = None if service is None else copy.deepcopy(dict(service))
-        family = _require(self.spec, "family", "sampler")
+        self.stream_length = stream_length
+        self.service = None if service is None else read(SERVICE, service, "service")
         if self.defense is not None:
-            kind = _require(self.defense, "kind", "defense")
-            if kind == "oversample":
-                self.spec = oversampled_spec(self.spec, float(self.defense.get("factor", 4)))
-                self.defense = None
-            else:
-                # Fail at configuration time, not inside a worker process.
-                _space_field(self.spec, f"the {kind} defense")
-                if kind == "difference_estimator" and family != "sliding_window":
-                    raise ConfigurationError(
-                        "the difference-estimator defense only applies to the "
-                        f"sliding_window family, got {family!r}"
-                    )
+            _check_defense(self.defense["kind"], family)
         if self.sharding is not None:
             if family not in MERGEABLE_SAMPLER_FAMILIES:
                 raise ConfigurationError(
@@ -426,7 +503,6 @@ class SamplerFromSpec:
                     "a faults spec needs the scenario stream_length to resolve "
                     "its round fractions"
                 )
-            # Fail at configuration time, not inside a worker process.
             compile_fault_spec(self.faults, self.stream_length)
 
     def __call__(self, rng: np.random.Generator) -> StreamSampler:
@@ -443,9 +519,9 @@ class SamplerFromSpec:
             if self.faults is not None:
                 fault_plan = compile_fault_spec(self.faults, self.stream_length)
             return ShardedSampler(
-                int(self.sharding["sites"]),
+                self.sharding["sites"],
                 SamplerFromSpec(self.spec, defense=self.defense),
-                strategy=self.sharding.get("strategy"),
+                strategy=self.sharding["strategy"],
                 seed=rng,
                 fault_plan=fault_plan,
             )
@@ -454,15 +530,10 @@ class SamplerFromSpec:
         return build_sampler(self.spec, rng)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        parts = [repr(self.spec)]
-        if self.sharding is not None:
-            parts.append(f"sharding={self.sharding!r}")
-        if self.defense is not None:
-            parts.append(f"defense={self.defense!r}")
-        if self.faults is not None:
-            parts.append(f"faults={self.faults!r}")
-        if self.service is not None:
-            parts.append(f"service={self.service!r}")
+        blocks = ("sharding", "defense", "faults", "service")
+        parts = [repr(self.spec)] + [
+            f"{name}={getattr(self, name)!r}" for name in blocks if getattr(self, name) is not None
+        ]
         return f"SamplerFromSpec({', '.join(parts)})"
 
 
@@ -504,16 +575,17 @@ def build_adversary(
     passes ``"campaign member #i (<label>)"`` so a mixed oblivious/cadenced
     roster pinpoints the offending member).
     """
-    spec = dict(spec)
-    spec_period = spec.pop("decision_period", None)
+    fields = read(ADVERSARY, spec, "adversary")
+    spec_period = fields["decision_period"]
     period = spec_period if spec_period is not None else decision_period
-    adversary = _build_adversary_inner(spec, rng, stream_length, universe_size)
+    adversary = _build_adversary_inner(fields, rng, stream_length, universe_size)
     if period is not None:
-        applied = apply_decision_period(adversary, int(period))
+        applied = apply_decision_period(adversary, period)
         if not applied and spec_period is not None:
             where = f"{context}: " if context else ""
+            shown = {key: value for key, value in spec.items() if key != "decision_period"}
             raise ConfigurationError(
-                f"{where}adversary family {spec.get('family')!r} (spec {spec!r}) "
+                f"{where}adversary family {fields['family']!r} (spec {shown!r}) "
                 "declares no decision cadence, so its spec-level "
                 f"'decision_period': {spec_period} cannot apply; remove "
                 "'decision_period' from this spec (the scenario-level knob is "
@@ -530,7 +602,7 @@ def build_campaign_adversary(
     universe_size: int,
     decision_period: int | None = None,
 ) -> CampaignAdversary:
-    """Compile a validated ``campaign`` block into a :class:`CampaignAdversary`.
+    """Compile a ``campaign`` block into a :class:`CampaignAdversary`.
 
     Members are built in roster order through :func:`build_adversary`
     (sharing ``rng``, so construction-time draws are deterministic), each
@@ -540,12 +612,13 @@ def build_campaign_adversary(
     the config validation uses, so compilation cannot disagree with what was
     validated.
     """
+    fields = read(CAMPAIGN, campaign, "campaign")
     members = []
-    for index, member in enumerate(campaign["members"]):
-        label = member.get("label") or str(member["adversary"].get("family"))
+    for index, (given, member) in enumerate(zip(campaign["members"], fields["members"])):
+        label = member.get("label") or member["adversary"]["family"]
         members.append(
             build_adversary(
-                member["adversary"],
+                given["adversary"],
                 rng,
                 stream_length,
                 universe_size,
@@ -553,94 +626,59 @@ def build_campaign_adversary(
                 context=f"campaign member #{index} ({label})",
             )
         )
-    mode = campaign.get("mode", "phased")
-    if mode == "phased":
-        starts = [float(member.get("start", 0.0)) for member in campaign["members"]]
+    if fields["mode"] == "phased":
         return CampaignAdversary(
             members,
             mode="phased",
-            phase_starts=phase_start_rounds(starts, stream_length),
+            phase_starts=phase_start_rounds(phase_starts(fields["members"]), stream_length),
         )
-    return CampaignAdversary(
-        members, mode="interleaved", stride=int(campaign.get("stride", 16))
-    )
+    return CampaignAdversary(members, mode="interleaved", stride=fields["stride"])
 
 
 def _build_adversary_inner(
-    spec: Mapping[str, Any],
+    fields: Mapping[str, Any],
     rng: np.random.Generator,
     stream_length: int,
     universe_size: int,
 ) -> Adversary:
-    family = _require(spec, "family", "adversary")
+    family = fields["family"]
+    # Families with a universe default to the scenario's; a stream longer
+    # than it then fails loudly (StreamExhaustedError) instead of silently
+    # leaving the declared universe.  A ``sorted`` spec's explicit null opts
+    # into the unbounded stream.
+    size = fields.get("universe_size", universe_size)
     if family == "uniform":
-        return UniformAdversary(int(spec.get("universe_size", universe_size)), seed=rng)
+        return UniformAdversary(size, seed=rng)
     if family == "sorted":
-        # Defaults to the scenario universe like the sibling families; a
-        # stream longer than the universe then fails loudly
-        # (StreamExhaustedError) instead of silently leaving the declared
-        # universe.  Pass an explicit null to opt into the unbounded stream.
-        if "universe_size" in spec:
-            return SortedAdversary(spec["universe_size"])
-        return SortedAdversary(universe_size)
+        return SortedAdversary(size)
     if family == "zipf":
-        return ZipfAdversary(
-            int(spec.get("universe_size", universe_size)),
-            exponent=float(spec.get("exponent", 1.2)),
-            seed=rng,
-        )
+        return ZipfAdversary(size, exponent=fields["exponent"], seed=rng)
     if family == "greedy_density":
-        target_spec = _require(spec, "target", "adversary")
-        target = build_target_range(target_spec, universe_size)
-        in_element, out_element = _target_elements(target_spec, target, universe_size)
         # The mixing variant is the scenario default: the plain greedy
         # strategy is degenerate from a cold start (gap pinned at zero).
         adversary_cls = (
-            MixingGreedyDensityAdversary
-            if bool(spec.get("mixing", True))
-            else GreedyDensityAdversary
+            MixingGreedyDensityAdversary if fields["mixing"] else GreedyDensityAdversary
         )
-        return adversary_cls(
-            target, in_element, out_element, widen=bool(spec.get("widen", True))
-        )
+        return adversary_cls(*resolve_target(fields["target"], universe_size), widen=fields["widen"])
     if family == "eviction_chaser":
-        target_spec = _require(spec, "target", "adversary")
-        target = build_target_range(target_spec, universe_size)
-        in_element, out_element = _target_elements(target_spec, target, universe_size)
         return EvictionChaserAdversary(
-            target,
-            in_element,
-            out_element,
-            reservoir_size=int(_require(spec, "reservoir_size", "adversary")),
-            switch_threshold=float(spec.get("switch_threshold", 0.5)),
+            *resolve_target(fields["target"], universe_size),
+            reservoir_size=fields["reservoir_size"],
+            switch_threshold=fields["switch_threshold"],
         )
     if family == "median_attack":
-        return MedianAttackAdversary(
-            stream_length, universe_size=int(spec.get("universe_size", universe_size))
-        )
+        return MedianAttackAdversary(stream_length, universe_size=size)
     if family == "bisection":
-        return BisectionAdversary(float(spec.get("low", 0.0)), float(spec.get("high", 1.0)))
+        return BisectionAdversary(fields["low"], fields["high"])
     if family == "switching_singleton":
-        return SwitchingSingletonAdversary(
-            int(spec.get("universe_size", universe_size)),
-            revisit_evicted=bool(spec.get("revisit_evicted", False)),
+        return SwitchingSingletonAdversary(size, revisit_evicted=fields["revisit_evicted"])
+    if fields["mode"] == "bernoulli":
+        return ThresholdAttackAdversary.for_bernoulli(
+            fields["probability"], stream_length, universe_size=fields["universe_size"]
         )
-    if family == "figure3":
-        mode = spec.get("mode", "reservoir")
-        if mode == "bernoulli":
-            return ThresholdAttackAdversary.for_bernoulli(
-                float(_require(spec, "probability", "adversary")),
-                stream_length,
-                universe_size=spec.get("universe_size"),
-            )
-        if mode == "reservoir":
-            return ThresholdAttackAdversary.for_reservoir(
-                int(_require(spec, "capacity", "adversary")),
-                stream_length,
-                universe_size=spec.get("universe_size"),
-            )
-        raise ConfigurationError(f"unknown figure3 mode {mode!r}")
-    raise ConfigurationError(f"unknown adversary family {family!r}")
+    return ThresholdAttackAdversary.for_reservoir(
+        fields["capacity"], stream_length, universe_size=fields["universe_size"]
+    )
 
 
 def build_benign_supplier(
@@ -655,23 +693,17 @@ def build_benign_supplier(
     """
     if spec is None:
         spec = {"kind": "uniform_int"}
-    kind = _require(spec, "kind", "benign")
-    if kind == "uniform_int":
-        low = int(spec.get("low", 1))
-        high = int(spec.get("high", universe_size))
-        if low > high:
-            raise ConfigurationError(f"benign range [{low}, {high}] is empty")
-        return lambda: int(rng.integers(low, high + 1))
-    if kind == "uniform_float":
-        low = float(spec.get("low", 0.0))
-        high = float(spec.get("high", 1.0))
-        if not low < high:
-            raise ConfigurationError(f"benign range [{low}, {high}] is empty")
-        return lambda: float(rng.uniform(low, high))
+    fields = read(BENIGN, spec, "benign")
+    kind = fields["kind"]
     if kind == "constant":
-        value = _require(spec, "value", "benign")
+        value = fields["value"]
         return lambda: value
-    raise ConfigurationError(f"unknown benign spec kind {kind!r}")
+    low, high = fields["low"], fields.get("high", universe_size)
+    if kind == "uniform_float":
+        return lambda: float(rng.uniform(low, high))
+    if low > high:
+        raise ConfigurationError(f"benign range [{low}, {high}] is empty")
+    return lambda: int(rng.integers(low, high + 1))
 
 
 class _BenignFiller(ObliviousAdversary):

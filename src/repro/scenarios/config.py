@@ -29,279 +29,119 @@ from dataclasses import asdict, dataclass, field, replace as dataclass_replace
 from collections.abc import Mapping
 from typing import Any
 
-from ..adversary.campaign import CAMPAIGN_MODES, phase_start_rounds
+from ..adversary.campaign import phase_start_rounds
 from ..adversary.game import KNOWLEDGE_MODELS
-from ..distributed.faults import compile_fault_spec
+from ..distributed.faults import FAULTS, compile_fault_spec
+from ..distributed.sharded import build_sharding_strategy
 from ..exceptions import ConfigurationError
-
-#: Defense kinds accepted by the ``defense`` block.  ``oversample`` is
-#: Theorem 1.2's k -> factor*k capacity scaling (a spec rewrite, no wrapper);
-#: the rest are the copy-replication wrappers from :mod:`repro.defenses`.
-DEFENSE_KINDS = ("oversample", "sketch_switching", "dp_aggregate", "difference_estimator")
-
-#: The defense kinds realised by a :class:`~repro.defenses.wrappers.\
-#: ReplicatedDefenseSampler` subclass (they all take ``copies`` and
-#: ``matched_space``).
-REPLICATED_DEFENSE_KINDS = ("sketch_switching", "dp_aggregate", "difference_estimator")
-
-#: Per-kind allowed fields (beyond ``kind``) and their validation.
-_DEFENSE_FIELDS = {
-    "oversample": {"factor"},
-    "sketch_switching": {"copies", "matched_space", "growth"},
-    "dp_aggregate": {"copies", "matched_space", "dp_epsilon"},
-    "difference_estimator": {"copies", "matched_space", "rotation_fraction"},
-}
-
-
-def _validate_defense(value: Any) -> dict[str, Any]:
-    """Normalise and validate a scenario's ``defense`` block.
-
-    Returns a deep copy with defaults resolved.  Family compatibility (the
-    difference estimator needs a sliding-window sampler; oversampling needs a
-    capacity or probability to scale) is checked against each sampler spec in
-    :class:`~repro.scenarios.builders.SamplerFromSpec`, not here — the
-    defense block itself is sampler-agnostic.
-    """
-    defense = _as_spec(value, "defense", "kind")
-    kind = defense["kind"]
-    if kind not in DEFENSE_KINDS:
-        raise ConfigurationError(
-            f"unknown defense kind {kind!r}; expected one of {DEFENSE_KINDS}"
-        )
-    unknown = set(defense) - {"kind"} - _DEFENSE_FIELDS[kind]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown fields in {kind} defense spec: {', '.join(sorted(unknown))}"
-        )
-    if kind == "oversample":
-        factor = float(defense.setdefault("factor", 4))
-        if factor < 1.0:
-            raise ConfigurationError(
-                f"oversample factor must be >= 1, got {factor}"
-            )
-        defense["factor"] = factor
-        return defense
-    copies = int(defense.setdefault("copies", 4))
-    if copies < 2:
-        raise ConfigurationError(
-            f"a {kind} defense needs at least 2 copies, got {copies}"
-        )
-    defense["copies"] = copies
-    defense["matched_space"] = bool(defense.setdefault("matched_space", False))
-    if kind == "sketch_switching":
-        growth = float(defense.setdefault("growth", 2.0))
-        if growth <= 1.0:
-            raise ConfigurationError(
-                f"sketch-switching growth must exceed 1, got {growth}"
-            )
-        defense["growth"] = growth
-    elif kind == "dp_aggregate":
-        dp_epsilon = float(defense.setdefault("dp_epsilon", 1.0))
-        if dp_epsilon <= 0.0:
-            raise ConfigurationError(
-                f"dp_epsilon must be positive, got {dp_epsilon}"
-            )
-        defense["dp_epsilon"] = dp_epsilon
-    else:
-        rotation_fraction = float(defense.setdefault("rotation_fraction", 1.0))
-        if not 0.0 < rotation_fraction <= 4.0:
-            raise ConfigurationError(
-                "rotation_fraction (serving-copy rotation period as a "
-                f"fraction of the window) must lie in (0, 4], got {rotation_fraction}"
-            )
-        defense["rotation_fraction"] = rotation_fraction
-    return defense
+from ..schema import Block, Field, MapOf, one_of, read, read_bool, read_float, read_int, read_str
+from .builders import (
+    ADVERSARY,
+    BENIGN,
+    CAMPAIGN,
+    DEFENSE,
+    SAMPLER,
+    SERVICE,
+    SET_SYSTEM,
+    SHARDING,
+    phase_starts,
+    resolve_target,
+)
 
 #: The adversary field's default spec; a scenario that sets a ``campaign``
 #: must leave ``adversary`` at this default (the campaign members define the
 #: attack).
 DEFAULT_ADVERSARY_SPEC = {"family": "uniform"}
 
+#: The scenario schema: every :class:`ScenarioConfig` field with its kind and
+#: bounds (the dataclass holds the defaults; a null one admits null).
+SCENARIO = Block(
+    Field("name", read_str),
+    Field("description", read_str),
+    Field("stream_length", read_int, bounds=">= 2"),
+    Field("universe_size", read_int, bounds=">= 2"),
+    Field("epsilon", read_float, bounds="(0, 1)"),
+    Field("attack_budget", read_float, bounds="[0, 1]"),
+    Field("trials", read_int, bounds=">= 1"),
+    Field("seed", read_int),
+    Field("knowledge", one_of(*KNOWLEDGE_MODELS)),
+    Field("continuous", read_bool),
+    Field("checkpoint_ratio", read_float, None, "> 0"),
+    Field("warmup_fraction", read_float, bounds="[0, 1)"),
+    Field("samplers", MapOf(SAMPLER)),
+    Field("adversary", ADVERSARY),
+    Field("benign", BENIGN, None),
+    Field("set_system", SET_SYSTEM),
+    Field("workers", read_int, None, ">= 0"),
+    Field("chunk_size", read_int, None, ">= 1"),
+    Field("decision_period", read_int, None, ">= 1"),
+    Field("sharding", SHARDING, None),
+    Field("campaign", CAMPAIGN, None),
+    Field("defense", DEFENSE, None),
+    Field("faults", FAULTS, None),
+    Field("service", SERVICE, None),
+)
 
-def _validate_campaign(
-    value: Any, stream_length: int, adversary: Mapping[str, Any]
-) -> dict[str, Any]:
-    """Normalise and validate a scenario's ``campaign`` block.
+#: Spec blocks stored as given, like ``samplers``: the builders read them
+#: again.  The rest is stored as read, ``defense`` and ``service`` with defaults.
+_KEPT_AS_GIVEN = ("adversary", "benign", "set_system", "faults")
 
-    Returns a deep copy with defaults resolved (``mode``, interleaved
-    ``stride``, phased per-member ``start``); the round schedule implied by
-    phased start fractions is checked against ``stream_length`` here, so a
-    ``replace(stream_length=...)`` that collapses two phases fails at
-    configuration time, not mid-game.
-    """
-    if not isinstance(value, Mapping):
-        raise ConfigurationError(
-            f"campaign spec must be a mapping, got {type(value).__name__}"
-        )
-    if adversary != DEFAULT_ADVERSARY_SPEC:
-        raise ConfigurationError(
-            "a scenario cannot set both 'campaign' and a non-default 'adversary' "
-            f"(got adversary {dict(adversary)!r}); the campaign's members define "
-            "the attack"
-        )
-    campaign = copy.deepcopy(dict(value))
-    unknown = set(campaign) - {"mode", "members", "stride"}
-    if unknown:
-        raise ConfigurationError(
-            f"unknown fields in campaign spec: {', '.join(sorted(unknown))}"
-        )
-    mode = campaign.setdefault("mode", "phased")
-    if mode not in CAMPAIGN_MODES:
-        raise ConfigurationError(
-            f"unknown campaign mode {mode!r}; expected one of {CAMPAIGN_MODES}"
-        )
-    members = campaign.get("members")
-    if not isinstance(members, list) or not members:
-        raise ConfigurationError("a campaign needs a non-empty 'members' list")
-    normalised = []
-    for index, member in enumerate(members):
-        if not isinstance(member, Mapping):
+
+def _copy(value: Any) -> Any:
+    return copy.deepcopy(dict(value)) if isinstance(value, Mapping) else value
+
+
+def _check_cross_fields(given: Mapping[str, Any], typed: Mapping[str, Any]) -> None:
+    """The rules no single field states; ``typed`` has passed the schema."""
+    if not typed["name"]:
+        raise ConfigurationError("a scenario needs a non-empty name")
+    campaign = typed["campaign"]
+    if campaign is not None:
+        if given["adversary"] != DEFAULT_ADVERSARY_SPEC:
             raise ConfigurationError(
-                f"campaign member #{index} must be a mapping, "
-                f"got {type(member).__name__}"
+                "a scenario cannot set both 'campaign' and a non-default 'adversary' "
+                f"(got adversary {dict(given['adversary'])!r}); the campaign's members "
+                "define the attack"
             )
-        member = dict(member)
-        member_unknown = set(member) - {"adversary", "start", "label"}
-        if member_unknown:
+        if campaign["mode"] == "phased":
+            # Raises when the fractions collapse or escape at this length.
+            phase_start_rounds(phase_starts(campaign["members"]), typed["stream_length"])
+    members = [{"adversary": typed["adversary"]}] if campaign is None else campaign["members"]
+    for member in members:
+        if "target" in member["adversary"]:
+            resolve_target(member["adversary"]["target"], typed["universe_size"])
+    sharding = typed["sharding"]
+    if sharding is not None:
+        build_sharding_strategy(sharding["strategy"])
+    if typed["faults"] is not None:
+        if sharding is None:
             raise ConfigurationError(
-                f"unknown fields in campaign member #{index}: "
-                f"{', '.join(sorted(member_unknown))}"
+                "a 'faults' block requires a 'sharding' block: faults describe "
+                "site crashes, coordinator staleness and resharding of a sharded "
+                "deployment"
             )
-        if "adversary" not in member:
-            raise ConfigurationError(
-                f"campaign member #{index} needs an 'adversary' spec"
-            )
-        member["adversary"] = _as_spec(
-            member["adversary"], f"campaign member #{index} adversary", "family"
-        )
-        if "label" in member and not isinstance(member["label"], str):
-            raise ConfigurationError(
-                f"campaign member #{index} label must be a string"
-            )
-        normalised.append(member)
-    if mode == "phased":
-        if "stride" in campaign:
-            raise ConfigurationError(
-                "'stride' only applies to interleaved campaigns; phased "
-                "campaigns schedule by per-member 'start' fractions"
-            )
-        starts = []
-        for index, member in enumerate(normalised):
-            if "start" not in member:
-                if index > 0:
+        plan = compile_fault_spec(given["faults"], typed["stream_length"])
+        if not plan.reshards:
+            # Without resharding the topology is static, so site references
+            # can be bounds-checked now instead of failing mid-game.
+            for crash in plan.crashes:
+                if crash.site >= sharding["sites"]:
                     raise ConfigurationError(
-                        f"campaign member #{index} needs a 'start' fraction "
-                        "in phased mode (the first member defaults to 0.0)"
+                        f"faults crash targets site {crash.site}, but the "
+                        f"deployment has {sharding['sites']} sites"
                     )
-                member["start"] = 0.0
-            start = float(member["start"])
-            member["start"] = start
-            if not 0.0 <= start < 1.0:
-                raise ConfigurationError(
-                    f"campaign member #{index} start must lie in [0, 1), got {start}"
-                )
-            starts.append(start)
-        # Raises when the fractions collapse or escape at this stream length.
-        phase_start_rounds(starts, stream_length)
-    else:
-        stride = int(campaign.setdefault("stride", 16))
-        if stride < 1:
-            raise ConfigurationError(f"campaign stride must be >= 1, got {stride}")
-        campaign["stride"] = stride
-        for index, member in enumerate(normalised):
-            if "start" in member:
-                raise ConfigurationError(
-                    f"campaign member #{index} declares a 'start', but interleaved "
-                    "campaigns schedule by slots; remove it or use mode 'phased'"
-                )
-    campaign["members"] = normalised
-    return campaign
+        for reshard in plan.reshards:
+            build_sharding_strategy(reshard.strategy)
 
 
-def _validate_faults(
-    value: Any, stream_length: int, sharding: Mapping[str, Any] | None
-) -> dict[str, Any]:
-    """Normalise and validate a scenario's ``faults`` block.
-
-    Returns a deep copy with **fraction fields left unresolved** — the block
-    is compiled against the effective stream length at build time
-    (:func:`repro.distributed.faults.compile_fault_spec`), so a
-    ``replace(stream_length=...)`` rescales the fault schedule instead of
-    going stale.  Compilation is still exercised here, against the current
-    stream length, so malformed specs fail at configuration time.
-    """
-    if sharding is None:
-        raise ConfigurationError(
-            "a 'faults' block requires a 'sharding' block: faults describe "
-            "site crashes, coordinator staleness and resharding of a sharded "
-            "deployment"
-        )
-    if not isinstance(value, Mapping):
-        raise ConfigurationError(
-            f"faults spec must be a mapping, got {type(value).__name__}"
-        )
-    faults = copy.deepcopy(dict(value))
-    plan = compile_fault_spec(faults, stream_length)
-    if not plan.reshards:
-        # Without resharding the topology is static, so site references can
-        # be bounds-checked now instead of failing mid-game.
-        sites = int(sharding["sites"])
-        for crash in plan.crashes:
-            if crash.site >= sites:
-                raise ConfigurationError(
-                    f"faults crash targets site {crash.site}, but the "
-                    f"deployment has {sites} sites"
-                )
-    return faults
-
-
-#: Allowed fields of the ``service`` block and their defaults (see
-#: :class:`~repro.service.served.ServedSampler` for semantics).
-_SERVICE_DEFAULTS = {"staleness_rounds": 0, "clients": 0, "query_period": 32}
-
-
-def _validate_service(value: Any) -> dict[str, Any]:
-    """Normalise and validate a scenario's ``service`` block.
-
-    Returns a deep copy with all three knobs resolved to ints.  The block is
-    sampler-agnostic (any family can sit behind the service facade), so no
-    cross-field checks are needed here.
-    """
-    if not isinstance(value, Mapping):
-        raise ConfigurationError(
-            f"service spec must be a mapping, got {type(value).__name__}"
-        )
-    service = copy.deepcopy(dict(value))
-    unknown = set(service) - set(_SERVICE_DEFAULTS)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown fields in service spec: {', '.join(sorted(unknown))}"
-        )
-    for field_name, default in _SERVICE_DEFAULTS.items():
-        service[field_name] = int(service.get(field_name, default))
-    if service["staleness_rounds"] < 0:
-        raise ConfigurationError(
-            f"service staleness_rounds must be >= 0, got {service['staleness_rounds']}"
-        )
-    if service["clients"] < 0:
-        raise ConfigurationError(
-            f"service clients must be >= 0, got {service['clients']}"
-        )
-    if service["query_period"] < 1:
-        raise ConfigurationError(
-            f"service query_period must be >= 1, got {service['query_period']}"
-        )
-    return service
-
-
-def _as_spec(value: Any, key: str, required_field: str) -> dict[str, Any]:
-    """Deep-copy a spec mapping and check it names its family/kind."""
-    if not isinstance(value, Mapping):
-        raise ConfigurationError(f"{key} spec must be a mapping, got {type(value).__name__}")
-    spec = copy.deepcopy(dict(value))
-    if required_field not in spec:
-        raise ConfigurationError(f"{key} spec {spec!r} is missing the {required_field!r} field")
-    return spec
+def _stored_campaign(given: Mapping[str, Any], typed: Mapping[str, Any]) -> dict[str, Any]:
+    """The campaign as given, with its schedule resolved: ``mode``, and the
+    interleaved ``stride`` or every phased member's ``start``."""
+    if typed["mode"] == "interleaved":
+        return {**_copy(given), "mode": "interleaved", "stride": typed["stride"]}
+    starts = phase_starts(typed["members"])
+    members = [{**_copy(member), "start": start} for member, start in zip(given["members"], starts)]
+    return {**_copy(given), "mode": "phased", "members": members}
 
 
 @dataclass(frozen=True)
@@ -378,13 +218,11 @@ class ScenarioConfig:
     #: the attack/benign boundary or the checkpoint schedule, so budget
     #: monotonicity is preserved.
     decision_period: int | None = None
-    #: Optional sharded-deployment block: when present, every sampler in the
-    #: grid is wrapped in a :class:`~repro.distributed.sharded.ShardedSampler`
-    #: with ``sites`` per-site copies of the sampler spec and the named
-    #: routing ``strategy`` (``"random"`` by default; a mapping such as
-    #: ``{"kind": "skewed", "hot_fraction": 0.9}`` passes parameters).  Only
-    #: mergeable sampler families can be sharded — see
-    #: :data:`repro.scenarios.builders.MERGEABLE_SAMPLER_FAMILIES`.
+    #: Optional sharded deployment (``SHARDING``): every sampler in the grid
+    #: becomes a :class:`~repro.distributed.sharded.ShardedSampler` of ``sites``
+    #: copies under the routing ``strategy`` (random by default; a mapping such
+    #: as ``{"kind": "skewed", "hot_fraction": 0.9}`` passes parameters).  Only
+    #: :data:`repro.scenarios.builders.MERGEABLE_SAMPLER_FAMILIES` can be sharded.
     sharding: dict[str, Any] | None = None
     #: Optional multi-adversary campaign: several attack specs composed over
     #: one stream instead of the single ``adversary`` (which must then stay
@@ -397,130 +235,46 @@ class ScenarioConfig:
     #: round -> member schedule depends only on the stream length, so budget
     #: monotonicity holds exactly as for single-adversary scenarios.
     campaign: dict[str, Any] | None = None
-    #: Optional defense block applied to **every** sampler in the grid, e.g.
-    #: ``{"kind": "sketch_switching", "copies": 4, "matched_space": True}``.
-    #: ``oversample`` rewrites the sampler specs (Theorem 1.2); the
-    #: replicated kinds wrap each built sampler in the corresponding
-    #: :mod:`repro.defenses` wrapper.  With ``matched_space`` the per-copy
-    #: capacity is divided by ``copies`` so the defended grid occupies the
-    #: same total space as the undefended one (the honest comparison for the
-    #: attack × defense × budget matrix).  Composes with ``sharding``: each
-    #: site is defended, and the coordinator merges defended views copy-wise.
+    #: Optional defense (``DEFENSE``) applied to **every** sampler in the grid,
+    #: e.g. ``{"kind": "sketch_switching", "copies": 4, "matched_space": True}``:
+    #: ``oversample`` rewrites the sampler specs (Theorem 1.2), the other kinds
+    #: wrap each sampler in a :mod:`repro.defenses` wrapper.  ``matched_space``
+    #: divides the per-copy space by ``copies``, the honest comparison at equal
+    #: total space.  Composes with ``sharding``: each site is defended.
     defense: dict[str, Any] | None = None
-    #: Optional fault-injection block for sharded deployments (requires
-    #: ``sharding``): site crashes with optional recovery and a declared loss
-    #: model, coordinator cache-staleness windows, and scheduled resharding,
-    #: e.g. ``{"crashes": [{"site": 1, "round_fraction": 0.4,
-    #: "recovery_fraction": 0.2, "loss": "replay"}]}``.  Round knobs may be
-    #: absolute or stream-length fractions; the block is compiled to a
-    #: :class:`~repro.distributed.faults.FaultPlan` at build time, so the
-    #: schedule depends only on the stream length and faulted scenarios stay
-    #: budget-monotone and bit-reproducible.
+    #: Optional fault injection for a sharded deployment
+    #: (:data:`~repro.distributed.faults.FAULTS`): site crashes, coordinator
+    #: staleness windows and resharding, compiled to a ``FaultPlan`` against the
+    #: stream length at build time, so faulted scenarios stay budget-monotone
+    #: and bit-reproducible.
     faults: dict[str, Any] | None = None
-    #: Optional service block: observe the sampler through the always-on
-    #: query service facade (:class:`~repro.service.served.ServedSampler`)
-    #: instead of directly.  ``{"staleness_rounds": 64, "clients": 4,
-    #: "query_period": 8}`` serves adversary and checkpoint reads from a
-    #: snapshot at most ``staleness_rounds`` behind ingestion, while
-    #: ``clients`` background clients read every ``query_period`` rounds
-    #: (for exposure-tracked defenses those reads reach the sites'
-    #: ``observe_exposure`` hooks — a query flood genuinely spends the
-    #: defense budget).  The read schedule is a pure function of the round
-    #: index, so serviced scenarios stay bit-reproducible, budget-monotone
-    #: and chunking-independent.
+    #: Optional service block (``SERVICE``): observe the sampler through
+    #: :class:`~repro.service.served.ServedSampler`, whose reads come from a
+    #: snapshot at most ``staleness_rounds`` behind ingestion while ``clients``
+    #: background clients read every ``query_period`` rounds (a query flood
+    #: spends an exposure-tracked defense's budget).  The read schedule is a
+    #: pure function of the round index, so serviced scenarios stay
+    #: bit-reproducible, budget-monotone and chunking-independent.
     service: dict[str, Any] | None = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("a scenario needs a non-empty name")
-        if self.stream_length < 2:
-            raise ConfigurationError(
-                f"stream length must be >= 2, got {self.stream_length}"
-            )
-        if self.universe_size < 2:
-            raise ConfigurationError(
-                f"universe size must be >= 2, got {self.universe_size}"
-            )
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigurationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not 0.0 <= self.attack_budget <= 1.0:
-            raise ConfigurationError(
-                f"attack budget must lie in [0, 1], got {self.attack_budget}"
-            )
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ConfigurationError(
-                f"warmup fraction must lie in [0, 1), got {self.warmup_fraction}"
-            )
-        if self.checkpoint_ratio is not None and self.checkpoint_ratio <= 0.0:
-            raise ConfigurationError(
-                f"checkpoint ratio must be positive, got {self.checkpoint_ratio}"
-            )
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk size must be >= 1, got {self.chunk_size}"
-            )
-        if self.decision_period is not None and self.decision_period < 1:
-            raise ConfigurationError(
-                f"decision period must be >= 1, got {self.decision_period}"
-            )
-        if self.knowledge not in KNOWLEDGE_MODELS:
-            raise ConfigurationError(
-                f"unknown knowledge model {self.knowledge!r}; "
-                f"expected one of {KNOWLEDGE_MODELS}"
-            )
-        if not self.samplers:
-            raise ConfigurationError("a scenario needs at least one sampler spec")
-        # Frozen dataclasses still allow attribute mutation through
-        # object.__setattr__; used here only to normalise the nested specs
-        # into validated deep copies.
-        object.__setattr__(
-            self,
-            "samplers",
-            {
-                str(label): _as_spec(spec, f"sampler {label!r}", "family")
-                for label, spec in dict(self.samplers).items()
-            },
-        )
-        object.__setattr__(self, "adversary", _as_spec(self.adversary, "adversary", "family"))
-        object.__setattr__(self, "set_system", _as_spec(self.set_system, "set_system", "kind"))
-        if self.benign is not None:
-            object.__setattr__(self, "benign", _as_spec(self.benign, "benign", "kind"))
-        if self.sharding is not None:
-            sharding = _as_spec(self.sharding, "sharding", "sites")
-            unknown = set(sharding) - {"sites", "strategy"}
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown fields in sharding spec: {', '.join(sorted(unknown))}"
-                )
-            sites = int(sharding["sites"])
-            if sites < 1:
-                raise ConfigurationError(f"sharding needs at least 1 site, got {sites}")
-            sharding["sites"] = sites
-            strategy = sharding.get("strategy")
-            if strategy is not None and not isinstance(strategy, (str, Mapping)):
-                raise ConfigurationError(
-                    "sharding strategy must be a name or a spec mapping, "
-                    f"got {type(strategy).__name__}"
-                )
-            object.__setattr__(self, "sharding", sharding)
-        if self.campaign is not None:
-            object.__setattr__(
-                self,
-                "campaign",
-                _validate_campaign(self.campaign, self.stream_length, self.adversary),
-            )
-        if self.defense is not None:
-            object.__setattr__(self, "defense", _validate_defense(self.defense))
-        if self.faults is not None:
-            object.__setattr__(
-                self,
-                "faults",
-                _validate_faults(self.faults, self.stream_length, self.sharding),
-            )
-        if self.service is not None:
-            object.__setattr__(self, "service", _validate_service(self.service))
+        # Every block is read here, so a field error surfaces at from_dict
+        # or replace, before any factory or worker exists.
+        given = {name: getattr(self, name) for name in SCENARIO.fields}
+        typed = read(SCENARIO, given, "")
+        _check_cross_fields(given, typed)
+        stored = dict(typed)
+        for name in _KEPT_AS_GIVEN:
+            stored[name] = _copy(given[name])
+        stored["samplers"] = {label: _copy(spec) for label, spec in given["samplers"].items()}
+        if given["sharding"] is not None:
+            stored["sharding"] = {**_copy(given["sharding"]), "sites": typed["sharding"]["sites"]}
+        if given["campaign"] is not None:
+            stored["campaign"] = _stored_campaign(given["campaign"], typed["campaign"])
+        # A frozen dataclass still allows object.__setattr__; used only here,
+        # to store the read values.
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -528,7 +282,7 @@ class ScenarioConfig:
     @property
     def attack_rounds(self) -> int:
         """Number of leading rounds played by the attack adversary."""
-        return int(round(self.attack_budget * self.stream_length))
+        return round(self.attack_budget * self.stream_length)
 
     @property
     def adversary_label(self) -> str:
@@ -539,10 +293,8 @@ class ScenarioConfig:
         ``campaign:<family>+<family>+...`` in schedule order.
         """
         if self.campaign is None:
-            return str(self.adversary["family"])
-        families = [
-            str(member["adversary"]["family"]) for member in self.campaign["members"]
-        ]
+            return self.adversary["family"]
+        families = [member["adversary"]["family"] for member in self.campaign["members"]]
         return "campaign:" + "+".join(families)
 
     # ------------------------------------------------------------------

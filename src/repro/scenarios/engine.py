@@ -331,8 +331,8 @@ def sweep_config(
     the sampler grid inside the config is swept by the batch runner itself,
     so the full sweep is ``budget × sampler × seed`` as one composition.
     """
-    budget_grid = [config.attack_budget] if budgets is None else [float(b) for b in budgets]
-    seed_grid = [config.seed] if seeds is None else [int(s) for s in seeds]
+    budget_grid = [config.attack_budget] if budgets is None else list(budgets)
+    seed_grid = [config.seed] if seeds is None else list(seeds)
     if not budget_grid or not seed_grid:
         raise ConfigurationError("sweep grids must be non-empty")
     return [

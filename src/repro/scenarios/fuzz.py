@@ -557,7 +557,7 @@ def _sharded_agreement(config: ScenarioConfig) -> InvariantResult:
         return _skip(name, "faulted deployments have no standalone twin")
     spec = dict(next(iter(config.samplers.values())))
     family = spec["family"]
-    sites = int(config.sharding["sites"])
+    sites = config.sharding["sites"]
     strategy_spec = config.sharding.get("strategy")
     seed = config.seed + 104729
     stream = [

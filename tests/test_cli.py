@@ -277,6 +277,29 @@ class TestScenarioConfigFile:
         assert "error: faults crash #0 'round' must be an integer, got 2.7" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"adversary": {"family": "zipf", "typo_exponent": 2}},
+             "unknown fields in adversary: typo_exponent"),
+            ({"samplers": {"s": {"family": "reservoir", "capacity": 12.9}}},
+             "samplers['s'] 'capacity' must be an integer, got 12.9"),
+            ({"samplers": {"s": {"family": "bernoulli", "probability": 1.5}}},
+             "probability must lie in (0, 1], got 1.5 in samplers['s']"),
+            ({"sharding": {"strategy": "hash"}}, "sharding needs a 'sites'"),
+        ],
+        ids=["unknown_field", "wrong_type", "out_of_range", "missing_field"],
+    )
+    def test_schema_error_exits_2(self, fields, message, tmp_path, capsys):
+        """Each error class of the scenario schema ends in one ``error:``
+        line naming the field, never a traceback or a coerced run."""
+        payload = {"name": "bad", "stream_length": 64, "universe_size": 32,
+                   "trials": 1, **fields}
+        assert main(["scenario", "run", "--config", self._write(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_non_object_json_exits_2(self, tmp_path, capsys):
         path = self._write(tmp_path, "[1, 2, 3]")
         assert main(["scenario", "run", "--config", path]) == 2

@@ -109,6 +109,39 @@ class TestStrategies:
         with pytest.raises(ConfigurationError):
             SkewedSharding(hot_site=-1)
 
+    @pytest.mark.parametrize(
+        "parameters, message",
+        [
+            ({"hot_fraction": True}, "skewed sharding 'hot_fraction' must be a number, got True"),
+            ({"hot_fraction": "0.9"}, "skewed sharding 'hot_fraction' must be a number, got '0.9'"),
+            ({"hot_site": 1.5}, "skewed sharding 'hot_site' must be an integer, got 1.5"),
+            ({"hot_site": False}, "skewed sharding 'hot_site' must be a number, got False"),
+        ],
+    )
+    def test_skewed_parameters_are_not_coerced(self, parameters, message):
+        """Neither the constructor, nor ``sharding.strategy``, nor a
+        reshard's ``strategy`` mapping runs a bool, a string or a
+        fractional site as a number."""
+        with pytest.raises(ConfigurationError) as error:
+            SkewedSharding(**parameters)
+        assert str(error.value) == message
+        strategy = {"kind": "skewed", **parameters}
+        with pytest.raises(ConfigurationError, match="skewed sharding"):
+            build_sharding_strategy(strategy)
+        with pytest.raises(ConfigurationError, match="skewed sharding"):
+            ScenarioConfig(name="x", sharding={"sites": 2, "strategy": strategy})
+        reshard = {"round": 8, "op": "split", "site": 0, "strategy": strategy}
+        with pytest.raises(ConfigurationError, match="skewed sharding"):
+            ScenarioConfig(name="x", sharding={"sites": 2}, faults={"reshards": [reshard]})
+
+    def test_skewed_whole_numbers_read_as_given_and_a_far_site_clamps(self, rng):
+        strategy = SkewedSharding(hot_fraction=np.float64(1.0), hot_site=np.int64(7))
+        assert type(strategy.hot_fraction) is float and type(strategy.hot_site) is int
+        # A reshard can shrink the deployment under a fixed strategy, so a
+        # hot site past the last one routes to the last one.
+        assert set(strategy.assign(list(range(50)), 1, 3, rng).tolist()) == {2}
+        assert strategy.assign_one(0, 1, 3, rng) == 2
+
     def test_build_from_name_spec_and_instance(self):
         assert isinstance(build_sharding_strategy(None), RandomSharding)
         assert isinstance(build_sharding_strategy("hash"), HashSharding)
