@@ -81,7 +81,6 @@ from .exceptions import (
     ExperimentError,
     ReproError,
     StreamExhaustedError,
-    UniverseError,
 )
 from .samplers import (
     BernoulliSampler,
@@ -116,7 +115,6 @@ from .scenarios import (
     run_scenario,
     sweep_scenario,
 )
-from .streams import GridUniverse, OrderedUniverse
 
 __all__ = [
     "Adversary",
@@ -135,7 +133,6 @@ __all__ = [
     "GameResult",
     "GreedyDensityAdversary",
     "GreenwaldKhannaSketch",
-    "GridUniverse",
     "HalfspaceSystem",
     "Interval",
     "IntervalSystem",
@@ -145,7 +142,6 @@ __all__ = [
     "MixingGreedyDensityAdversary",
     "MisraGriesSummary",
     "ObliviousAdversary",
-    "OrderedUniverse",
     "Prefix",
     "PrefixSystem",
     "PrioritySampler",
@@ -172,7 +168,6 @@ __all__ = [
     "ThresholdAttackAdversary",
     "TrialOutcome",
     "UniformAdversary",
-    "UniverseError",
     "WeightedReservoirSampler",
     "ZipfAdversary",
     "__version__",

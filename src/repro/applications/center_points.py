@@ -17,39 +17,14 @@ documented as such in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 
 from ..exceptions import ConfigurationError, EmptySampleError
-from ..rng import RandomState, ensure_generator
-
-
-def _as_array(points: Sequence) -> np.ndarray:
-    array = np.asarray([tuple(point) for point in points], dtype=float)
-    if array.ndim == 1:
-        array = array.reshape(-1, 1)
-    return array
-
-
-def direction_grid(dimension: int, count: int, seed: RandomState = None) -> np.ndarray:
-    """Unit directions used to probe halfspaces (exact for ``dimension == 1``)."""
-    if dimension < 1:
-        raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
-    if count < 1:
-        raise ConfigurationError(f"count must be >= 1, got {count}")
-    if dimension == 1:
-        return np.array([[1.0], [-1.0]])
-    if dimension == 2:
-        angles = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    rng = ensure_generator(seed)
-    directions = rng.normal(size=(count, dimension))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return directions / norms
+from ..rng import RandomState
+from ..setsystems.halfspaces import direction_grid, point_matrix
 
 
 def tukey_depth(
@@ -65,7 +40,7 @@ def tukey_depth(
     data points lying in the closed halfspace on the far side of ``point``.
     A ``beta``-center point is precisely a point of depth at least ``beta``.
     """
-    data = _as_array(points)
+    data = point_matrix(points)
     if len(data) == 0:
         raise EmptySampleError("cannot compute depth within an empty point set")
     query = np.asarray(tuple(point) if hasattr(point, "__len__") else (point,), dtype=float)
@@ -104,7 +79,7 @@ def deepest_point(
     median, which in low dimensions reliably contains a point of depth close to
     the maximum possible (``>= 1 / (d + 1)`` is always achievable).
     """
-    data = _as_array(points)
+    data = point_matrix(points)
     if len(data) == 0:
         raise EmptySampleError("cannot find a center of an empty point set")
     directions = direction_grid(data.shape[1], num_directions, seed)

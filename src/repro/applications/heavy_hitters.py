@@ -9,16 +9,15 @@ element with stream density ``<= alpha - epsilon`` is.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
-from typing import Any, Literal
+from typing import Any
 
-from ..core.bounds import bernoulli_adaptive_rate, reservoir_adaptive_size
 from ..exceptions import ConfigurationError, EmptySampleError
 from ..rng import RandomState
-from ..samplers import BernoulliSampler, ReservoirSampler, StreamSampler
+from ..setsystems.singletons import SingletonSystem
+from .sampled import Mechanism, SampledEstimator
 
 
 def exact_heavy_hitters(stream: Sequence[Any], threshold_fraction: float) -> set:
@@ -82,14 +81,14 @@ def evaluate_heavy_hitters(
     )
 
 
-class SampleHeavyHitters:
+class SampleHeavyHitters(SampledEstimator):
     """Streaming heavy-hitters detector backed by a robust random sample.
 
     Parameters
     ----------
     universe_size:
-        ``|U|``; the singleton system has cardinality ``|U|`` so the sample
-        size uses ``ln |U|``.
+        ``|U|``; the sample is sized for the singleton system over it, whose
+        cardinality is ``|U|``, at accuracy ``epsilon / 3``.
     alpha:
         Heaviness threshold (report elements with density ``>= alpha``).
     epsilon:
@@ -102,6 +101,8 @@ class SampleHeavyHitters:
         ``"reservoir"`` (default) or ``"bernoulli"``.
     """
 
+    _plural = "heavy hitters"
+
     def __init__(
         self,
         universe_size: int,
@@ -109,7 +110,7 @@ class SampleHeavyHitters:
         epsilon: float,
         delta: float,
         stream_length: int | None = None,
-        mechanism: Literal["reservoir", "bernoulli"] = "reservoir",
+        mechanism: Mechanism = "reservoir",
         seed: RandomState = None,
     ) -> None:
         if not 0.0 < epsilon < alpha <= 1.0:
@@ -124,42 +125,14 @@ class SampleHeavyHitters:
         self.delta = float(delta)
         #: The approximation accuracy used internally (the paper's epsilon').
         self.approximation_epsilon = epsilon / 3.0
-        log_universe = math.log(self.universe_size)
-        if mechanism == "reservoir":
-            bound = reservoir_adaptive_size(log_universe, self.approximation_epsilon, delta)
-            self._sampler: StreamSampler = ReservoirSampler(bound.size, seed=seed)
-        elif mechanism == "bernoulli":
-            if stream_length is None:
-                raise ConfigurationError(
-                    "Bernoulli-based heavy hitters need the stream length up front"
-                )
-            bound = bernoulli_adaptive_rate(
-                log_universe, self.approximation_epsilon, delta, stream_length
-            )
-            assert bound.probability is not None
-            self._sampler = BernoulliSampler(bound.probability, seed=seed)
-        else:
-            raise ConfigurationError(f"unknown mechanism {mechanism!r}")
-        self.sample_size_bound = bound
-        self._count = 0
-
-    # ------------------------------------------------------------------
-    # Streaming interface
-    # ------------------------------------------------------------------
-    def update(self, element: Any) -> None:
-        """Process one stream element."""
-        self._sampler.process(element)
-        self._count += 1
-
-    def extend(self, elements: Iterable[Any]) -> None:
-        """Process a batch of stream elements.
-
-        Routes through the sampler's vectorised ``extend`` with the
-        per-element update records suppressed — nothing here reads them.
-        """
-        elements = list(elements)
-        self._sampler.extend(elements, updates=False)
-        self._count += len(elements)
+        super().__init__(
+            SingletonSystem(self.universe_size),
+            self.approximation_epsilon,
+            delta,
+            stream_length,
+            mechanism,
+            seed,
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -179,14 +152,6 @@ class SampleHeavyHitters:
         if not sample:
             raise EmptySampleError("the detector has not retained any element yet")
         return sum(1 for item in sample if item == element) / len(sample)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def sampler(self) -> StreamSampler:
-        """The underlying sampler (its state is what an adversary observes)."""
-        return self._sampler
 
     @property
     def count(self) -> int:

@@ -4,7 +4,8 @@ If a sample ``S`` is an epsilon-approximation of the stream ``X`` with respect
 to the prefix system, then the rank of *every* element is preserved up to
 ``epsilon * n`` simultaneously, so every quantile of the sample is an
 epsilon-approximate quantile of the stream.  :class:`RobustQuantileSketch`
-packages a Bernoulli or reservoir sampler sized per Corollary 1.5 behind a
+packages a Bernoulli or reservoir sampler sized per Corollary 1.5 (the
+prefix system's :class:`~repro.applications.sampled.SampledEstimator`) behind a
 quantile-sketch interface, and the helper functions measure quantile/rank
 errors for the experiments.
 """
@@ -13,12 +14,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from typing import Literal
 
-from ..core.bounds import bernoulli_adaptive_rate, reservoir_adaptive_size
 from ..exceptions import ConfigurationError, EmptySampleError
 from ..rng import RandomState
-from ..samplers import BernoulliSampler, ReservoirSampler, StreamSampler
+from ..setsystems.intervals import PrefixSystem
+from .sampled import Mechanism, SampledEstimator
 
 
 def rank_of(sequence: Sequence[float], value: float) -> int:
@@ -67,14 +67,14 @@ def worst_quantile_error(
     return max(quantile_rank_error(stream, sample, fraction) for fraction in fractions)
 
 
-class RobustQuantileSketch:
+class RobustQuantileSketch(SampledEstimator):
     """Quantile sketch backed by an adversarially robust random sample.
 
     Parameters
     ----------
     universe_size:
-        Size ``|U|`` of the ordered universe; Corollary 1.5's sample size uses
-        ``ln |U|``.
+        Size ``|U|`` of the ordered universe; Corollary 1.5's sample is sized
+        for the prefix system over it, ``ln |R| = ln |U|``.
     epsilon / delta:
         Target rank accuracy and failure probability.
     stream_length:
@@ -86,13 +86,15 @@ class RobustQuantileSketch:
         Randomness for the underlying sampler.
     """
 
+    _plural = "quantile sketches"
+
     def __init__(
         self,
         universe_size: int,
         epsilon: float,
         delta: float,
         stream_length: int | None = None,
-        mechanism: Literal["reservoir", "bernoulli"] = "reservoir",
+        mechanism: Mechanism = "reservoir",
         seed: RandomState = None,
     ) -> None:
         if universe_size < 2:
@@ -101,40 +103,9 @@ class RobustQuantileSketch:
         self.epsilon = float(epsilon)
         self.delta = float(delta)
         self.mechanism = mechanism
-        log_universe = math.log(self.universe_size)
-        if mechanism == "reservoir":
-            bound = reservoir_adaptive_size(log_universe, epsilon, delta)
-            self._sampler: StreamSampler = ReservoirSampler(bound.size, seed=seed)
-        elif mechanism == "bernoulli":
-            if stream_length is None:
-                raise ConfigurationError(
-                    "Bernoulli-based quantile sketches need the stream length up front"
-                )
-            bound = bernoulli_adaptive_rate(log_universe, epsilon, delta, stream_length)
-            assert bound.probability is not None
-            self._sampler = BernoulliSampler(bound.probability, seed=seed)
-        else:
-            raise ConfigurationError(f"unknown mechanism {mechanism!r}")
-        self.sample_size_bound = bound
-        self._count = 0
-
-    # ------------------------------------------------------------------
-    # Streaming interface
-    # ------------------------------------------------------------------
-    def update(self, value: float) -> None:
-        """Insert one stream element."""
-        self._sampler.process(value)
-        self._count += 1
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Insert a batch of stream elements.
-
-        Routes through the sampler's vectorised ``extend`` with the
-        per-element update records suppressed — nothing here reads them.
-        """
-        values = list(values)
-        self._sampler.extend(values, updates=False)
-        self._count += len(values)
+        super().__init__(
+            PrefixSystem(self.universe_size), epsilon, delta, stream_length, mechanism, seed
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -160,11 +131,6 @@ class RobustQuantileSketch:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def sampler(self) -> StreamSampler:
-        """The underlying sampler (exposed because the adversary may watch it)."""
-        return self._sampler
-
     @property
     def count(self) -> int:
         """Number of stream elements processed so far."""

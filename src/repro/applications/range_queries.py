@@ -8,16 +8,14 @@ adaptive sample size is ``O((d ln m + ln(1/delta)) / epsilon^2)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
-from typing import Literal
+from typing import Any
 
-from ..core.bounds import bernoulli_adaptive_rate, reservoir_adaptive_size
 from ..exceptions import ConfigurationError, EmptySampleError
 from ..rng import RandomState
-from ..samplers import BernoulliSampler, ReservoirSampler, StreamSampler
-from ..setsystems.rectangles import Box
+from ..setsystems.rectangles import Box, RectangleSystem
+from .sampled import Mechanism, SampledEstimator
 
 
 def exact_range_count(points: Sequence[tuple], box: Box) -> int:
@@ -42,13 +40,14 @@ class RangeQueryResult:
         return abs(self.estimate - self.exact) / self.stream_length
 
 
-class SampleRangeCounter:
+class SampleRangeCounter(SampledEstimator):
     """Streaming range-count estimator backed by a robust random sample.
 
     Parameters
     ----------
     side / dimension:
-        The grid universe ``[side]^dimension``.
+        The grid universe ``[side]^dimension``; the sample is sized for the
+        box system over it.
     epsilon / delta:
         Target additive error (as a fraction of ``n``) and failure probability.
     stream_length:
@@ -57,6 +56,8 @@ class SampleRangeCounter:
         ``"reservoir"`` (default) or ``"bernoulli"``.
     """
 
+    _plural = "range counters"
+
     def __init__(
         self,
         side: int,
@@ -64,7 +65,7 @@ class SampleRangeCounter:
         epsilon: float,
         delta: float,
         stream_length: int | None = None,
-        mechanism: Literal["reservoir", "bernoulli"] = "reservoir",
+        mechanism: Mechanism = "reservoir",
         seed: RandomState = None,
     ) -> None:
         if side < 2:
@@ -75,50 +76,33 @@ class SampleRangeCounter:
         self.dimension = int(dimension)
         self.epsilon = float(epsilon)
         self.delta = float(delta)
-        log_cardinality = dimension * math.log(side * (side + 1) / 2)
-        if mechanism == "reservoir":
-            bound = reservoir_adaptive_size(log_cardinality, epsilon, delta)
-            self._sampler: StreamSampler = ReservoirSampler(bound.size, seed=seed)
-        elif mechanism == "bernoulli":
-            if stream_length is None:
-                raise ConfigurationError(
-                    "Bernoulli-based range counters need the stream length up front"
-                )
-            bound = bernoulli_adaptive_rate(log_cardinality, epsilon, delta, stream_length)
-            assert bound.probability is not None
-            self._sampler = BernoulliSampler(bound.probability, seed=seed)
-        else:
-            raise ConfigurationError(f"unknown mechanism {mechanism!r}")
-        self.sample_size_bound = bound
-        self._count = 0
+        super().__init__(
+            RectangleSystem(self.side, self.dimension),
+            epsilon,
+            delta,
+            stream_length,
+            mechanism,
+            seed,
+        )
 
     # ------------------------------------------------------------------
     # Streaming interface
     # ------------------------------------------------------------------
     def update(self, point: tuple) -> None:
         """Process one stream point (a ``dimension``-tuple of grid coordinates)."""
+        super().update(self._point(point))
+
+    def extend(self, points: Iterable[tuple]) -> None:
+        """Process a batch of stream points, each checked before any is sampled."""
+        super().extend([self._point(point) for point in points])
+
+    def _point(self, point: Iterable[Any]) -> tuple:
         point = tuple(point)
         if len(point) != self.dimension:
             raise ConfigurationError(
                 f"expected {self.dimension}-dimensional points, got {point!r}"
             )
-        self._sampler.process(point)
-        self._count += 1
-
-    def extend(self, points: Iterable[tuple]) -> None:
-        """Process a batch of stream points.
-
-        Validates the batch up front, then routes through the sampler's
-        vectorised ``extend`` with the per-element records suppressed.
-        """
-        points = [tuple(point) for point in points]
-        for point in points:
-            if len(point) != self.dimension:
-                raise ConfigurationError(
-                    f"expected {self.dimension}-dimensional points, got {point!r}"
-                )
-        self._sampler.extend(points, updates=False)
-        self._count += len(points)
+        return point
 
     # ------------------------------------------------------------------
     # Queries
@@ -139,14 +123,6 @@ class SampleRangeCounter:
             exact=exact_range_count(stream, box),
             stream_length=len(stream),
         )
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def sampler(self) -> StreamSampler:
-        """The underlying sampler."""
-        return self._sampler
 
     @property
     def count_processed(self) -> int:

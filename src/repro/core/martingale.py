@@ -139,7 +139,7 @@ class ReservoirMartingaleTracker:
     Because the reservoir replaces elements, the tracker cannot maintain the
     sample-intersection count incrementally from per-element flags alone;
     instead :meth:`record_step` receives the current count ``|R ∩ S_i|``
-    (trivially available to the game runner, which sees the whole sample).
+    (the caller keeps it from each round's accepted and evicted elements).
     """
 
     def __init__(self, reservoir_size: int) -> None:

@@ -136,16 +136,6 @@ class ReplicatedDefenseSampler(StreamSampler):
         """Copy index serving a read of the *current* state."""
         return self._serving_copy(self._round) if self._round else 0
 
-    def observe_exposure(self) -> None:
-        """Hook: the serving copy's state was just shown to an observer.
-
-        :class:`~repro.distributed.sharded.ShardedSampler` calls this on its
-        sites when the *merged* view is read, so exposure-driven defenses
-        (sketch switching) see coordinator-level reads too.  The base
-        implementation does nothing — DP aggregation and the difference
-        estimator do not track exposure.
-        """
-
     # ------------------------------------------------------------------
     # Streaming interface
     # ------------------------------------------------------------------
@@ -363,6 +353,16 @@ class SketchSwitchingSampler(ReplicatedDefenseSampler):
             self._exposed_round = None
 
     def observe_exposure(self) -> None:
+        """Hook: the serving copy's state was just shown to an observer.
+
+        Only this defense declares it: reads of DP aggregation and the
+        difference estimator change nothing, so their deployments are read
+        through caches like any sampler.
+        :class:`~repro.distributed.sharded.ShardedSampler` calls it on its
+        sites when the *merged* view is read, and
+        :class:`~repro.service.snapshots.SnapshotStore` never caches a
+        sampler that has it, so coordinator and service reads count too.
+        """
         self._maybe_switch()
         if self._exposed_round is None:
             self._exposed_round = self._round

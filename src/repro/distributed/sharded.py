@@ -419,7 +419,7 @@ class ShardedSampler(StreamSampler):
     observations between advances return the cached view.  Reservoir
     sites serve that draw through ``merged_sample``, with no merged sampler
     built; :meth:`merged_sampler` makes the full merge.  Deployments
-    whose sites track exposure (defense wrappers with an
+    whose sites track exposure (sketch switching, the one defense with an
     ``observe_exposure`` hook) bypass the cache entirely: every read there
     re-merges, because the act of reading advances the sites' serving
     state.
@@ -464,9 +464,9 @@ class ShardedSampler(StreamSampler):
         self._dropped = [0] * self.num_sites
         self._wiped_rounds = 0
         self._version = 0
-        # Reading the merged view advances exposure-tracking sites (defense
-        # wrappers with an ``observe_exposure`` hook), so such deployments
-        # re-merge on every read and never fill the memo.  Reshards keep
+        # Reading the merged view advances exposure-tracking sites (sketch
+        # switching, the one defense with an ``observe_exposure`` hook), so
+        # such deployments re-merge on every read and never fill the memo.  Reshards keep
         # the site family, so this holds for the deployment's lifetime.
         self._tracks_exposure = any(
             getattr(site, "observe_exposure", None) is not None for site in self._sites
@@ -742,8 +742,8 @@ class ShardedSampler(StreamSampler):
         one merge and the served sample equals that merge's ``sample``.
 
         Reading the merged view exposes the serving state of every site, so
-        sites that track exposure (defense wrappers with an
-        ``observe_exposure`` hook, e.g. sketch switching) are notified
+        sites that track exposure (sketch switching, the one defense with an
+        ``observe_exposure`` hook) are notified
         *before* the merge — the coordinator serves the post-switch state
         and the sites' own switching budgets advance exactly as if the
         adversary had read them directly.  When every site is down the

@@ -38,10 +38,6 @@ class StreamExhaustedError(ReproError):
     """
 
 
-class UniverseError(ReproError):
-    """An element outside the declared universe was submitted to a component."""
-
-
 class TrackerUnsupportedError(ReproError):
     """An incremental discrepancy tracker cannot handle the supplied data.
 

@@ -1,8 +1,9 @@
 """E13 — empirical verification of the martingale claims (Claims 4.2 and 4.3).
 
 For a fixed range ``R`` (the lower half of the universe) and the Figure-3
-attack (the most adaptive opponent available), the experiment tracks the
-``Z^R_i`` processes online during real games and verifies:
+attack (the most adaptive opponent available), the experiment plays real
+games (:func:`~repro.adversary.run_adaptive_game`), replays each round's
+update record through the ``Z^R_i`` trackers and verifies:
 
 * every step difference respects the claimed bound (``1/(np)`` for Bernoulli,
   ``i/k`` for reservoir),
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..adversary import ThresholdAttackAdversary
+from ..adversary import ThresholdAttackAdversary, run_adaptive_game
 from ..core.concentration import freedman_tail
 from ..core.martingale import (
     BernoulliMartingaleTracker,
@@ -56,16 +57,14 @@ def run_martingale_check(config: ExperimentConfig | None = None) -> ExperimentRe
     # Bernoulli (Claim 4.2)
     # ------------------------------------------------------------------
     def bernoulli_trial(rng: np.random.Generator, _index: int) -> dict:
-        sampler = BernoulliSampler(probability, seed=rng)
-        adversary = ThresholdAttackAdversary.for_bernoulli(
-            probability, n, universe_size=universe_size
+        game = run_adaptive_game(
+            BernoulliSampler(probability, seed=rng),
+            ThresholdAttackAdversary.for_bernoulli(probability, n, universe_size=universe_size),
+            n,
         )
         tracker = BernoulliMartingaleTracker(n, probability)
-        for round_index in range(1, n + 1):
-            element = adversary.plan_block(round_index, 1, sampler.sample)[0]
-            update = sampler.process(element)
-            adversary.observe_block([update])
-            tracker.record_step(in_range=element in target, sampled=update.accepted)
+        for update in game.updates:
+            tracker.record_step(in_range=update.element in target, sampled=update.accepted)
         trace = tracker.trace
         deviation = abs(trace.final_value)
         return {
@@ -76,37 +75,28 @@ def run_martingale_check(config: ExperimentConfig | None = None) -> ExperimentRe
         }
 
     bernoulli_outcomes = monte_carlo(bernoulli_trial, config.trials, seed=config.seed)
-    result.add_row(
-        mechanism="bernoulli",
-        claim="4.2",
-        difference_bound_violations=sum(
-            1 for o in bernoulli_outcomes if not o["within_difference_bounds"]
-        ),
-        mean_step_drift=summarize([o["drift"] for o in bernoulli_outcomes]).mean,
-        mean_final_deviation=summarize(
-            [o["final_deviation"] for o in bernoulli_outcomes]
-        ).mean,
-        exceeds_freedman_10pct_rate=sum(
-            1 for o in bernoulli_outcomes if o["freedman_exceeds_10pct"]
-        )
-        / len(bernoulli_outcomes),
-    )
+    result.add_row(mechanism="bernoulli", claim="4.2", **_claim_columns(bernoulli_outcomes))
 
     # ------------------------------------------------------------------
     # Reservoir (Claim 4.3)
     # ------------------------------------------------------------------
     def reservoir_trial(rng: np.random.Generator, _index: int) -> dict:
-        sampler = ReservoirSampler(reservoir_size, seed=rng)
-        adversary = ThresholdAttackAdversary.for_reservoir(
-            reservoir_size, n, universe_size=universe_size
+        game = run_adaptive_game(
+            ReservoirSampler(reservoir_size, seed=rng),
+            ThresholdAttackAdversary.for_reservoir(reservoir_size, n, universe_size=universe_size),
+            n,
         )
         tracker = ReservoirMartingaleTracker(reservoir_size)
-        for round_index in range(1, n + 1):
-            element = adversary.plan_block(round_index, 1, sampler.sample)[0]
-            update = sampler.process(element)
-            adversary.observe_block([update])
-            sample_hits = sum(1 for value in sampler.sample if value in target)
-            tracker.record_step(in_range=element in target, sample_hits=sample_hits)
+        # |R ∩ S_i| follows each round's record: an accepted element enters
+        # the sample and an evicted one leaves it.
+        sample_hits = 0
+        for update in game.updates:
+            in_range = update.element in target
+            if update.accepted and in_range:
+                sample_hits += 1
+            if update.evicted is not None and update.evicted in target:
+                sample_hits -= 1
+            tracker.record_step(in_range=in_range, sample_hits=sample_hits)
         trace = tracker.trace
         # Claim 4.3's Z is on the "count" scale; normalise by n for reporting.
         deviation = abs(trace.final_value) / n
@@ -119,26 +109,25 @@ def run_martingale_check(config: ExperimentConfig | None = None) -> ExperimentRe
         }
 
     reservoir_outcomes = monte_carlo(reservoir_trial, config.trials, seed=config.seed)
-    result.add_row(
-        mechanism="reservoir",
-        claim="4.3",
-        difference_bound_violations=sum(
-            1 for o in reservoir_outcomes if not o["within_difference_bounds"]
-        ),
-        mean_step_drift=summarize([o["drift"] for o in reservoir_outcomes]).mean,
-        mean_final_deviation=summarize(
-            [o["final_deviation"] for o in reservoir_outcomes]
-        ).mean,
-        exceeds_freedman_10pct_rate=sum(
-            1 for o in reservoir_outcomes if o["freedman_exceeds_10pct"]
-        )
-        / len(reservoir_outcomes),
-    )
+    result.add_row(mechanism="reservoir", claim="4.3", **_claim_columns(reservoir_outcomes))
     result.note(
         "`exceeds_freedman_10pct_rate` should stay at or below 0.10: it counts how "
         "often |Z_n| exceeded the deviation whose Freedman tail probability is 10%"
     )
     return result
+
+
+def _claim_columns(outcomes: list[dict]) -> dict:
+    """One claim's row over its trials' outcomes."""
+    return {
+        "difference_bound_violations": sum(
+            1 for o in outcomes if not o["within_difference_bounds"]
+        ),
+        "mean_step_drift": summarize([o["drift"] for o in outcomes]).mean,
+        "mean_final_deviation": summarize([o["final_deviation"] for o in outcomes]).mean,
+        "exceeds_freedman_10pct_rate": sum(1 for o in outcomes if o["freedman_exceeds_10pct"])
+        / len(outcomes),
+    }
 
 
 def _freedman_quantile(trace, tail_probability: float) -> float:

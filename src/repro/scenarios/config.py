@@ -44,6 +44,7 @@ from .builders import (
     SERVICE,
     SET_SYSTEM,
     SHARDING,
+    oversampled_spec,
     phase_starts,
     resolve_target,
 )
@@ -107,9 +108,30 @@ def _check_cross_fields(given: Mapping[str, Any], typed: Mapping[str, Any]) -> N
             # Raises when the fractions collapse or escape at this length.
             phase_start_rounds(phase_starts(campaign["members"]), typed["stream_length"])
     members = [{"adversary": typed["adversary"]}] if campaign is None else campaign["members"]
-    for member in members:
-        if "target" in member["adversary"]:
-            resolve_target(member["adversary"]["target"], typed["universe_size"])
+    for index, member in enumerate(members):
+        adversary = member["adversary"]
+        if "target" in adversary:
+            resolve_target(adversary["target"], typed["universe_size"])
+        variant = ADVERSARY.variants[adversary["family"]]
+        declared = variant.fields.get("universe_size") if isinstance(variant, Block) else None
+        if declared is not None and "universe_size" not in adversary:
+            # Left out, the family's universe is the scenario's, which must
+            # still meet the family's own minimum.
+            where = "adversary" if campaign is None else f"campaign member #{index} adversary"
+            declared.read(typed["universe_size"], f"{where} (the scenario's universe_size)")
+    defense = typed["defense"]
+    for label, sampler in typed["samplers"].items():
+        if sampler["family"] != "sliding_window":
+            continue
+        capacity, scaled = sampler["capacity"], ""
+        if defense is not None and defense["kind"] == "oversample":
+            capacity = oversampled_spec(sampler, defense["factor"])["capacity"]
+            scaled = f": the oversample defense scales {sampler['capacity']} by {defense['factor']}"
+        if sampler["window"] < capacity:
+            raise ConfigurationError(
+                f"window ({sampler['window']}) must be at least the capacity "
+                f"({capacity}{scaled}) in samplers[{label!r}]"
+            )
     sharding = typed["sharding"]
     if sharding is not None:
         build_sharding_strategy(sharding["strategy"])

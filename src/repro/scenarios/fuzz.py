@@ -24,18 +24,20 @@ and checks four such invariants on each:
     routed substreams — per-site states and the merged coordinator view —
     reconstructed through twin generators.
 
-Two front doors sample the space: :func:`random_choices` draws from a plain
-numpy generator (used by ``repro-experiments scenario fuzz`` so the CLI has
-no optional dependencies), while :func:`choices_strategy` wraps the same
-pools in Hypothesis strategies for the property-based test suite
-(``tests/test_scenario_fuzz.py``).  Hypothesis is imported lazily, only
-inside :func:`choices_strategy`.
+Two front doors sample the space through one statement of the choice
+rules (``_draw_choices``, over a ``pick`` and a ``coin`` primitive):
+:func:`random_choices` backs them with a plain numpy generator (used by
+``repro-experiments scenario fuzz`` so the CLI has no optional
+dependencies), and :func:`choices_strategy` with Hypothesis for the
+property-based test suite (``tests/test_scenario_fuzz.py``).  Hypothesis
+is imported lazily, only inside :func:`choices_strategy`.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -319,18 +321,45 @@ class FuzzChoices:
                 )
 
 
-def _pick(rng: np.random.Generator, options: Any) -> Any:
-    return options[int(rng.integers(len(options)))]
-
-
-def _defense_options(sampler: str) -> list[str]:
-    """Defense pool keys valid for ``sampler`` (see :class:`FuzzChoices`)."""
+def _draw_choices(
+    pick: Callable[[Sequence[Any]], Any], coin: Callable[[float], bool], seed: int
+) -> FuzzChoices:
+    """The choice rules, stated once: ``pick(options)`` draws one option and
+    ``coin(p)`` a flip that comes up ``True`` with probability ``p``.  A knob
+    that needs another (strategy and faults need sites) is drawn only once
+    that one is set."""
+    sampler = pick(sorted(SAMPLER_POOL))
+    campaign = pick(sorted(CAMPAIGN_POOL)) if coin(0.4) else None
+    adversary = None if campaign is not None else pick(sorted(ADVERSARY_POOL))
     family = SAMPLER_POOL[sampler]["family"]
-    return [
+    sites = pick(_SITE_CHOICES) if family in MERGEABLE_SAMPLER_FAMILIES and coin(0.5) else None
+    strategy = pick(_STRATEGY_CHOICES) if sites is not None else None
+    period = pick(_PERIOD_CHOICES)
+    # The difference estimator defends sliding windows only (see FuzzChoices).
+    defenses = [
         key
         for key in sorted(DEFENSE_POOL)
         if key != "difference_estimator" or family == "sliding_window"
     ]
+    defense = pick(defenses) if coin(0.35) else None
+    faults = pick(sorted(FAULT_POOL)) if sites is not None and coin(0.3) else None
+    service = pick(sorted(SERVICE_POOL)) if coin(0.3) else None
+    return FuzzChoices(
+        stream_length=pick(_STREAM_CHOICES),
+        universe_size=pick(_UNIVERSE_CHOICES),
+        knowledge=pick(KNOWLEDGE_MODELS),
+        set_system=pick(_SET_SYSTEM_CHOICES),
+        sampler=sampler,
+        sites=sites,
+        strategy=strategy,
+        adversary=adversary,
+        campaign=campaign,
+        decision_period=period,
+        seed=seed,
+        defense=defense,
+        faults=faults,
+        service=service,
+    )
 
 
 def random_choices(rng: Any, seed: int = 0) -> FuzzChoices:
@@ -340,93 +369,32 @@ def random_choices(rng: Any, seed: int = 0) -> FuzzChoices:
     every drawn config distinct even when the categorical draws collide.
     """
     rng = ensure_generator(rng)
-    sampler = _pick(rng, sorted(SAMPLER_POOL))
-    campaign = _pick(rng, sorted(CAMPAIGN_POOL)) if rng.random() < 0.4 else None
-    adversary = None if campaign is not None else _pick(rng, sorted(ADVERSARY_POOL))
-    shardable = SAMPLER_POOL[sampler]["family"] in MERGEABLE_SAMPLER_FAMILIES
-    sites = int(_pick(rng, _SITE_CHOICES)) if shardable and rng.random() < 0.5 else None
-    strategy = _pick(rng, _STRATEGY_CHOICES) if sites is not None else None
-    period = _pick(rng, _PERIOD_CHOICES)
-    defense = _pick(rng, _defense_options(sampler)) if rng.random() < 0.35 else None
-    faults = (
-        _pick(rng, sorted(FAULT_POOL)) if sites is not None and rng.random() < 0.3 else None
-    )
-    service = _pick(rng, sorted(SERVICE_POOL)) if rng.random() < 0.3 else None
-    return FuzzChoices(
-        stream_length=int(_pick(rng, _STREAM_CHOICES)),
-        universe_size=int(_pick(rng, _UNIVERSE_CHOICES)),
-        knowledge=_pick(rng, KNOWLEDGE_MODELS),
-        set_system=_pick(rng, _SET_SYSTEM_CHOICES),
-        sampler=sampler,
-        sites=sites,
-        strategy=strategy,
-        adversary=adversary,
-        campaign=campaign,
-        decision_period=None if period is None else int(period),
-        seed=int(seed),
-        defense=defense,
-        faults=faults,
-        service=service,
+    return _draw_choices(
+        lambda options: options[int(rng.integers(len(options)))],
+        lambda p: bool(rng.random() < p),
+        int(seed),
     )
 
 
 def choices_strategy() -> Any:
-    """A Hypothesis strategy over valid :class:`FuzzChoices`.
+    """A Hypothesis strategy over valid :class:`FuzzChoices`: the same rules
+    with Hypothesis choosing every option and flip (each flip's side is left
+    to Hypothesis, whatever its probability in :func:`random_choices`).
 
     Hypothesis is imported here, not at module level, so the fuzzing CLI
     (which uses :func:`random_choices`) works without it installed.
     """
     import hypothesis.strategies as st
 
-    def _with_sharding(sampler: str) -> Any:
-        shardable = SAMPLER_POOL[sampler]["family"] in MERGEABLE_SAMPLER_FAMILIES
-        sites = (
-            st.one_of(st.none(), st.sampled_from(_SITE_CHOICES))
-            if shardable
-            else st.none()
-        )
-        return st.tuples(st.just(sampler), sites)
-
-    def _assemble(drawn: Any) -> Any:
-        (sampler, sites), adversary, campaign = drawn
-        strategy = (
-            st.just(None) if sites is None else st.sampled_from(_STRATEGY_CHOICES)
-        )
-        return st.builds(
-            FuzzChoices,
-            stream_length=st.sampled_from(_STREAM_CHOICES),
-            universe_size=st.sampled_from(_UNIVERSE_CHOICES),
-            knowledge=st.sampled_from(KNOWLEDGE_MODELS),
-            set_system=st.sampled_from(_SET_SYSTEM_CHOICES),
-            sampler=st.just(sampler),
-            sites=st.just(sites),
-            strategy=strategy,
-            adversary=st.just(adversary),
-            campaign=st.just(campaign),
-            decision_period=st.sampled_from(_PERIOD_CHOICES),
-            seed=st.integers(min_value=0, max_value=2**20),
-            defense=st.one_of(
-                st.none(), st.sampled_from(_defense_options(sampler))
-            ),
-            faults=(
-                st.just(None)
-                if sites is None
-                else st.one_of(st.none(), st.sampled_from(sorted(FAULT_POOL)))
-            ),
-            service=st.one_of(st.none(), st.sampled_from(sorted(SERVICE_POOL))),
+    @st.composite
+    def choices(draw: Any) -> FuzzChoices:
+        return _draw_choices(
+            lambda options: draw(st.sampled_from(options)),
+            lambda _p: draw(st.booleans()),
+            draw(st.integers(min_value=0, max_value=2**20)),
         )
 
-    solo = st.tuples(
-        st.sampled_from(sorted(SAMPLER_POOL)).flatmap(_with_sharding),
-        st.sampled_from(sorted(ADVERSARY_POOL)),
-        st.none(),
-    )
-    rostered = st.tuples(
-        st.sampled_from(sorted(SAMPLER_POOL)).flatmap(_with_sharding),
-        st.none(),
-        st.sampled_from(sorted(CAMPAIGN_POOL)),
-    )
-    return st.one_of(solo, rostered).flatmap(_assemble)
+    return choices()
 
 
 def build_fuzz_config(choices: FuzzChoices) -> ScenarioConfig:

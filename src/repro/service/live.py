@@ -38,6 +38,7 @@ from numpy.typing import NDArray
 from ..distributed.sharded import ShardedSampler, _exact_int64
 from ..exceptions import ConfigurationError, EmptySampleError
 from ..samplers.base import StreamSampler
+from ..schema import read_int
 from .queries import (
     _check_level,
     _check_top,
@@ -136,10 +137,10 @@ class QueryService:
         staleness_rounds: int = 0,
         universe_size: int | None = None,
     ) -> None:
-        if universe_size is not None and universe_size < 2:
-            raise ConfigurationError(
-                f"universe size must be >= 2, got {universe_size}"
-            )
+        if universe_size is not None:
+            universe_size = read_int(universe_size, "QueryService", "universe_size")
+            if universe_size < 2:
+                raise ConfigurationError(f"universe size must be >= 2, got {universe_size}")
         self._lock = threading.Lock()
         self._store = SnapshotStore(sampler, staleness_rounds)  # guarded-by: _lock
         self._universe = universe_size

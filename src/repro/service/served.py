@@ -7,7 +7,7 @@ served view rather than the live state — which is exactly the new attack
 surface the query-timing scenarios probe.  A background client population
 is simulated deterministically: every ``query_period`` rounds, each of
 ``clients`` clients performs one read.  For exposure-tracked deployments
-(sketch switching et al.) those reads hit the sites' ``observe_exposure``
+(sketch switching) those reads hit the sites' ``observe_exposure``
 hooks, so a query flood genuinely drains the defense's switching budget.
 
 Determinism contract (what keeps the registry-wide invariants green):
@@ -29,6 +29,7 @@ from typing import Any
 
 from ..exceptions import ConfigurationError
 from ..samplers.base import SampleUpdate, StreamSampler, UpdateBatch
+from ..schema import read_int
 from .snapshots import SnapshotStore
 
 __all__ = ["ServedSampler"]
@@ -51,8 +52,8 @@ class ServedSampler(StreamSampler):
         query_period: int = 32,
     ) -> None:
         super().__init__()
-        clients = int(clients)
-        query_period = int(query_period)
+        clients = read_int(clients, "ServedSampler", "clients")
+        query_period = read_int(query_period, "ServedSampler", "query_period")
         if clients < 0:
             raise ConfigurationError(f"clients must be >= 0, got {clients}")
         if query_period < 1:

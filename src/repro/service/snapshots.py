@@ -16,7 +16,7 @@ Two behaviours from the fault layer are deliberately preserved by bypassing
 the store's own cache:
 
 * **exposure hooks** — samplers (or sharded sites) with an
-  ``observe_exposure`` hook (sketch switching et al.) must see every read;
+  ``observe_exposure`` hook (sketch switching) must see every read;
   the store never caches for them, so each :meth:`SnapshotStore.read`
   delegates to ``sampler.sample`` and the hooks fire exactly as they would
   on a direct read;
@@ -38,6 +38,7 @@ from typing import Any
 
 from ..exceptions import ConfigurationError
 from ..samplers.base import StreamSampler
+from ..schema import read_int
 
 __all__ = ["Snapshot", "SnapshotStore"]
 
@@ -66,8 +67,8 @@ class Snapshot:
 
 def _exposure_tracked(sampler: StreamSampler) -> bool:
     """True when reads of ``sampler`` have side effects that must not be
-    absorbed by a cache (the ``observe_exposure`` contract from the defense
-    wrappers, directly or on any sharded site)."""
+    absorbed by a cache (the ``observe_exposure`` hook of sketch switching,
+    directly or on any sharded site)."""
     if getattr(sampler, "observe_exposure", None) is not None:
         return True
     return any(
@@ -88,7 +89,7 @@ class SnapshotStore:
     """
 
     def __init__(self, sampler: StreamSampler, staleness_rounds: int = 0) -> None:
-        staleness_rounds = int(staleness_rounds)
+        staleness_rounds = read_int(staleness_rounds, "SnapshotStore", "staleness_rounds")
         if staleness_rounds < 0:
             raise ConfigurationError(
                 f"staleness_rounds must be >= 0, got {staleness_rounds}"

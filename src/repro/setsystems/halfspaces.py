@@ -28,6 +28,35 @@ from ..rng import RandomState, ensure_generator
 from .base import DiscrepancyResult, Range, SetSystem
 
 
+def point_matrix(points: Sequence[Any]) -> np.ndarray:
+    """``points`` as a float matrix, one row per point (an empty one has one column)."""
+    array = np.asarray([tuple(point) for point in points], dtype=float)
+    return array.reshape(-1, 1) if array.ndim == 1 else array
+
+
+def direction_grid(dimension: int, count: int, seed: RandomState = None) -> np.ndarray:
+    """Unit directions, one per row, along which halfspaces are probed.
+
+    Exact for ``dimension == 1`` (the two signed directions); ``count``
+    evenly spaced angles in the plane; ``count`` directions drawn uniformly
+    from the sphere (normalised Gaussians from ``seed``) above that.
+    """
+    if dimension < 1:
+        raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
+    if count < 1:
+        raise ConfigurationError(f"count must be >= 1, got {count}")
+    if dimension == 1:
+        return np.array([[1.0], [-1.0]])
+    if dimension == 2:
+        angles = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    rng = ensure_generator(seed)
+    directions = rng.normal(size=(count, dimension))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return directions / norms
+
+
 @dataclass(frozen=True)
 class Halfspace(Range):
     """The closed halfspace ``{x : <normal, x> >= offset}``."""
@@ -87,7 +116,7 @@ class HalfspaceSystem(SetSystem):
         representative family used for explicit-range computations and has
         the same order of log-cardinality.
         """
-        for direction in self._direction_grid():
+        for direction in direction_grid(self.dimension, self.directions, self._rng):
             projections = sorted(
                 {
                     float(np.dot(direction, point))
@@ -134,17 +163,11 @@ class HalfspaceSystem(SetSystem):
     ) -> DiscrepancyResult:
         if len(sample) == 0:
             raise EmptySampleError("an empty sample is never an epsilon-approximation")
-        stream_points = np.asarray([tuple(point) for point in stream], dtype=float)
-        sample_points = np.asarray([tuple(point) for point in sample], dtype=float)
-        if stream_points.ndim == 1:
-            stream_points = stream_points.reshape(-1, 1)
-            sample_points = sample_points.reshape(-1, 1)
-
+        stream_points, sample_points = point_matrix(stream), point_matrix(sample)
         worst_error = -1.0
         worst_witness: Halfspace | None = None
         examined = 0
-        directions = self._direction_grid()
-        for direction in directions:
+        for direction in direction_grid(self.dimension, self.directions, self._rng):
             stream_projection = stream_points @ direction
             sample_projection = sample_points @ direction
             thresholds = np.unique(
@@ -179,18 +202,3 @@ class HalfspaceSystem(SetSystem):
             exact=exact,
             ranges_examined=examined,
         )
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _direction_grid(self) -> list[np.ndarray]:
-        """Return unit directions used for projection sweeps."""
-        if self.dimension == 1:
-            return [np.array([1.0]), np.array([-1.0])]
-        if self.dimension == 2:
-            angles = np.linspace(0.0, 2.0 * math.pi, self.directions, endpoint=False)
-            return [np.array([math.cos(a), math.sin(a)]) for a in angles]
-        directions = self._rng.normal(size=(self.directions, self.dimension))
-        norms = np.linalg.norm(directions, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        return list(directions / norms)

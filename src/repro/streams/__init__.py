@@ -1,4 +1,4 @@
-"""Universe descriptions and synthetic workload generators."""
+"""Synthetic workload generators."""
 
 from .generators import (
     clustered_points,
@@ -9,11 +9,8 @@ from .generators import (
     uniform_stream,
     zipf_stream,
 )
-from .universe import GridUniverse, OrderedUniverse
 
 __all__ = [
-    "GridUniverse",
-    "OrderedUniverse",
     "clustered_points",
     "planted_heavy_hitter_stream",
     "query_workload",

@@ -30,9 +30,18 @@ from repro.applications import (
     worst_quantile_error,
 )
 from repro.adversary import GreedyDensityAdversary, MedianAttackAdversary, run_adaptive_game
+from repro.applications.sampled import SampledEstimator
+from repro.core.bounds import bernoulli_adaptive_rate, reservoir_adaptive_size
 from repro.exceptions import ConfigurationError, EmptySampleError
 from repro.rng import ensure_generator
-from repro.setsystems import Prefix, PrefixSystem
+from repro.samplers import BernoulliSampler, ReservoirSampler
+from repro.setsystems import (
+    IntervalSystem,
+    Prefix,
+    PrefixSystem,
+    RectangleSystem,
+    SingletonSystem,
+)
 from repro.setsystems.rectangles import Box
 from repro.streams import clustered_points, uniform_stream
 
@@ -62,6 +71,83 @@ class TestQuantileHelpers:
         stream = list(range(1, 101))
         sample = [1, 2, 3]
         assert worst_quantile_error(stream, sample) > 0.4
+
+
+#: Each estimator, built at (epsilon, delta), with the set system and the
+#: accuracy its Theorem-1.2 sample is sized for.
+ESTIMATORS = {
+    "quantiles": (
+        lambda epsilon, delta, **options: RobustQuantileSketch(1000, epsilon, delta, **options),
+        lambda epsilon: (PrefixSystem(1000), epsilon),
+    ),
+    "heavy_hitters": (
+        lambda epsilon, delta, **options: SampleHeavyHitters(1000, 0.3, epsilon, delta, **options),
+        lambda epsilon: (SingletonSystem(1000), epsilon / 3.0),
+    ),
+    "range_queries": (
+        lambda epsilon, delta, **options: SampleRangeCounter(12, 3, epsilon, delta, **options),
+        lambda epsilon: (RectangleSystem(12, 3), epsilon),
+    ),
+}
+
+
+class TestSampledEstimator:
+    """The three Section 1.2 estimators size one sample from their set
+    system's ``log_cardinality()`` through the shared base."""
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("epsilon, delta", [(0.1, 0.05), (0.25, 0.1)])
+    def test_reservoir_bound_is_theorem_1_2_at_the_system_cardinality(self, name, epsilon, delta):
+        build, guarantee = ESTIMATORS[name]
+        estimator = build(epsilon, delta, seed=1)
+        system, accuracy = guarantee(epsilon)
+        bound = reservoir_adaptive_size(system.log_cardinality(), accuracy, delta)
+        assert estimator.sample_size_bound == bound
+        assert isinstance(estimator.sampler, ReservoirSampler)
+        assert estimator.sampler.capacity == bound.size
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("epsilon, delta", [(0.1, 0.05), (0.25, 0.1)])
+    def test_bernoulli_bound_is_theorem_1_2_at_the_system_cardinality(self, name, epsilon, delta):
+        build, guarantee = ESTIMATORS[name]
+        estimator = build(epsilon, delta, stream_length=50_000, mechanism="bernoulli", seed=1)
+        system, accuracy = guarantee(epsilon)
+        bound = bernoulli_adaptive_rate(system.log_cardinality(), accuracy, delta, 50_000)
+        assert estimator.sample_size_bound == bound
+        assert isinstance(estimator.sampler, BernoulliSampler)
+        assert estimator.sampler.probability == bound.probability
+
+    @pytest.mark.parametrize(
+        "name, plural",
+        [("quantiles", "quantile sketches"), ("heavy_hitters", "heavy hitters"),
+         ("range_queries", "range counters")],
+    )
+    def test_bernoulli_without_a_stream_length_is_refused(self, name, plural):
+        build, _ = ESTIMATORS[name]
+        message = f"Bernoulli-based {plural} need the stream length up front"
+        with pytest.raises(ConfigurationError, match=message):
+            build(0.2, 0.1, mechanism="bernoulli")
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_an_unknown_mechanism_is_refused(self, name):
+        build, _ = ESTIMATORS[name]
+        with pytest.raises(ConfigurationError, match="unknown mechanism 'magic'"):
+            build(0.2, 0.1, stream_length=1000, mechanism="magic")
+
+    def test_any_set_system_sizes_the_sample(self):
+        estimator = SampledEstimator(IntervalSystem(64), 0.2, 0.1, seed=3)
+        bound = reservoir_adaptive_size(IntervalSystem(64).log_cardinality(), 0.2, 0.1)
+        assert estimator.sample_size_bound == bound
+
+    def test_update_and_extend_count_every_element(self):
+        sketch = RobustQuantileSketch(1000, 0.2, 0.1, seed=3)
+        sketch.extend(range(1, 40))
+        sketch.update(7)
+        counter = SampleRangeCounter(12, 2, 0.2, 0.1, seed=3)
+        counter.extend([(1, 2)] * 10)
+        counter.update((3, 4))
+        assert (sketch.count, sketch.sampler.rounds_processed) == (40, 40)
+        assert (counter.count_processed, counter.sampler.rounds_processed) == (11, 11)
 
 
 class TestRobustQuantileSketch:

@@ -118,9 +118,10 @@ def test_experiments_are_reproducible_given_the_same_config():
 
 
 def test_e13_rows_are_pinned():
-    """E13 plays its attacks in a hand-written per-round loop (plan one
-    element, process it, observe its record); these rows pin the seeded
-    output of that loop, not just its shape."""
+    """E13 plays its attacks through ``run_adaptive_game`` and replays each
+    round's record through the martingale trackers, keeping the reservoir's
+    ``|R ∩ S_i|`` from the accept/evict records; these rows pin the seeded
+    output, not just its shape."""
     result = EXPERIMENTS["E13"](ExperimentConfig(trials=2, stream_length=200, universe_size=64, seed=3))
     assert result.rows == [
         {

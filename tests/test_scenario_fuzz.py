@@ -15,6 +15,10 @@ independence, sharded/unsharded agreement).  This module drives it two ways:
 
 from __future__ import annotations
 
+import hashlib
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -81,6 +85,16 @@ class TestChoices:
             saw_campaign = saw_campaign or choices.campaign is not None
             saw_sharded = saw_sharded or choices.sites is not None
         assert saw_campaign and saw_sharded, "pools are not being explored"
+
+
+    def test_random_choices_draws_are_pinned(self):
+        """The numpy front door's draws, pinned: the first 200 draws of one
+        ``default_rng(0)`` generator hash to a fixed digest, so a change to
+        the choice rules (or their draw order) cannot pass unnoticed."""
+        rng = np.random.default_rng(0)
+        draws = [asdict(random_choices(rng, seed=index)) for index in range(200)]
+        digest = hashlib.sha256(json.dumps(draws, sort_keys=True).encode()).hexdigest()
+        assert digest == "fa47e7ed96fab84f2e8dc28d04e9fd3304c2c19c9a0909449715ab2bafadbb8c"
 
 
 class TestHypothesisStrategy:

@@ -207,3 +207,48 @@ class TestBlocks:
         assert type(config.defense["factor"]) is float
         assert config.sharding == {"sites": 2} and type(config.sharding["sites"]) is int
         assert config.service == {"staleness_rounds": 0, "clients": 2, "query_period": 32}
+
+
+class TestCrossFields:
+    """Rules spanning two fields fail at ``from_dict``, not when a worker
+    builds the sampler or the adversary."""
+
+    def test_a_window_below_its_capacity_is_refused(self):
+        samplers = {"w": {"family": "sliding_window", "capacity": 16, "window": 8}}
+        with pytest.raises(ConfigurationError) as error:
+            ScenarioConfig.from_dict({"name": "x", "samplers": samplers})
+        assert str(error.value) == "window (8) must be at least the capacity (16) in samplers['w']"
+        samplers["w"]["window"] = 16
+        assert ScenarioConfig.from_dict({"name": "x", "samplers": samplers}).samplers == samplers
+
+    def test_oversampling_a_window_past_its_window_is_refused(self):
+        data = {
+            "name": "x",
+            "samplers": {"w": {"family": "sliding_window", "capacity": 16, "window": 32}},
+            "defense": {"kind": "oversample", "factor": 4},
+        }
+        with pytest.raises(ConfigurationError) as error:
+            ScenarioConfig.from_dict(data)
+        assert str(error.value) == (
+            "window (32) must be at least the capacity (64: the oversample defense "
+            "scales 16 by 4.0) in samplers['w']"
+        )
+        data["defense"]["factor"] = 2
+        ScenarioConfig.from_dict(data)
+
+    def test_an_inherited_universe_meets_the_family_minimum(self):
+        data = {"name": "x", "universe_size": 2, "adversary": {"family": "median_attack"}}
+        with pytest.raises(ConfigurationError) as error:
+            ScenarioConfig.from_dict(data)
+        assert str(error.value) == (
+            "universe size must be >= 3, got 2 in adversary (the scenario's universe_size)"
+        )
+        members = [
+            {"adversary": {"family": "uniform"}},
+            {"start": 0.5, "adversary": {"family": "median_attack"}},
+        ]
+        with pytest.raises(ConfigurationError, match="in campaign member #1 adversary"):
+            ScenarioConfig.from_dict({"name": "x", "universe_size": 2, "campaign": {"members": members}})
+        # A family given its own universe does not inherit the scenario's.
+        data["adversary"]["universe_size"] = 3
+        run_config(ScenarioConfig.from_dict(data).replace(trials=1, stream_length=32))

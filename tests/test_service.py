@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.defenses import SketchSwitchingSampler
+from repro.defenses import DifferenceEstimatorSampler, DPAggregateSampler, SketchSwitchingSampler
 from repro.distributed import FaultPlan, ShardedSampler, StaleWindow
 from repro.exceptions import ConfigurationError, EmptySampleError
-from repro.samplers import BernoulliSampler, ReservoirSampler
+from repro.samplers import BernoulliSampler, ReservoirSampler, SlidingWindowSampler
 from repro.scenarios import SamplerFromSpec, ScenarioConfig
 from repro.service import (
     QueryService,
@@ -131,6 +131,32 @@ class TestSnapshotStore:
         sharded.extend(range(1, 10), updates=False)
         assert store.must_bypass()
 
+    @pytest.mark.parametrize("defense", ["dp_aggregate", "difference_estimator"])
+    def test_only_sketch_switching_tracks_exposure(self, defense):
+        """Reads of DP aggregation and of the difference estimator change
+        nothing, so their deployments are read through both caches: five
+        reads of an unchanged deployment make one coordinator merge (as
+        plain reservoir sites do), and the store keeps its staleness bound."""
+
+        def defended_site(rng):
+            if defense == "dp_aggregate":
+                return DPAggregateSampler(lambda r: ReservoirSampler(8, seed=r), copies=2, seed=rng)
+            return DifferenceEstimatorSampler(
+                lambda r: SlidingWindowSampler(4, 32, seed=r), copies=2, rotation_period=8, seed=rng
+            )
+
+        sharded = ShardedSampler(3, defended_site, strategy="hash", seed=5)
+        sharded.extend(list(range(1, 200)), updates=False)
+        for _ in range(5):
+            sharded.sample
+        assert sharded.ledger.events("merge") == 1
+        store = SnapshotStore(sharded, staleness_rounds=50)
+        assert not store.must_bypass()
+        first = store.read()
+        sharded.extend([7] * 10, updates=False)
+        assert store.read() is first
+        assert store.stats()["refreshes"] == 1
+
     def test_stale_window_delegates_to_the_fault_plan(self):
         """During a coordinator stale window the *fault plan* decides what a
         read observes (the pre-window memoised view), not the service knob."""
@@ -149,6 +175,18 @@ class TestSnapshotStore:
         # store refreshed: the service must not change what a read observes.
         assert snapshot.sample == in_cache
         assert tuple(sharded.sample) == in_cache
+
+    @pytest.mark.parametrize(
+        "staleness, message",
+        [(2.7, "must be an integer, got 2.7"), (True, "must be a number, got True"),
+         ("2", "must be a number, got '2'")],
+    )
+    def test_staleness_follows_the_schema_number_rule(self, staleness, message):
+        """No truncation, no bool as 1: the scenario schema's integer rule."""
+        with pytest.raises(ConfigurationError, match=f"'staleness_rounds' {message}"):
+            SnapshotStore(BernoulliSampler(1.0, seed=0), staleness_rounds=staleness)
+        store = SnapshotStore(BernoulliSampler(1.0, seed=0), staleness_rounds=np.int64(2))
+        assert store.staleness_rounds == 2 and type(store.staleness_rounds) is int
 
     def test_reset_clears_state_but_not_the_sampler(self):
         sampler = BernoulliSampler(1.0, seed=0)
@@ -172,6 +210,21 @@ class TestServedSampler:
             ServedSampler(inner, query_period=0)
         with pytest.raises(ConfigurationError, match="staleness_rounds"):
             ServedSampler(inner, staleness_rounds=-1)
+
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [({"clients": 2.7}, "'clients' must be an integer, got 2.7"),
+         ({"query_period": 8.9}, "'query_period' must be an integer, got 8.9"),
+         ({"clients": True}, "'clients' must be a number, got True"),
+         ({"query_period": "8"}, "'query_period' must be a number, got '8'")],
+    )
+    def test_knobs_follow_the_schema_number_rule(self, knobs, message):
+        """``clients=2.7`` used to run 2 clients; a fraction is refused."""
+        with pytest.raises(ConfigurationError, match=message):
+            ServedSampler(BernoulliSampler(1.0, seed=0), **knobs)
+        served = ServedSampler(BernoulliSampler(1.0, seed=0), clients=2.0, query_period=8.0)
+        served.extend(range(1, 17), updates=False)
+        assert served.service_report()["reads"] == 2 * 2
 
     def test_name_and_delegation(self):
         served = ServedSampler(BernoulliSampler(1.0, seed=0), clients=1)
@@ -273,6 +326,20 @@ class TestServedSampler:
 
 class TestQueryServiceIngest:
     """With a universe, ``ingest`` accepts a chunk completely or not at all."""
+
+    @pytest.mark.parametrize(
+        "universe_size, message",
+        [(2.5, "'universe_size' must be an integer, got 2.5"),
+         ("7", "'universe_size' must be a number, got '7'"),
+         (True, "'universe_size' must be a number, got True"),
+         (1, "universe size must be >= 2, got 1")],
+    )
+    def test_universe_size_follows_the_schema_number_rule(self, universe_size, message):
+        with pytest.raises(ConfigurationError, match=message):
+            QueryService(ReservoirSampler(8, seed=0), universe_size=universe_size)
+        service = QueryService(ReservoirSampler(8, seed=0), universe_size=8.0)
+        service.ingest([1, 8])
+        assert list(service.sampler.sample) == [1, 8]
 
     @pytest.mark.parametrize(
         "chunk",

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.applications.center_points import tukey_depth
 from repro.exceptions import ConfigurationError, EmptySampleError
 from repro.setsystems import (
     Box,
@@ -19,6 +21,7 @@ from repro.setsystems import (
     is_shattered,
     sauer_shelah_bound,
 )
+from repro.setsystems.halfspaces import direction_grid
 
 
 class TestSingletonSystem:
@@ -161,6 +164,36 @@ class TestHalfspaceSystem:
         system = HalfspaceSystem(10, 2, seed=3)
         points = [(1, 2), (5, 5), (9, 1)]
         assert system.max_discrepancy(points, points).error == pytest.approx(0.0)
+
+
+class TestDirectionGrid:
+    """One probe grid for the halfspace system and the Tukey depth."""
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_the_system_probes_the_grid(self, dimension):
+        system = HalfspaceSystem(3, dimension, directions=5, seed=7)
+        normals = list(dict.fromkeys(halfspace.normal for halfspace in system.ranges()))
+        grid = direction_grid(dimension, 5, seed=7)
+        assert normals == [tuple(float(x) for x in row) for row in grid]
+
+    def test_the_grid_is_exact_in_one_dimension_and_unit_length_above(self):
+        assert direction_grid(1, 64).tolist() == [[1.0], [-1.0]]
+        for dimension in (2, 3, 5):
+            grid = direction_grid(dimension, 16, seed=1)
+            assert grid.shape == (16, dimension)
+            assert np.allclose(np.linalg.norm(grid, axis=1), 1.0)
+
+    def test_tukey_depth_reads_the_same_grid(self):
+        points = [(1.0, 1.0), (2.0, 5.0), (4.0, 2.0), (5.0, 5.0), (3.0, 3.0)]
+        grid = direction_grid(2, 12)
+        assert tukey_depth((3.0, 3.0), points, num_directions=12) == tukey_depth(
+            (3.0, 3.0), points, directions=grid
+        )
+
+    @pytest.mark.parametrize("dimension, count", [(0, 4), (2, 0)])
+    def test_an_empty_grid_is_refused(self, dimension, count):
+        with pytest.raises(ConfigurationError):
+            direction_grid(dimension, count)
 
 
 class TestExplicitSetSystem:

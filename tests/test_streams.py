@@ -1,4 +1,4 @@
-"""Tests for universes and workload generators."""
+"""Tests for the workload generators."""
 
 from __future__ import annotations
 
@@ -6,10 +6,8 @@ from collections import Counter
 
 import pytest
 
-from repro.exceptions import ConfigurationError, UniverseError
+from repro.exceptions import ConfigurationError
 from repro.streams import (
-    GridUniverse,
-    OrderedUniverse,
     clustered_points,
     planted_heavy_hitter_stream,
     query_workload,
@@ -18,63 +16,6 @@ from repro.streams import (
     uniform_stream,
     zipf_stream,
 )
-
-
-class TestOrderedUniverse:
-    def test_membership(self):
-        universe = OrderedUniverse(10)
-        assert 1 in universe and 10 in universe
-        assert 0 not in universe and 11 not in universe
-        assert "a" not in universe
-
-    def test_len_and_iteration(self):
-        universe = OrderedUniverse(5)
-        assert len(universe) == 5
-        assert list(universe) == [1, 2, 3, 4, 5]
-
-    def test_validate(self):
-        universe = OrderedUniverse(5)
-        assert universe.validate(3) == 3
-        with pytest.raises(UniverseError):
-            universe.validate(6)
-
-    def test_associated_set_systems(self):
-        universe = OrderedUniverse(8)
-        assert universe.prefix_system().cardinality() == 8
-        assert universe.interval_system().cardinality() == 36
-        assert universe.singleton_system().cardinality() == 8
-
-    def test_log_size(self):
-        import math
-
-        assert OrderedUniverse(100).log_size == pytest.approx(math.log(100))
-
-    def test_invalid_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            OrderedUniverse(0)
-
-
-class TestGridUniverse:
-    def test_membership(self):
-        grid = GridUniverse(4, 2)
-        assert (1, 4) in grid
-        assert (5, 1) not in grid
-        assert (1, 1, 1) not in grid
-
-    def test_len(self):
-        assert len(GridUniverse(4, 3)) == 64
-
-    def test_validate(self):
-        grid = GridUniverse(4, 2)
-        assert grid.validate((2, 3)) == (2, 3)
-        with pytest.raises(UniverseError):
-            grid.validate((0, 1))
-
-    def test_rectangle_system_and_log_cardinality(self):
-        grid = GridUniverse(4, 2)
-        system = grid.rectangle_system()
-        assert system.cardinality() == 100
-        assert grid.log_rectangle_cardinality == pytest.approx(system.log_cardinality())
 
 
 class TestGenerators:
