@@ -64,12 +64,10 @@ from .applications import (
 )
 from .core import (
     RobustnessCertificate,
-    approximation_error,
     bernoulli_adaptive_rate,
     bernoulli_attack_threshold,
     certify_bernoulli,
     certify_reservoir,
-    is_epsilon_approximation,
     reservoir_adaptive_size,
     reservoir_attack_threshold,
     reservoir_continuous_size,
@@ -171,7 +169,6 @@ __all__ = [
     "WeightedReservoirSampler",
     "ZipfAdversary",
     "__version__",
-    "approximation_error",
     "bernoulli_adaptive_rate",
     "bernoulli_attack_threshold",
     "center_from_sample",
@@ -180,7 +177,6 @@ __all__ = [
     "compare_sample_clustering",
     "evaluate_heavy_hitters",
     "exact_heavy_hitters",
-    "is_epsilon_approximation",
     "kmeans",
     "reservoir_adaptive_size",
     "reservoir_attack_threshold",

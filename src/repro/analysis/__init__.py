@@ -5,6 +5,8 @@ Four rule families encode invariants the repo has already been bitten by:
 * **RNG discipline** (``RNG0xx``) — seeded numpy Generators only, no
   ambient randomness, no generator sharing across merged/split copies
   (the PR 9 ``ReplicatedDefenseSampler.merge`` bug).
+  Every seedable project class is built with ``seed=`` (the E9
+  box-candidate bug).
 * **Determinism** (``DET0xx``) — wall-clock reads confined to the timing
   layers; no order-undefined iteration feeding sampler/merge state.
 * **Lock discipline** (``LCK0xx``) — the single-writer convention of the

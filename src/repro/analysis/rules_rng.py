@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable, Iterator
 
-from .engine import Module, Rule, dotted_name
+from .engine import ClassInfo, Module, ProjectIndex, Rule, dotted_name
 from .findings import Finding
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "GlobalNumpyRngRule",
     "SeedlessGeneratorRule",
     "SharedGeneratorRule",
+    "SeedlessProjectClassRule",
     "RNG_RULES",
 ]
 
@@ -285,9 +286,70 @@ class SharedGeneratorRule(Rule):
         return None
 
 
+class SeedlessProjectClassRule(Rule):
+    """RNG005 — a project class whose ``__init__`` takes ``seed`` gets ``seed=``.
+
+    Such a class turns a missing seed into fresh OS entropy
+    (``ensure_generator(None)``), so whatever the instance draws repeats in
+    no run: E9's box system once sampled its candidate boxes that way, and
+    its ``mean_box_discrepancy`` differed between two runs at one seed.
+    Every call inside the package passes ``seed=`` (a ``**`` mapping or a
+    ``*`` sequence may carry it); a call whose instance draws nothing says
+    so in a suppression.  The class's ``__init__`` is its own or, failing
+    that, the nearest project base's.
+    """
+
+    rule_id = "RNG005"
+    name = "seedless-project-class"
+    description = (
+        "a call to a project class whose `__init__` takes `seed` must pass "
+        "`seed=`: without it the instance draws from fresh OS entropy, which "
+        "no experiment seed reproduces (the E9 box-candidate bug)"
+    )
+
+    def check_project(self, project: ProjectIndex) -> Iterable[Finding]:
+        seeded = {
+            name
+            for name, infos in project.classes.items()
+            if any(_init_takes_seed(project, info, set()) for info in infos)
+        }
+        for module in project.modules:
+            for node in ast.walk(module.tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                dotted = dotted_name(node.func)
+                if dotted is None or dotted.rsplit(".", maxsplit=1)[-1] not in seeded:
+                    continue
+                if any(keyword.arg in ("seed", None) for keyword in node.keywords):
+                    continue
+                if any(isinstance(arg, ast.Starred) for arg in node.args):
+                    continue
+                yield module.finding(
+                    node,
+                    self.rule_id,
+                    f"`{dotted}(...)` is built without `seed=`, so no experiment "
+                    "seed reaches it; pass a seed or the caller's generator",
+                )
+
+
+def _init_takes_seed(project: ProjectIndex, info: ClassInfo, seen: set[int]) -> bool:
+    """True when the ``__init__`` ``info``'s instances run takes ``seed``."""
+    if id(info.node) in seen:
+        return False
+    seen.add(id(info.node))
+    if "__init__" in info.methods:
+        return "seed" in info.init_params
+    return any(
+        _init_takes_seed(project, base, seen)
+        for name in info.bases
+        for base in project.classes.get(name, [])
+    )
+
+
 RNG_RULES: tuple[Rule, ...] = (
     RandomModuleRule(),
     GlobalNumpyRngRule(),
     SeedlessGeneratorRule(),
     SharedGeneratorRule(),
+    SeedlessProjectClassRule(),
 )

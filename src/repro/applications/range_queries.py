@@ -77,7 +77,8 @@ class SampleRangeCounter(SampledEstimator):
         self.epsilon = float(epsilon)
         self.delta = float(delta)
         super().__init__(
-            RectangleSystem(self.side, self.dimension),
+            # Only ln|R| is read, so the system's generator never draws.
+            RectangleSystem(self.side, self.dimension, seed=0),
             epsilon,
             delta,
             stream_length,

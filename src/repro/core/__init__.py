@@ -1,8 +1,8 @@
-"""Core machinery: epsilon-approximation, sample-size bounds, concentration, martingales.
+"""Core machinery: checkpoint schedules, sample-size bounds, concentration, martingales.
 
 This package implements the paper's analytical toolkit as executable code:
 
-* :mod:`repro.core.approximation` — Definition 1.1 and the checkpoint schedule,
+* :mod:`repro.core.approximation` — the checkpoint schedule of Theorem 1.4's proof,
 * :mod:`repro.core.bounds` — Theorems 1.2, 1.3 and 1.4 as calculators,
 * :mod:`repro.core.concentration` — Section 3's inequalities (Chernoff,
   Azuma, Freedman/McDiarmid),
@@ -10,13 +10,7 @@ This package implements the paper's analytical toolkit as executable code:
 * :mod:`repro.core.robustness` — end-to-end (epsilon, delta) certificates.
 """
 
-from .approximation import (
-    approximation_error,
-    approximation_report,
-    density,
-    geometric_checkpoints,
-    is_epsilon_approximation,
-)
+from .approximation import geometric_checkpoints
 from .bounds import (
     SampleSizeBound,
     attack_universe_bounds,
@@ -58,8 +52,6 @@ __all__ = [
     "ReservoirMartingaleTracker",
     "RobustnessCertificate",
     "SampleSizeBound",
-    "approximation_error",
-    "approximation_report",
     "attack_universe_bounds",
     "azuma_tail",
     "bernoulli_adaptive_rate",
@@ -71,14 +63,12 @@ __all__ = [
     "chernoff_lower_tail",
     "chernoff_two_sided",
     "chernoff_upper_tail",
-    "density",
     "empirical_drift",
     "epsilon_for_bernoulli",
     "epsilon_for_reservoir",
     "freedman_tail",
     "geometric_checkpoints",
     "hoeffding_tail",
-    "is_epsilon_approximation",
     "normalized_final_deviation",
     "reservoir_adaptive_size",
     "reservoir_attack_threshold",

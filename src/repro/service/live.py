@@ -84,7 +84,11 @@ class ServiceReport:
     staleness_rounds: int
     max_staleness_served: int
     snapshot_refreshes: int
-    final_sample_size: int
+    #: Size of the snapshot the service holds when the run ends (the last
+    #: one published or read), or ``None`` when no snapshot was taken.  It
+    #: is not a fresh read: on a sharded deployment that would be one more
+    #: coordinator merge, and under sketch switching one more exposure.
+    final_sample_size: int | None
     per_kind: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -335,6 +339,7 @@ class QueryService:
             for kind, count in counts.items():
                 per_kind[kind] = per_kind.get(kind, 0) + count
         stats = self._store.stats()
+        held = self._store.held
         return ServiceReport(
             rounds=self._store.sampler.rounds_processed,
             ingest_seconds=ingest_seconds,
@@ -348,7 +353,7 @@ class QueryService:
                 stats["max_staleness_served"], self._max_published_staleness
             ),
             snapshot_refreshes=stats["refreshes"],
-            final_sample_size=len(self._store.sampler.sample),
+            final_sample_size=None if held is None else held.size,
             per_kind=per_kind,
         )
 

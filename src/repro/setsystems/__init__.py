@@ -14,7 +14,7 @@ the paper:
   the VC-vs-cardinality gap experiment.
 """
 
-from .base import DiscrepancyResult, Range, SetSystem
+from .base import DiscrepancyResult, IntegerUniverseSystem, Range, SetSystem
 from .discrete import ExplicitRange, ExplicitSetSystem
 from .halfspaces import Halfspace, HalfspaceSystem
 from .intervals import (
@@ -26,36 +26,27 @@ from .intervals import (
 )
 from .rectangles import Box, RectangleSystem
 from .singletons import Singleton, SingletonSystem
-from .tracker import (
-    DenseCountTracker,
-    DiscrepancyTracker,
-    IntervalDiscrepancyTracker,
-    PrefixDiscrepancyTracker,
-    SingletonDiscrepancyTracker,
-)
+from .tracker import DiscrepancyTracker
 from .vc import exact_vc_dimension, is_shattered, sauer_shelah_bound
 
 __all__ = [
     "Box",
     "ContinuousPrefixSystem",
-    "DenseCountTracker",
     "DiscrepancyResult",
     "DiscrepancyTracker",
     "ExplicitRange",
     "ExplicitSetSystem",
     "Halfspace",
     "HalfspaceSystem",
+    "IntegerUniverseSystem",
     "Interval",
-    "IntervalDiscrepancyTracker",
     "IntervalSystem",
     "Prefix",
-    "PrefixDiscrepancyTracker",
     "PrefixSystem",
     "Range",
     "RectangleSystem",
     "SetSystem",
     "Singleton",
-    "SingletonDiscrepancyTracker",
     "SingletonSystem",
     "exact_vc_dimension",
     "is_shattered",

@@ -13,7 +13,10 @@ must expose for the robustness analysis are:
 
 Concrete systems (prefixes, intervals, singletons, rectangles, halfspaces and
 explicitly enumerated systems) live in sibling modules and may override the
-generic discrepancy computation with far faster specialised algorithms.
+generic discrepancy computation with far faster specialised algorithms.  The
+systems over the integer universe ``{1, ..., N}`` share
+:class:`IntegerUniverseSystem`, which states each one's worst-range reduction
+once for both of its judging paths.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
 
-from ..exceptions import EmptySampleError
+import numpy as np
+
+from ..exceptions import ConfigurationError, EmptySampleError
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,7 @@ class SetSystem(ABC):
         """
         if len(elements) == 0:
             raise EmptySampleError("density of a range in an empty sequence is undefined")
-        hits = sum(1 for element in elements if element in range_)
-        return hits / len(elements)
+        return range_.count_in(elements) / len(elements)
 
     def max_discrepancy(
         self, stream: Sequence[Any], sample: Sequence[Any]
@@ -196,3 +200,61 @@ class SetSystem(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(|R|={self.cardinality()}, vc={self.vc_dimension()})"
+
+
+class IntegerUniverseSystem(SetSystem):
+    """A set system over ``U = {1, ..., N}`` whose worst range is read off one array.
+
+    Prefixes, intervals and singletons each reduce the density difference
+    between stream and sample at the universe values to their worst range,
+    and state that reduction once, as :meth:`worst_range`.  The system's
+    :class:`~repro.setsystems.tracker.DiscrepancyTracker` calls it with the
+    difference at every value ``1..N``, and the batch
+    :meth:`max_discrepancy` of prefixes and intervals with the difference at
+    the values present in the data (singletons count with a
+    :class:`~collections.Counter` there, which accepts any hashable).  Both
+    paths divide exact integer counts by the exact lengths, in the same
+    order, so they report bit-identical errors.
+    """
+
+    #: ``True`` when :meth:`worst_range` reads the difference of each prefix
+    #: ``[1, v]``; ``False`` when it reads the difference of each ``{v}``.
+    cumulative = True
+
+    #: The range the default :meth:`worst_range` names by one value ``v``:
+    #: the prefix ``[1, v]`` or the singleton ``{v}``.
+    range_type: Callable[[Any], Range]
+
+    def __init__(self, universe_size: int) -> None:
+        if universe_size < 1:
+            raise ConfigurationError(f"universe size must be >= 1, got {universe_size}")
+        self.universe_size = int(universe_size)
+
+    def contains_element(self, element: Any) -> bool:
+        return 1 <= element <= self.universe_size and float(element).is_integer()
+
+    def make_tracker(self, stream_length: int | None = None) -> Any:
+        from .tracker import DiscrepancyTracker  # local import to avoid a cycle
+
+        if not DiscrepancyTracker.supports_universe(self.universe_size, stream_length):
+            return None
+        return DiscrepancyTracker(self)
+
+    @classmethod
+    def worst_range(cls, values: Sequence[Any], difference: np.ndarray) -> DiscrepancyResult:
+        """The worst range, given the density difference at each of ``values``.
+
+        ``values`` ascend without repeats; ``difference[i]`` is the stream's
+        density minus the sample's of ``[1, values[i]]`` when
+        :attr:`cumulative` is set, and of ``{values[i]}`` otherwise.  This
+        default is the reduction of the systems whose ranges one value
+        names: the range :attr:`range_type` names at the value where
+        ``|difference|`` peaks.
+        """
+        index = int(np.argmax(np.abs(difference)))
+        return DiscrepancyResult(
+            error=float(abs(difference[index])),
+            witness=cls.range_type(values[index]),
+            exact=True,
+            ranges_examined=len(values),
+        )

@@ -26,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from ..exceptions import ConfigurationError, EmptySampleError
-from .base import DiscrepancyResult, Range, SetSystem
+from .base import DiscrepancyResult, IntegerUniverseSystem, Range, SetSystem
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,10 @@ def _cumulative_difference(
 
     For each distinct value ``v`` appearing in the stream or the sample,
     computes ``F_stream(v) - F_sample(v)`` where ``F`` is the empirical CDF
-    (fraction of elements ``<= v``).  The worst prefix discrepancy is the
-    maximum absolute value of this array; the worst interval discrepancy is
-    its maximum minus its minimum (also considering the implicit 0 before the
-    smallest breakpoint).
+    (fraction of elements ``<= v``): the difference a prefix or interval
+    system's :meth:`~repro.setsystems.base.IntegerUniverseSystem.worst_range`
+    reduces.  Integer data keep their integer breakpoints, so witnesses are
+    ranges of the system.
 
     The computation only needs the *order* of the values, not their
     magnitudes: when elements are huge Python integers (the Figure-3 attack
@@ -94,8 +94,8 @@ def _cumulative_difference(
     if _requires_exact_arithmetic(stream_sorted, sample_sorted):
         return _cumulative_difference_exact(stream_sorted, sample_sorted)
     try:
-        stream_values = np.asarray(stream_sorted, dtype=float)
-        sample_values = np.asarray(sample_sorted, dtype=float)
+        stream_values = _as_numbers(stream_sorted)
+        sample_values = _as_numbers(sample_sorted)
         if not (np.isfinite(stream_values).all() and np.isfinite(sample_values).all()):
             raise OverflowError("non-finite values after float conversion")
     except (OverflowError, ValueError):
@@ -103,7 +103,13 @@ def _cumulative_difference(
     breakpoints = np.unique(np.concatenate([stream_values, sample_values]))
     stream_cdf = np.searchsorted(stream_values, breakpoints, side="right") / len(stream_values)
     sample_cdf = np.searchsorted(sample_values, breakpoints, side="right") / len(sample_values)
-    return list(breakpoints), stream_cdf - sample_cdf
+    return breakpoints.tolist(), stream_cdf - sample_cdf
+
+
+def _as_numbers(values: list) -> np.ndarray:
+    """``values`` as an integer array when numpy infers one, else as floats."""
+    array = np.asarray(values)
+    return array if array.dtype.kind in "iu" else array.astype(float, copy=False)
 
 
 def _requires_exact_arithmetic(stream_sorted: list, sample_sorted: list) -> bool:
@@ -147,7 +153,7 @@ def _merge_unique(first: list, second: list) -> list:
     return merged
 
 
-class PrefixSystem(SetSystem):
+class PrefixSystem(IntegerUniverseSystem):
     """The one-sided interval (prefix) system ``{[1, b] : b in U}`` over ``U = [N]``.
 
     Parameters
@@ -157,11 +163,7 @@ class PrefixSystem(SetSystem):
     """
 
     name = "prefixes"
-
-    def __init__(self, universe_size: int) -> None:
-        if universe_size < 1:
-            raise ConfigurationError(f"universe size must be >= 1, got {universe_size}")
-        self.universe_size = int(universe_size)
+    range_type = Prefix
 
     def ranges(self) -> Iterator[Prefix]:
         for bound in range(1, self.universe_size + 1):
@@ -176,38 +178,16 @@ class PrefixSystem(SetSystem):
         # larger is included).
         return 1
 
-    def contains_element(self, element: Any) -> bool:
-        return 1 <= element <= self.universe_size and float(element).is_integer()
-
     def max_discrepancy(
         self, stream: Sequence[Any], sample: Sequence[Any]
     ) -> DiscrepancyResult:
-        breakpoints, difference = _cumulative_difference(stream, sample)
-        index = int(np.argmax(np.abs(difference)))
-        return DiscrepancyResult(
-            error=float(abs(difference[index])),
-            witness=Prefix(breakpoints[index]),
-            exact=True,
-            ranges_examined=len(breakpoints),
-        )
-
-    def make_tracker(self, stream_length=None):
-        from .tracker import DenseCountTracker, PrefixDiscrepancyTracker
-
-        if not DenseCountTracker.supports_universe(self.universe_size, stream_length):
-            return None
-        return PrefixDiscrepancyTracker(self.universe_size)
+        return self.worst_range(*_cumulative_difference(stream, sample))
 
 
-class IntervalSystem(SetSystem):
+class IntervalSystem(IntegerUniverseSystem):
     """The system of all closed intervals ``{[a, b] : a <= b in U}`` over ``U = [N]``."""
 
     name = "intervals"
-
-    def __init__(self, universe_size: int) -> None:
-        if universe_size < 1:
-            raise ConfigurationError(f"universe size must be >= 1, got {universe_size}")
-        self.universe_size = int(universe_size)
 
     def ranges(self) -> Iterator[Interval]:
         for low in range(1, self.universe_size + 1):
@@ -222,60 +202,42 @@ class IntervalSystem(SetSystem):
         # sorted triple cannot be excluded while the outer two are included).
         return 2 if self.universe_size >= 2 else 1
 
-    def contains_element(self, element: Any) -> bool:
-        return 1 <= element <= self.universe_size and float(element).is_integer()
+    @classmethod
+    def worst_range(cls, values: Sequence[Any], difference: np.ndarray) -> DiscrepancyResult:
+        """The interval from the minimiser to the maximiser of the cumulative difference.
 
-    def max_discrepancy(
-        self, stream: Sequence[Any], sample: Sequence[Any]
-    ) -> DiscrepancyResult:
-        breakpoints, difference = _cumulative_difference(stream, sample)
-        # The density difference of the interval (a, b] equals D(b) - D(a)
-        # where D is the cumulative difference (with D = 0 before the first
-        # breakpoint).  The worst interval therefore spans from the minimiser
-        # to the maximiser of D (in either order).
+        The density difference of the interval ``(a, b]`` equals
+        ``D(b) - D(a)``, where ``D`` is the cumulative difference and
+        ``D = 0`` before the first value; the worst interval therefore spans
+        from the minimiser to the maximiser of ``D``, in either order.
+        """
         padded = np.concatenate([[0.0], difference])
         max_index = int(np.argmax(padded))
         min_index = int(np.argmin(padded))
         error = float(padded[max_index] - padded[min_index])
+        # Padded index i > 0 is values[i - 1]; index 0 lies before them all.
+        low, high = sorted((min_index, max_index))
         if error == 0.0:
-            return DiscrepancyResult(
-                error=0.0,
-                witness=Prefix(breakpoints[0]),
-                exact=True,
-                ranges_examined=len(breakpoints) + 1,
-            )
-
-        def _bound(index: int) -> Any:
-            # Index 0 corresponds to "before the smallest breakpoint".
-            if index == 0:
-                return None
-            return breakpoints[index - 1]
-
-        endpoints = sorted(
-            (_bound(min_index), _bound(max_index)),
-            key=lambda value: (value is not None, value),
-        )
-        left, right = endpoints
-        if left is None:
-            witness: Range = Prefix(right)
+            witness: Range = Prefix(values[0])
+        elif low == 0:
+            witness = Prefix(values[high - 1])
         else:
-            # The witness interval opens just after `left`; integer universes
-            # step by one, continuous data by the smallest representable step.
-            open_left = left + 1 if isinstance(left, int) else np.nextafter(left, math.inf)
-            witness = Interval(open_left, right)
+            # The witness opens just after values[low - 1]: integer data step
+            # by one, continuous data by the smallest representable step.
+            left = values[low - 1]
+            opening = left + 1 if isinstance(left, int) else np.nextafter(left, math.inf)
+            witness = Interval(opening, values[high - 1])
         return DiscrepancyResult(
             error=error,
             witness=witness,
             exact=True,
-            ranges_examined=len(breakpoints) + 1,
+            ranges_examined=len(values) + 1,
         )
 
-    def make_tracker(self, stream_length=None):
-        from .tracker import DenseCountTracker, IntervalDiscrepancyTracker
-
-        if not DenseCountTracker.supports_universe(self.universe_size, stream_length):
-            return None
-        return IntervalDiscrepancyTracker(self.universe_size)
+    def max_discrepancy(
+        self, stream: Sequence[Any], sample: Sequence[Any]
+    ) -> DiscrepancyResult:
+        return self.worst_range(*_cumulative_difference(stream, sample))
 
 
 class ContinuousPrefixSystem(SetSystem):
@@ -318,11 +280,4 @@ class ContinuousPrefixSystem(SetSystem):
     def max_discrepancy(
         self, stream: Sequence[Any], sample: Sequence[Any]
     ) -> DiscrepancyResult:
-        breakpoints, difference = _cumulative_difference(stream, sample)
-        index = int(np.argmax(np.abs(difference)))
-        return DiscrepancyResult(
-            error=float(abs(difference[index])),
-            witness=Prefix(breakpoints[index]),
-            exact=True,
-            ranges_examined=len(breakpoints),
-        )
+        return PrefixSystem.worst_range(*_cumulative_difference(stream, sample))

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
 from typing import Any
 
-from ..exceptions import ConfigurationError, EmptySampleError
-from .base import DiscrepancyResult, Range, SetSystem
+from ..exceptions import EmptySampleError
+from .base import DiscrepancyResult, IntegerUniverseSystem, Range
 
 
 @dataclass(frozen=True)
@@ -30,20 +30,21 @@ class Singleton(Range):
         return f"Singleton({self.value!r})"
 
 
-class SingletonSystem(SetSystem):
+class SingletonSystem(IntegerUniverseSystem):
     """``R = {{a} : a in U}`` over the discrete universe ``U = {1, ..., N}``.
 
     The VC dimension of the singleton system is 1 (a single point is
     shattered; no pair is, because no singleton contains both points), while
     its cardinality is ``N`` — another instance of the gap the paper is about.
+
+    Its batch :meth:`max_discrepancy` counts with a :class:`~collections.Counter`,
+    so it judges samples of any hashable elements; its tracker reads the
+    per-value difference through :meth:`worst_range`.
     """
 
     name = "singletons"
-
-    def __init__(self, universe_size: int) -> None:
-        if universe_size < 1:
-            raise ConfigurationError(f"universe size must be >= 1, got {universe_size}")
-        self.universe_size = int(universe_size)
+    cumulative = False
+    range_type = Singleton
 
     def ranges(self) -> Iterator[Singleton]:
         for value in range(1, self.universe_size + 1):
@@ -54,9 +55,6 @@ class SingletonSystem(SetSystem):
 
     def vc_dimension(self) -> int:
         return 1
-
-    def contains_element(self, element: Any) -> bool:
-        return 1 <= element <= self.universe_size and float(element).is_integer()
 
     def max_discrepancy(
         self, stream: Sequence[Any], sample: Sequence[Any]
@@ -82,10 +80,3 @@ class SingletonSystem(SetSystem):
             exact=True,
             ranges_examined=examined,
         )
-
-    def make_tracker(self, stream_length=None):
-        from .tracker import DenseCountTracker, SingletonDiscrepancyTracker
-
-        if not DenseCountTracker.supports_universe(self.universe_size, stream_length):
-            return None
-        return SingletonDiscrepancyTracker(self.universe_size)

@@ -260,6 +260,66 @@ class TestSharedGeneratorRule:
         assert findings == []
 
 
+SEEDABLE_SYSTEMS = """
+    class Boxes:
+        def __init__(self, side, max_candidates=100, seed=None):
+            self.side = side
+
+    class CappedBoxes(Boxes):
+        pass
+
+    class FixedBoxes(Boxes):
+        def __init__(self, side):
+            super().__init__(side, seed=0)
+"""
+
+
+class TestSeedlessProjectClassRule:
+    def test_bad_e9_shape_is_caught(self, tmp_path):
+        """A seedable system built with no seed, itself or through an
+        inherited ``__init__`` (E9's box system before it was seeded)."""
+        findings = run_engine(
+            tmp_path,
+            {
+                "systems.py": SEEDABLE_SYSTEMS,
+                "exp.py": """
+                from . import systems
+                from .systems import CappedBoxes
+
+                boxes = systems.Boxes(16, max_candidates=200_000)
+                capped = CappedBoxes(16)
+                """,
+            },
+        )
+        assert [(f.file, f.line, f.rule) for f in findings] == [
+            ("pkg/exp.py", 5, "RNG005"),
+            ("pkg/exp.py", 6, "RNG005"),
+        ]
+        assert "systems.Boxes(...)" in findings[0].message
+
+    def test_good_seeded_forwarded_or_suppressed(self, tmp_path):
+        findings = run_engine(
+            tmp_path,
+            {
+                "systems.py": SEEDABLE_SYSTEMS,
+                "exp.py": """
+                from .systems import Boxes, CappedBoxes, FixedBoxes
+
+                def trial(rng, options, arguments):
+                    return (
+                        Boxes(16, seed=rng),
+                        CappedBoxes(16, **options),
+                        Boxes(*arguments),
+                        FixedBoxes(16),
+                    )
+
+                size = Boxes(16).side  # repro: noqa[RNG005]: reads the side only, draws nothing
+                """,
+            },
+        )
+        assert findings == []
+
+
 # ----------------------------------------------------------------------
 # Determinism
 # ----------------------------------------------------------------------

@@ -1,56 +1,43 @@
-"""Tests for the epsilon-approximation helpers and the checkpoint schedule."""
+"""Tests for Definition 1.1 on a set system and the checkpoint schedule."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.approximation import (
-    approximation_error,
-    approximation_report,
-    density,
-    geometric_checkpoints,
-    is_epsilon_approximation,
-)
+from repro.core.approximation import geometric_checkpoints
 from repro.exceptions import EmptySampleError
 from repro.setsystems import Prefix
 
 
 class TestDensity:
-    def test_counts_fraction(self):
-        assert density(Prefix(5), [1, 2, 9, 10]) == pytest.approx(0.5)
+    def test_counts_fraction(self, prefix_system):
+        assert prefix_system.density(Prefix(5), [1, 2, 9, 10]) == pytest.approx(0.5)
 
-    def test_duplicates_count(self):
-        assert density(Prefix(5), [1, 1, 1, 9]) == pytest.approx(0.75)
+    def test_duplicates_count(self, prefix_system):
+        assert prefix_system.density(Prefix(5), [1, 1, 1, 9]) == pytest.approx(0.75)
 
-    def test_empty_sequence_rejected(self):
+    def test_empty_sequence_rejected(self, prefix_system):
         with pytest.raises(EmptySampleError):
-            density(Prefix(5), [])
+            prefix_system.density(Prefix(5), [])
 
 
 class TestApproximationHelpers:
-    def test_error_equals_system_discrepancy(self, prefix_system):
-        stream = [1, 5, 9, 13, 17, 21, 25, 29]
-        sample = [5, 17, 29]
-        assert approximation_error(prefix_system, stream, sample) == pytest.approx(
-            prefix_system.max_discrepancy(stream, sample).error
-        )
-
     def test_report_contains_witness(self, prefix_system):
         stream = list(range(1, 33))
         sample = [1, 2]
-        report = approximation_report(prefix_system, stream, sample)
+        report = prefix_system.max_discrepancy(stream, sample)
         assert report.error > 0.9
         assert report.witness.bound == 2
 
     def test_is_epsilon_approximation_boundary(self, prefix_system):
         stream = list(range(1, 33))
         sample = list(range(1, 33))
-        assert is_epsilon_approximation(prefix_system, stream, sample, 0.0)
+        assert prefix_system.is_epsilon_approximation(stream, sample, 0.0)
 
     def test_not_approximation_when_biased(self, prefix_system):
         stream = list(range(1, 33))
         sample = [1, 1, 1, 1]
-        assert not is_epsilon_approximation(prefix_system, stream, sample, 0.5)
+        assert not prefix_system.is_epsilon_approximation(stream, sample, 0.5)
 
 
 class TestGeometricCheckpoints:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import EXPERIMENTS, ExperimentConfig
+from repro.setsystems import RectangleSystem
 
 #: Tiny configuration: every experiment must complete quickly under it.
 TINY = ExperimentConfig(
@@ -115,6 +116,29 @@ def test_experiments_are_reproducible_given_the_same_config():
     first = EXPERIMENTS["E13"](TINY)
     second = EXPERIMENTS["E13"](TINY)
     assert first.rows == second.rows
+
+
+def test_e9_sampled_box_sweep_repeats_at_a_fixed_seed(monkeypatch):
+    """Above its candidate cap E9's box sweep samples candidate boxes, from
+    each trial's own generator, so a seeded run repeats exactly."""
+    from repro.experiments import range_query_exp
+
+    sweeps = []
+
+    class RecordingBoxes(RectangleSystem):
+        def max_discrepancy(self, stream, sample):
+            result = super().max_discrepancy(stream, sample)
+            sweeps.append(result.exact)
+            return result
+
+    monkeypatch.setattr(range_query_exp, "RectangleSystem", RecordingBoxes)
+    monkeypatch.setattr(range_query_exp, "MAX_BOX_CANDIDATES", 500)
+    config = ExperimentConfig(
+        trials=2, stream_length=1500, epsilon=0.5, delta=0.5, extras={"grid_side": 16}
+    )
+    first = EXPERIMENTS["E9"](config)
+    assert EXPERIMENTS["E9"](config).rows == first.rows
+    assert not all(sweeps), "the static workload's sweeps must sample their candidates"
 
 
 def test_e13_rows_are_pinned():

@@ -300,6 +300,24 @@ class TestServeHarness:
         assert payload["rounds"] == n
         assert payload["queries"] == report.queries
 
+    def test_final_sample_size_is_the_held_snapshot_without_another_merge(self):
+        """A reader-free serve over a sharded deployment merges once per
+        published snapshot; reporting the final size costs no merge."""
+        service = QueryService(
+            ShardedSampler(
+                4, lambda rng: ReservoirSampler(200, seed=rng), strategy="hash", seed=2
+            ),
+            staleness_rounds=2_048,
+            universe_size=UNIVERSE,
+        )
+        report = service.serve(
+            _stream(20_000, seed=5), chunk_size=1024, clients=0, adversarial_clients=0
+        )
+        assert service.sampler.ledger.events("merge") == report.snapshot_refreshes == 7
+        assert report.final_sample_size == service._store.held.size == 200
+        empty = QueryService(ReservoirSampler(8, seed=0)).serve([], clients=0, adversarial_clients=0)
+        assert empty.final_sample_size is None
+
     def test_adversarial_fresh_reads_observe_zero_staleness_rounds(self):
         """A fresh read always reflects every ingested round at the moment
         the lock is held — the adversary pays latency for freshness."""

@@ -24,7 +24,7 @@ from repro.exceptions import EmptySampleError, TrackerUnsupportedError
 from repro.samplers import BernoulliSampler, ReservoirSampler
 from repro.setsystems import (
     ContinuousPrefixSystem,
-    DenseCountTracker,
+    DiscrepancyTracker,
     ExplicitSetSystem,
     IntervalSystem,
     Prefix,
@@ -77,6 +77,7 @@ class TestTrackerMatchesBatchRecomputation:
 
     @pytest.mark.parametrize("system_cls", SYSTEMS)
     def test_witness_achieves_reported_error(self, system_cls, rng):
+        """Both paths name one worst range, and it is a range of the system."""
         system = system_cls(64)
         tracker = system.make_tracker()
         stream = [int(x) for x in rng.integers(1, 65, size=400)]
@@ -87,6 +88,12 @@ class TestTrackerMatchesBatchRecomputation:
             system.density(report.witness, stream) - system.density(report.witness, sample)
         )
         assert witnessed == pytest.approx(report.error, abs=1e-12)
+        batch = system.max_discrepancy(stream, sample)
+        assert batch.error == report.error > 0
+        assert batch.witness == report.witness
+        assert batch.witness in set(system.ranges())
+        # Integer data give integer endpoints, not floats that compare equal.
+        assert {type(end) for end in vars(batch.witness).values()} == {int}
 
 
 class TestContinuousGameEquivalence:
@@ -224,14 +231,14 @@ class TestTrackerEdgeCases:
     def test_systems_without_incremental_algorithms_return_none(self):
         assert ContinuousPrefixSystem().make_tracker() is None
         assert ExplicitSetSystem.prefixes(6).make_tracker() is None
-        assert PrefixSystem(DenseCountTracker.MAX_DENSE_UNIVERSE + 1).make_tracker() is None
+        assert PrefixSystem(DiscrepancyTracker.MAX_DENSE_UNIVERSE + 1).make_tracker() is None
 
     def test_dense_tracker_declined_for_short_streams_over_huge_universes(self):
         """O(N) checkpoints would lose to the O(n log n) batch path there."""
-        huge = PrefixSystem(DenseCountTracker.MAX_DENSE_UNIVERSE)
+        huge = PrefixSystem(DiscrepancyTracker.MAX_DENSE_UNIVERSE)
         assert huge.make_tracker(stream_length=1_000) is None
         # A stream long enough to amortise the dense arrays gets the tracker.
-        assert huge.make_tracker(stream_length=DenseCountTracker.MAX_DENSE_UNIVERSE) is not None
+        assert huge.make_tracker(stream_length=DiscrepancyTracker.MAX_DENSE_UNIVERSE) is not None
         # Small universes always qualify, whatever the stream length.
         assert PrefixSystem(1024).make_tracker(stream_length=10) is not None
 
